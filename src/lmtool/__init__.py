@@ -46,7 +46,7 @@ from .invariants import (
     verify_lm_chern,
     weight_independence,
 )
-from .linalg import Poly, QMatrix, Rat, RatFunc, RowReducer, nullspace, rank
+from .linalg import Poly, QMatrix, RatFunc, RowReducer, nullspace, rank
 from .subspace import Functional, SpecError, SubspaceSpec, parse_spec
 from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis, parse_weyl
 
@@ -67,7 +67,6 @@ __all__ = [
     "Poly",
     "QFraction",
     "QMatrix",
-    "Rat",
     "RatFunc",
     "RelativeResult",
     "Report",

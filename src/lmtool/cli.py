@@ -74,7 +74,10 @@ def _parse_weights(raw: str) -> tuple[Weight, ...]:
     parts = [p for p in raw.split(";") if p.strip()]
     if not parts:
         raise ValueError("empty weight list")
-    return tuple(Weight.parse(p) for p in parts)
+    weights = tuple(Weight.parse(p) for p in parts)
+    if len(set(weights)) < len(weights):
+        raise ValueError("repeated weight in weight list")
+    return weights
 
 
 def _load_spec(token: str):

@@ -7,13 +7,27 @@ rank-one right ideals is modeled by operators with rational coefficients:
 
 where g is the conductor of V1, u runs over A, and p acts by p.f = u.(f/g).
 Writing V1 = span(low_basis) + g*C[x], membership is linear in the normal
-form coefficients of u:
+form coefficients of u, and every condition is local at a point c of V1 or
+V2 (below t = x - c):
 
-  * u . C[x] in V2 -- for a functional of order d at c it is enough to check
-    u.(x-c)^s for s <= d + b_max (b_max the largest d-order available):
-    beyond that every term of u.(x-c)^s is divisible by (x-c)^(d+1);
-  * u . (v/g) is a polynomial lying in V2 for each low-basis v -- pole
-    cancellation and the functional conditions, both linear.
+  * u . C[x] in V2 -- a functional of order d at c reads the d-jet of u.f at
+    c, and it is enough to check u.t^s for s <= d + b_max (b_max the largest
+    d-order available): beyond that every term of u.t^s is divisible by
+    t^(d+1);
+  * u . (v/g) is a polynomial lying in V2 for each low-basis v -- it has no
+    principal part at any root of g, and each functional of V2 at c reads
+    its jet there.
+
+One routine writes both kinds of rows.  Given the Laurent jet at c of
+F = t^s or F = v/g (v/g = t^-m * v/h with m the order of g at c, by
+power-series division of Taylor expansions), column x^a d^b gets the jet of
+x^a d^b F by b differentiations and a multiplications by x = c + t.
+
+The rows themselves are not canonical: a functional row reads the whole
+Laurent jet, which agrees with the functional applied to the polynomial
+u.(v/g) only where the pole rows hold.  What the conditions fix is the
+solution set, and the row space is its annihilator, so the canonical RREF
+-- every dimension and basis -- does not depend on which rows encode them.
 
 Columns (monomials of u) are sorted by weighted degree, so the system for
 degree k is a column prefix of the system for k_max: one reduction yields
@@ -25,11 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
-from typing import Sequence
+from math import factorial, lcm
 
 from .linalg import Poly, RatFunc, RowReducer, poly_divmod
-from .subspace import Functional, SubspaceSpec
+from .subspace import SubspaceSpec
 from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
 
 
@@ -84,54 +97,31 @@ class GradedPiece:
         }
 
 
-def _functional_on_shifted_power(fn: Functional, m: int, a: int) -> Fraction:
-    """fn(x^a * (x - c)^m) in closed form.
-
-    (x^a (x-c)^m)^(e)(c) = C(e,m) m! * perm(a, e-m) * c^(a-e+m) for e >= m.
-    """
-    c = fn.point
-    out = Fraction(0)
-    for e, coeff in fn.terms:
-        if e < m:
-            continue
-        p = perm(a, e - m)
-        if p:
-            out += coeff * comb(e, m) * factorial(m) * p * c ** (a - e + m)
-    return out
-
-
-def _g_adic_digits(p: Poly, g: Poly) -> list[Poly]:
-    """Digits d_t with p = sum d_t g^t, deg d_t < deg g."""
+def _taylor(p: Poly, c: Fraction) -> list[Fraction]:
+    """Taylor coefficients of p at c: its (x - c)-adic digits."""
+    t = Poly({0: -c, 1: 1})
     digits = []
     while not p.is_zero:
-        q, r = poly_divmod(p, g)
-        digits.append(r)
-        p = q
+        p, r = poly_divmod(p, t)
+        digits.append(r[0])
     return digits
 
 
-def _shift_digits_by_x(digits: list[Poly], g: Poly, gdeg: int) -> list[Poly]:
-    """Digits of x*p from digits of p: x*d_t = c_t*g + e_t with a single
-    carry c_t (the x^(gdeg-1) coefficient of d_t) since g is monic."""
-    new: list[Poly] = []
-    carry = Fraction(0)
-    for d in digits:
-        xd = d.shift_x(1)
-        c = xd[gdeg]
-        if c:
-            xd = xd - g * c
-        if carry:
-            xd = xd + Poly.const(carry)
-        new.append(xd)
-        carry = c
-    if carry:
-        new.append(Poly.const(carry))
-    return new
+def _series_quotient(num: list[Fraction], den: list[Fraction], top: int) -> list[Fraction]:
+    """Coefficients 0..top of the power series num/den, den[0] != 0."""
+    out: list[Fraction] = []
+    for n in range(top + 1):
+        acc = num[n] if n < len(num) else Fraction(0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[k] * out[n - k]
+        out.append(acc / den[0])
+    return out
 
 
 class _Tower:
     """One reduced linear system per (source, target, weight); every filtered
-    piece up to kmax is a column prefix of it."""
+    piece up to kmax is a column prefix of it.  The rows are built point by
+    point from Laurent jets (see the module docstring)."""
 
     __slots__ = ("src", "dst", "weight", "kmax", "g", "gdeg",
                  "cols", "col_index", "reducer", "_basis_cache")
@@ -149,98 +139,90 @@ class _Tower:
         self.reducer = RowReducer(len(self.cols))
         self._basis_cache: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
         if self.cols:
-            b_max = k_u // weight.w2
-            self._add_target_rows(k_u, b_max)
-            self._add_pole_rows(k_u, b_max)
+            self._add_rows(k_u)
 
-    # the two condition blocks -------------------------------------------------
+    # rows ---------------------------------------------------------------------
 
-    def _add_target_rows(self, k_u: int, b_max: int) -> None:
-        """u . C[x] in dst, checked on the basis (x-c)^s adapted to each
-        functional; rows beyond s = d + b_max vanish identically."""
-        ncols = len(self.cols)
+    def _add_rows(self, k_u: int) -> None:
+        """At each point c of src or dst: the rows of F = (x-c)^s for
+        s <= d + b_max, then those of F = v/g for each low-basis v.  m is the
+        order of g at c and d the top order of a dst functional there (-1 if
+        none)."""
+        b_max = k_u // self.weight.w2
+        src_order: dict[Fraction, int] = {}
+        for fn in self.src.functionals:
+            src_order[fn.point] = max(src_order.get(fn.point, -1), fn.order)
+        dst_order: dict[Fraction, int] = {}
+        reads: dict[Fraction, list[list[tuple[int, int]]]] = {}
         for fn in self.dst.functionals:
-            d = fn.order
-            for s in range(d + b_max + 1):
-                row = [Fraction(0)] * ncols
-                nonzero = False
-                for idx, (a, b) in enumerate(self.cols):
-                    if b > s or s - b > d:
-                        continue
-                    val = perm(s, b) * _functional_on_shifted_power(fn, s - b, a)
-                    if val:
-                        row[idx] = val
-                        nonzero = True
-                if nonzero:
-                    self.reducer.add_row(row)
+            dst_order[fn.point] = max(dst_order.get(fn.point, -1), fn.order)
+            scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
+            reads.setdefault(fn.point, []).append(
+                [(o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms])
+        for c in sorted(src_order.keys() | dst_order.keys()):
+            m = src_order.get(c, -1) + 1
+            d = dst_order.get(c, -1)
+            fn_reads = reads.get(c, [])
+            top = d + b_max  # highest jet exponent any column reads
+            for s in range(top + 1 if d >= 0 else 0):
+                self._add_jet_rows(c, [0] * s + [1] + [0] * (top - s), 0, d, fn_reads, k_u)
+            if self.src.low_basis:
+                h = _taylor(self.g, c)[m:]
+                for v in self.src.low_basis:
+                    jet = _series_quotient(_taylor(v, c), h, top + m)
+                    den = lcm(*(y.denominator for y in jet))
+                    self._add_jet_rows(c, [int(y * den) for y in jet], m, d, fn_reads, k_u)
 
-    def _add_pole_rows(self, k_u: int, b_max: int) -> None:
-        """u . (v/g) polynomial and in dst, for each low-basis v of src.
+    def _add_jet_rows(self, c: Fraction, jet: list[int], m: int, d: int,
+                      reads: list[list[tuple[int, int]]], k_u: int) -> None:
+        """Rows for one F given by its Laurent jet at c, the coefficients of
+        t^-m .. t^(d + b_max), t = x - c, scaled to integers (a row is only
+        defined up to scale).
 
-        Per column x^a d^b:  x^a d^b . (v/g) = x^a P_b / g^(b+1) with
-        P_b = P'_{b-1} g - b P_{b-1} g'.  The g-adic digits of x^a P_b give
-        the pole part (digits 0..b, one row per pole order and x-power < deg g)
-        and the polynomial part (digits > b), on which the target functionals
-        are evaluated via a precomputed table of fn(x^j * g^t).
+        Column x^a d^b reads the jet w of x^a d^b F on t^-(m+b) .. t^d.  Each
+        negative exponent is a principal-part row that must vanish.  Each dst
+        functional sum_o coeff_o f^(o)(c), given in ``reads`` as the pairs
+        (o, coeff_o * o!) scaled to integers, gives the row
+        sum_o coeff_o o! w[o].  With c = p/q, multiplying by q*x = p + q*t
+        keeps w integral, and scaling column x^a d^b by q^(a_top - a) gives
+        every entry of a row the common factor q^a_top.
         """
-        gdeg = self.gdeg
-        if gdeg == 0 or not self.src.low_basis:
-            return
-        weight = self.weight
+        w1, w2 = self.weight.w1, self.weight.w2
+        p, q = c.numerator, c.denominator
+        a_top, b_max = k_u // w1, k_u // w2
+        col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
         ncols = len(self.cols)
-        g_prime = self.g.derivative()
-        fns = self.dst.functionals
-
-        # fn(x^j * g^t), grown on demand
-        gpows: list[Poly] = [Poly.one()]
-        ltab: list[list[list[Fraction]]] = [[] for _ in fns]
-
-        def l_entry(fi: int, t: int, j: int) -> Fraction:
-            rows = ltab[fi]
-            while len(rows) <= t:
-                tt = len(rows)
-                while len(gpows) <= tt:
-                    gpows.append(gpows[-1] * self.g)
-                gp = gpows[tt]
-                rows.append([fns[fi].apply(gp.shift_x(j2)) for j2 in range(gdeg)])
-            return rows[t][j]
-
-        for v in self.src.low_basis:
-            div_rows = [[Fraction(0)] * ncols for _ in range((b_max + 1) * gdeg)]
-            fn_rows = [[Fraction(0)] * ncols for _ in fns]
-            p_b = v
-            for b in range(b_max + 1):
-                if b:
-                    p_b = p_b.derivative() * self.g - b * (p_b * g_prime)
-                digits = _g_adic_digits(p_b, self.g)
-                a_top = (k_u - b * weight.w2) // weight.w1
-                for a in range(a_top + 1):
-                    if a:
-                        digits = _shift_digits_by_x(digits, self.g, gdeg)
-                    idx = self.col_index.get((a, b))
-                    if idx is None:
-                        continue
-                    for t, digit in enumerate(digits):
-                        if digit.is_zero:
-                            continue
-                        if t <= b:
-                            pole_order = b + 1 - t  # row group (pole_order - 1)
-                            base = (pole_order - 1) * gdeg
-                            for e, coeff in digit.items():
-                                div_rows[base + e][idx] = coeff
-                        else:
-                            for fi in range(len(fns)):
-                                acc = Fraction(0)
-                                for e, coeff in digit.items():
-                                    acc += coeff * l_entry(fi, t - b - 1, e)
-                                if acc:
-                                    fn_rows[fi][idx] += acc
-            for row in div_rows:
-                if any(row):
-                    self.reducer.add_row(row)
-            for row in fn_rows:
-                if any(row):
-                    self.reducer.add_row(row)
+        poles = [[0] * ncols for _ in range(m + b_max if m else 0)]  # poles[i]: t^-(i+1)
+        values = [[0] * ncols for _ in reads]
+        lo = -m  # exponent of jet[0]
+        for b in range(b_max + 1):
+            if b:
+                jet = [(lo + i) * y for i, y in enumerate(jet)]
+                if lo:
+                    lo -= 1
+                else:
+                    del jet[0]
+                if not any(jet):
+                    break
+            w = jet[:d - lo + 1]
+            if not any(w):
+                continue
+            for a in range((k_u - b * w2) // w1 + 1):
+                if a:
+                    if p:
+                        w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
+                    else:  # c = 0: multiplying by x is a shift
+                        w = [0] + w[:-1]
+                idx = self.col_index[(a, b)]
+                s = col_scale[a]
+                for i in range(-lo):
+                    if w[i]:
+                        poles[-lo - 1 - i][idx] = s * w[i]
+                for row, terms in zip(values, reads):
+                    row[idx] = s * sum(cf * w[o - lo] for o, cf in terms)
+        for row in poles + values:
+            if any(row):
+                self.reducer.add_row(row)
 
     # queries --------------------------------------------------------------------
 

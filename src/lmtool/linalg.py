@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-Rat = Fraction
-
 
 def rat_from_str(text: str | int) -> Fraction:
     """Parse a rational written as ``p`` or ``p/q``."""
@@ -86,11 +84,6 @@ class Poly:
         return Poly({power: 1})
 
     @staticmethod
-    def from_list(coeffs: Sequence[Fraction | int]) -> "Poly":
-        """Coefficients in increasing order of exponent: [c0, c1, ...]."""
-        return Poly(dict(enumerate(coeffs)))
-
-    @staticmethod
     def parse(text: str) -> "Poly":
         terms = parse_monomial_sum(text, ("x",))
         return Poly({exps[0]: c for exps, c in terms.items()})
@@ -113,14 +106,6 @@ class Poly:
 
     def __getitem__(self, exponent: int) -> Fraction:
         return self._c.get(exponent, Fraction(0))
-
-    def coeff_list(self, length: int) -> list[Fraction]:
-        """Dense coefficient list [c0 .. c_{length-1}]."""
-        out = [Fraction(0)] * length
-        for e, v in self._c.items():
-            if e < length:
-                out[e] = v
-        return out
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -333,11 +318,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:
-    """Reduce num/den to lowest terms with monic denominator."""
-    return RatFunc(num, den)
 
 
 # ---------------------------------------------------------------------------

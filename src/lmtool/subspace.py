@@ -162,10 +162,6 @@ class SubspaceSpec:
         return all(fn.apply(f) == 0 for fn in self.functionals)
 
     @property
-    def conductor_degree(self) -> int:
-        return self.conductor.degree()
-
-    @property
     def points(self) -> tuple[Fraction, ...]:
         return tuple(sorted({fn.point for fn in self.functionals}))
 

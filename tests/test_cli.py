@@ -1,5 +1,6 @@
 """Command line behavior: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,9 @@ from lmtool.weyl import Weight
 W11 = Weight(1, 1)
 
 CUSP_DOC = '{"kind": "monomial", "name": "cusp", "gaps": [1]}'
+
+# sha256 of the stdout of `lmtool verify --kmax 12` over the whole catalog
+CATALOG_KMAX12_SHA256 = "c9e878d29fa842d3ead699fe18d44bff9d59fde7bad7546780baff02760b1d14"
 
 
 @pytest.fixture
@@ -147,6 +151,9 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--spec", "cusp")
     _, second, _ = run(capsys, "verify", "--spec", "cusp")
     assert first == second
+    code, out, _ = run(capsys, "verify", "--kmax", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX12_SHA256
 
 
 def test_emitted_report_revalidates(capsys):
@@ -180,6 +187,7 @@ def test_usage_errors_exit_2(capsys, cusp_file):
         ["invariant", "--spec", "cusp", "--weights", "1"],
         ["chern", "--spec", "cusp", "--weights", "2,1"],
         ["verify", "--spec", cusp_file, "--weights", "1,1"],
+        ["verify", "--spec", "cusp", "--weights", "1,1;1,1"],   # repeated weight
         ["no-such-verb"],
         [],
     ]

@@ -31,7 +31,7 @@ from lmtool.graded import (
     module_piece,
 )
 from lmtool.linalg import Poly, RowReducer
-from lmtool.subspace import SubspaceSpec
+from lmtool.subspace import SubspaceSpec, parse_spec
 from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis, parse_weyl
 
 X = sympy.Symbol("x")
@@ -233,13 +233,29 @@ def test_endomorphism_dims_match_oracle(name, weight, kmax):
     assert ours == theirs
 
 
+# non-catalog specs at non-integer points: f'(1/2) = 0 and f(-1/3) + 2f'(-1/3) = 0
+EXTRA_SPECS = {
+    "half-cusp": parse_spec({"kind": "conditions", "name": "half-cusp", "points": [
+        {"c": "1/2", "functionals": [[{"order": 1, "coeff": 1}]]}]}),
+    "third-mixed": parse_spec({"kind": "conditions", "name": "third-mixed", "points": [
+        {"c": "-1/3", "functionals": [[{"order": 0, "coeff": 1}, {"order": 1, "coeff": 2}]]}]}),
+}
+
+
+def spec_named(name: str) -> SubspaceSpec:
+    return EXTRA_SPECS[name] if name in EXTRA_SPECS else catalog_get(name)
+
+
 @pytest.mark.parametrize("src,dst", [
     ("cusp", "trivial"),
     ("cusp", "gaps-1-2"),
     ("two-point", "cusp"),
+    ("half-cusp", "cusp"),
+    ("cusp", "half-cusp"),
+    ("third-mixed", "cusp"),
 ])
 def test_cross_hom_dims_match_oracle(src, dst):
-    s, d = catalog_get(src), catalog_get(dst)
+    s, d = spec_named(src), spec_named(dst)
     ours = hom_dims(s, d, W11, 3)
     theirs = [oracle_hom_dim(s, d, W11, k) for k in range(4)]
     assert ours == theirs

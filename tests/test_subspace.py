@@ -1,7 +1,9 @@
 """Condition subspaces: functionals, conductors, low bases, and the JSON parser."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -253,3 +255,13 @@ def test_parse_round_trips_catalog_documents():
         again = parse_spec(json.dumps(doc))
         assert again == spec
         assert again.name == spec.name
+
+
+def test_readme_spec_examples_parse():
+    from lmtool.catalog import catalog_get
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    specs = [parse_spec(block) for block in blocks]
+    assert specs == [catalog_get("cusp"), catalog_get("two-point")]
+    assert [s.name for s in specs] == ["cusp", "two-point"]
