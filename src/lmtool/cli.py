@@ -9,7 +9,8 @@ Verbs:
   catalog    list the built-in specs
 
 Exit codes: 0 success, 1 an identity verdict failed, 2 usage or parse
-error, 3 a sequence did not stabilize (raise --kmax).  Reports go to
+error, 3 a sequence did not stabilize (raise --kmax); a negative fit
+constant counts as not stabilized, since n >= 0 for every V.  Reports go to
 stdout (or --out); diagnostics go to stderr.  Output is deterministic:
 timing appears only under --timing.
 """
@@ -26,6 +27,7 @@ from .catalog import catalog, catalog_get, catalog_names
 from .invariants import (
     DEFAULT_WEIGHTS,
     W11,
+    NegativeChernError,
     NonPolynomialError,
     NotStabilizedError,
     Report,
@@ -251,7 +253,7 @@ def run(argv: Sequence[str]) -> int:
     except (_Usage, SpecError, ValueError) as exc:
         print(f"lmtool: error: {exc}", file=sys.stderr)
         return 2
-    except (NotStabilizedError, NonPolynomialError) as exc:
+    except (NotStabilizedError, NonPolynomialError, NegativeChernError) as exc:
         print(f"lmtool: not stabilized: {exc}", file=sys.stderr)
         print("lmtool: raise --kmax and rerun", file=sys.stderr)
         return 3

@@ -33,6 +33,15 @@ Columns (monomials of u) are sorted by weighted degree, so the system for
 degree k is a column prefix of the system for k_max: one reduction yields
 every dimension, and the canonical nullspace gives nested bases (each basis
 vector is supported on columns up to its free column).
+
+Graded inclusion is read off the same reduction.  The columns of top
+degree at level k are [lo, hi) = [ncols(k-1), ncols(k)), and the vectors new
+at level k belong to the free columns j in [lo, hi).  The top symbol of
+vector j is column j plus some pivot columns in [lo, j).  Within one degree
+the columns run by rising d-order, so their x-exponents fall: column j has
+the least x-exponent of its symbol.  Every symbol is therefore divisible by
+x^deg(g) exactly when every free column in [lo, hi) has x-exponent
+>= deg(g), and no basis, symbol or RREF is built.
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ class _Tower:
     point from Laurent jets (see the module docstring)."""
 
     __slots__ = ("src", "dst", "weight", "kmax", "g", "gdeg",
-                 "cols", "col_index", "reducer", "_basis_cache")
+                 "cols", "col_index", "reducer")
 
     def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
         self.src = src
@@ -137,7 +146,6 @@ class _Tower:
         self.cols = monomial_basis(weight, k_u)
         self.col_index = {ab: i for i, ab in enumerate(self.cols)}
         self.reducer = RowReducer(len(self.cols))
-        self._basis_cache: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
         if self.cols:
             self._add_rows(k_u)
 
@@ -233,18 +241,23 @@ class _Tower:
         n = self.ncols_at(k)
         return n - self.reducer.prefix_rank(n)
 
-    def basis_vectors(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.ncols_at(k)
-        if n not in self._basis_cache:
-            self._basis_cache[n] = self.reducer.nullspace(n)
-        return self._basis_cache[n]
-
     def basis_elements(self, k: int) -> tuple[WeylEl, ...]:
         out = []
-        for vec in self.basis_vectors(k):
+        for vec in self.reducer.nullspace(self.ncols_at(k)):
             terms = {self.cols[i]: c for i, c in enumerate(vec) if c}
             out.append(WeylEl(terms))
         return tuple(out)
+
+    def gr_divisible(self, k: int) -> bool:
+        """Is the top symbol (numerator form) of every basis vector new at
+        level k divisible by x^deg(g)?  Only the pivot columns are read, see
+        the module docstring."""
+        pivots = set(self.reducer.pivot_cols())
+        return all(
+            self.cols[j][0] >= self.gdeg
+            for j in range(self.ncols_at(k - 1), self.ncols_at(k))
+            if j not in pivots
+        )
 
 
 _MIN_BUILD_K = 12
@@ -320,10 +333,9 @@ def gr_symbol_space(piece_k: GradedPiece, piece_prev: GradedPiece) -> tuple[Symb
 def gr_inclusion_check(spec: SubspaceSpec, weight: Weight, k: int) -> bool:
     """Does the degree-k graded piece of End sit inside gr A?
 
-    In numerator form this is divisibility of every symbol by x^deg(g).
+    In numerator form this is divisibility of every symbol by x^deg(g).  The
+    answer is the one ``gr_symbol_space`` of the ``hom_piece``s at k and k-1
+    gives, read from the End tower's pivot columns without building either
+    piece (see the module docstring).
     """
-    piece_k = hom_piece(spec, spec, weight, k)
-    piece_prev = hom_piece(spec, spec, weight, k - 1)
-    gdeg = spec.conductor.degree()
-    symbols = gr_symbol_space(piece_k, piece_prev)
-    return all(sym.divisible_by_x(gdeg) for sym in symbols)
+    return _tower_for(spec, spec, weight, max(k, 0)).gr_divisible(k)

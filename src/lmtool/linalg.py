@@ -396,6 +396,9 @@ class RowReducer:
         row = list(entries)
         if len(row) != self.ncols:
             raise ValueError("row length mismatch")
+        # isinstance(v, Fraction) costs an ABC lookup for every int entry
+        if all(type(v) is int for v in row):
+            return row
         dens = [v.denominator for v in row if isinstance(v, Fraction) and v.denominator != 1]
         if dens:
             scale = lcm(*dens)

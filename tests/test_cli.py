@@ -6,7 +6,7 @@ import json
 import pytest
 
 from lmtool import cli
-from lmtool.invariants import Report, fit_euler, HilbertSeq
+from lmtool.invariants import NegativeChernError, Report, fit_euler, HilbertSeq
 from lmtool.weyl import Weight
 
 W11 = Weight(1, 1)
@@ -217,6 +217,19 @@ def test_verdict_failure_exits_1(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
     assert "t2" in err
     assert "hilbert_M" in err
+
+
+def test_negative_chern_exits_3(capsys, monkeypatch):
+    def negative(*args, **kwargs):
+        raise NegativeChernError("cusp: fit constant -1 is negative")
+
+    monkeypatch.setattr(cli, "full_report", negative)
+    code, out, err = run(capsys, "verify", "--spec", "cusp")
+    assert code == 3
+    assert out == ""
+    assert "lmtool: not stabilized: cusp: fit constant -1 is negative" in err
+    assert "raise --kmax" in err
+    assert "Traceback" not in err
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

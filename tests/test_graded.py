@@ -20,8 +20,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmtool.catalog import catalog_get
+from lmtool.catalog import catalog, catalog_get
 from lmtool.graded import (
+    _tower_for,
     clear_cache,
     gr_inclusion_check,
     gr_symbol_space,
@@ -439,3 +440,22 @@ def test_gr_inclusion_on_sample():
         spec = catalog_get(name)
         assert all(gr_inclusion_check(spec, W11, k) for k in range(7))
         assert all(gr_inclusion_check(spec, W21, k) for k in range(5))
+
+
+def test_gr_divisible_matches_symbol_reference():
+    # the RREF reader against gr_symbol_space over every ordered pair of
+    # catalog specs; the cross-hom pairs (src != dst) give real False cases
+    verdicts = []
+    for src in catalog():
+        for dst in catalog():
+            gdeg = src.conductor.degree()
+            for weight in (W11, W21, Weight(1, 2)):
+                for k in range(6):
+                    symbols = gr_symbol_space(
+                        hom_piece(src, dst, weight, k), hom_piece(src, dst, weight, k - 1)
+                    )
+                    expected = all(sym.divisible_by_x(gdeg) for sym in symbols)
+                    got = _tower_for(src, dst, weight, k).gr_divisible(k)
+                    assert got == expected, (src.name, dst.name, weight, k)
+                    verdicts.append(got)
+    assert True in verdicts and False in verdicts

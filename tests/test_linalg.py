@@ -238,6 +238,36 @@ def test_rref_is_row_order_invariant(m, rng):
     assert red_a.rref() == red_b.rref()
 
 
+@st.composite
+def int_rows(draw):
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    return ncols, draw(st.lists(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=ncols, max_size=ncols),
+        min_size=1, max_size=6,
+    ))
+
+
+@given(int_rows())
+@settings(max_examples=60)
+def test_int_rows_reduce_like_fraction_rows(case):
+    ncols, rows = case
+    originals = [r[:] for r in rows]
+    red_int, red_frac = RowReducer(ncols), RowReducer(ncols)
+    for r in rows:
+        assert red_int.add_row(r) == red_frac.add_row([Fraction(v) for v in r])
+    assert rows == originals  # the caller's rows are not reduced in place
+    assert red_int.rank == red_frac.rank
+    assert red_int.rref() == red_frac.rref()
+
+
+def test_add_row_rejects_wrong_length():
+    red = RowReducer(3)
+    with pytest.raises(ValueError):
+        red.add_row([1, 2])
+    with pytest.raises(ValueError):
+        red.add_row([Fraction(1), Fraction(2), Fraction(3), Fraction(4)])
+
+
 def test_prefix_rank_and_prefix_nullspace():
     m = QMatrix.from_rows([
         [1, 0, 2, 0],
