@@ -46,9 +46,9 @@ from .invariants import (
     verify_lm_chern,
     weight_independence,
 )
-from .linalg import Poly, QMatrix, RatFunc, RowReducer, nullspace, rank
+from .linalg import Poly, RowReducer
 from .subspace import Functional, SpecError, SubspaceSpec, parse_spec
-from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis, parse_weyl
+from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
 
 __version__ = "0.1.0"
 
@@ -66,8 +66,6 @@ __all__ = [
     "NotStabilizedError",
     "Poly",
     "QFraction",
-    "QMatrix",
-    "RatFunc",
     "RelativeResult",
     "Report",
     "RowReducer",
@@ -95,10 +93,7 @@ __all__ = [
     "module_dims",
     "module_piece",
     "monomial_basis",
-    "nullspace",
     "parse_spec",
-    "parse_weyl",
-    "rank",
     "relative_invariant",
     "report_csv",
     "report_text",

@@ -10,9 +10,11 @@ Verbs:
 
 Exit codes: 0 success, 1 an identity verdict failed, 2 usage or parse
 error, 3 a sequence did not stabilize (raise --kmax); a negative fit
-constant counts as not stabilized, since n >= 0 for every V.  Reports go to
-stdout (or --out); diagnostics go to stderr.  Output is deterministic:
-timing appears only under --timing.
+constant counts as not stabilized, since n >= 0 for every V.  A --kmax
+above KMAX_LIMIT is a usage error.  A --spec token that names a built-in
+spec means that spec even if a file of the same name exists; ./NAME reaches
+the file.  Reports go to stdout (or --out); diagnostics go to stderr.
+Output is deterministic: timing appears only under --timing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Sequence
 from .catalog import catalog, catalog_get, catalog_names
 from .invariants import (
     DEFAULT_WEIGHTS,
+    HILBERT_FIELDS,
     W11,
     NegativeChernError,
     NonPolynomialError,
@@ -39,12 +42,14 @@ from .invariants import (
     relative_invariant,
     report_csv,
     report_text,
+    text_fields,
     weight_independence,
 )
 from .subspace import SpecError, parse_spec
 from .weyl import Weight
 
 _VERBS = ("invariant", "chern", "relative", "dual", "verify", "catalog")
+KMAX_LIMIT = 200  # cost grows steeply with kmax; larger values are refused
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -61,10 +66,12 @@ def _parser() -> argparse.ArgumentParser:
                 action="append",
                 default=[],
                 metavar="PATH|NAME",
-                help="spec JSON file or built-in name; repeatable",
+                help="built-in spec name or spec JSON file; repeatable. A built-in "
+                     "name wins over a file of that name: write ./NAME for the file",
             )
             p.add_argument("--weights", default=None, metavar="W1,W2[;W1,W2...]")
-            p.add_argument("--kmax", type=int, default=12)
+            p.add_argument("--kmax", type=int, default=12,
+                           help=f"highest filtration degree, 4..{KMAX_LIMIT} (default 12)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, metavar="PATH")
         p.add_argument("--timing", action="store_true",
@@ -83,14 +90,14 @@ def _parse_weights(raw: str) -> tuple[Weight, ...]:
 
 
 def _load_spec(token: str):
+    if token in catalog_names():
+        return catalog_get(token)
     path = Path(token)
     if path.exists():
         try:
             return parse_spec(path.read_text())
         except (SpecError, OSError, UnicodeDecodeError) as exc:
             raise SpecError(f"{token}: {exc}") from exc
-    if token in catalog_names():
-        return catalog_get(token)
     raise SpecError(f"{token}: no such file and no built-in spec of that name")
 
 
@@ -167,13 +174,7 @@ def _render(reports: list[Report], fmt: str, timing: bool) -> str:
             return report_csv(reports[0])
         blocks = [f"# spec: {r.name}\n" + report_csv(r) for r in reports]
         return "\n".join(blocks)
-    chunks = []
-    for r in reports:
-        text = report_text(r)
-        if timing:
-            text += f"elapsed_ms: {round(r.elapsed_ms, 3)}\n"
-        chunks.append(text)
-    return "\n".join(chunks)
+    return "\n".join(report_text(r, timing) for r in reports)
 
 
 def _render_catalog(fmt: str) -> str:
@@ -217,30 +218,24 @@ def run(argv: Sequence[str]) -> int:
 
         if args.kmax < 4:
             raise _Usage("--kmax must be at least 4")
+        if args.kmax > KMAX_LIMIT:
+            raise _Usage(f"--kmax must be at most {KMAX_LIMIT}")
         weights = _parse_weights(args.weights) if args.weights else None
         specs = [_load_spec(token) for token in args.spec]
+        if args.verb in ("invariant", "chern", "dual") and not specs:
+            raise _Usage(f"{args.verb} needs at least one --spec")
+        if args.verb == "relative" and len(specs) != 2:
+            raise _Usage("relative needs exactly two --spec arguments")
+        if args.verb in ("chern", "relative", "dual") and weights and weights != (W11,):
+            raise _Usage(f"{args.verb} is pinned to weight 1,1")
 
         if args.verb == "invariant":
-            if not specs:
-                raise _Usage("invariant needs at least one --spec")
             reports = _invariant_reports(specs, weights or (W11,), args.kmax)
         elif args.verb == "chern":
-            if not specs:
-                raise _Usage("chern needs at least one --spec")
-            if weights and weights != (W11,):
-                raise _Usage("chern is pinned to weight 1,1")
             reports = _chern_reports(specs, args.kmax)
         elif args.verb == "relative":
-            if len(specs) != 2:
-                raise _Usage("relative needs exactly two --spec arguments")
-            if weights and weights != (W11,):
-                raise _Usage("relative is pinned to weight 1,1")
             reports = [_relative_report(specs[0], specs[1], args.kmax)]
         elif args.verb == "dual":
-            if not specs:
-                raise _Usage("dual needs at least one --spec")
-            if weights and weights != (W11,):
-                raise _Usage("dual is pinned to weight 1,1")
             reports = _dual_reports(specs, args.kmax)
         else:  # verify
             if weights is not None and len(weights) < 2:
@@ -268,13 +263,12 @@ def run(argv: Sequence[str]) -> int:
     for r in failed:
         bad = [k for k, v in r.verdicts.items() if not v]
         print(f"lmtool: verdict failure for {r.name}: {', '.join(bad)}", file=sys.stderr)
-        for label in ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom"):
-            seq = getattr(r, label)
-            if seq is not None:
-                print(f"lmtool:   {label} = {list(seq)}", file=sys.stderr)
-        if r.p_by_weight is not None:
-            for w, p in r.p_by_weight:
-                print(f"lmtool:   p{w} = {list(p)}", file=sys.stderr)
+        sequences = {
+            key: val for key, val in r.to_dict().items()
+            if key in HILBERT_FIELDS or key == "p_by_weight"
+        }
+        for label, value in text_fields(sequences):
+            print(f"lmtool:   {label} = {value}", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import Poly, RatFunc, RowReducer, poly_divmod
+from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
 from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
 
@@ -67,9 +67,6 @@ class QFraction:
         if deg is None:
             return None
         return deg - weight.w1 * self.g.degree()
-
-    def apply_poly(self, f: Poly) -> RatFunc:
-        return self.u.apply_ratfunc(RatFunc(f, self.g))
 
     def to_dict(self) -> dict:
         return {"u": str(self.u), "g": str(self.g)}

@@ -19,6 +19,7 @@ NotStabilized, which callers surface as "raise kmax".
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -73,7 +74,6 @@ class FitResult:
     shift: int
     constant: int
     window: tuple[int, int]
-    exact: bool
 
     def predicted(self, k: int) -> int:
         return (k + self.shift + 1) * (k + self.shift + 2) // 2 - self.constant
@@ -121,7 +121,7 @@ def fit_euler(h: HilbertSeq) -> FitResult:
     k_top = h.k_max
     shift = vals[-1] - vals[-2] - k_top - 1
     constant = (k_top + shift + 1) * (k_top + shift + 2) // 2 - vals[-1]
-    fit = FitResult(shift, constant, (k_top, k_top), True)
+    fit = FitResult(shift, constant, (k_top, k_top))
     k0 = k_top
     while k0 - 1 >= h.k_min and h.value_at(k0 - 1) == fit.predicted(k0 - 1):
         k0 -= 1
@@ -130,7 +130,7 @@ def fit_euler(h: HilbertSeq) -> FitResult:
         raise NotStabilizedError(
             f"{h.source}: fit window [{k0},{k_top}] has only {length} entries; raise kmax"
         )
-    return FitResult(shift, constant, (k0, k_top), length >= 3)
+    return FitResult(shift, constant, (k0, k_top))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,13 @@ def telescoping_check(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) 
 # reports
 # ---------------------------------------------------------------------------
 
+HILBERT_FIELDS = ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom")
+
+
+def _as_list(seq: tuple[int, ...] | None) -> list[int] | None:
+    return None if seq is None else list(seq)
+
+
 @dataclass
 class Report:
     """Carrier for everything a CLI verb needs to emit; optional fields stay
@@ -301,36 +308,31 @@ class Report:
         return all(self.verdicts.values())
 
     def to_dict(self, timing: bool = False) -> dict:
-        out: dict = {
+        """The ordered field table that every output format renders; fields
+        a verb did not compute are left out."""
+        n_1, n_2 = self.n_pair or (None, None)
+        out = {
             "name": self.name,
             "weight": list(self.weight.as_tuple()),
             "kmax": self.kmax,
+            "weights": None if self.weights is None else [list(w.as_tuple()) for w in self.weights],
+            **{key: _as_list(getattr(self, key)) for key in HILBERT_FIELDS},
+            "p_by_weight": (None if self.p_by_weight is None
+                            else {str(w): list(p) for w, p in self.p_by_weight}),
+            "shift_a": self.shift_a,
+            "n": self.n,
+            "p_D": self.p_D,
+            "p_12": self.p_12,
+            "n_1": n_1,
+            "n_2": n_2,
+            "d_fit": None if self.d_fit is None else {"shift": self.d_fit[0], "constant": self.d_fit[1]},
+            "dual_constant": self.dual_constant,
+            "verdicts": dict(self.verdicts),
+            "ok": self.ok,
+            "warnings": list(self.warnings) or None,
+            "elapsed_ms": round(self.elapsed_ms, 3) if timing else None,
         }
-        if self.weights is not None:
-            out["weights"] = [list(w.as_tuple()) for w in self.weights]
-        for key in ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = list(val)
-        if self.p_by_weight is not None:
-            out["p_by_weight"] = {str(w): list(p) for w, p in self.p_by_weight}
-        for key in ("shift_a", "n", "p_D", "p_12"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.n_pair is not None:
-            out["n_1"], out["n_2"] = self.n_pair
-        if self.d_fit is not None:
-            out["d_fit"] = {"shift": self.d_fit[0], "constant": self.d_fit[1]}
-        if self.dual_constant is not None:
-            out["dual_constant"] = self.dual_constant
-        out["verdicts"] = dict(self.verdicts)
-        out["ok"] = self.ok
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
-        if timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
+        return {key: val for key, val in out.items() if val is not None}
 
 
 def verify_lm_chern(spec: SubspaceSpec, kmax: int = 12) -> Report:
@@ -408,49 +410,51 @@ def report_csv(report: Report) -> str:
     Dual/hom sequences get their own column only when the standard module
     and endomorphism columns are absent (dual and relative runs).
     """
-    primary = report.hilbert_M is not None or report.hilbert_D is not None
-    cols: list[tuple[str, list[int] | None]] = [
-        ("dim_A", [dim_A(report.weight, k) for k in range(report.kmax + 1)]),
-        ("dim_M", list(report.hilbert_M) if report.hilbert_M is not None else None),
-        ("dim_D", list(report.hilbert_D) if report.hilbert_D is not None else None),
-        ("dim_dual", list(report.hilbert_dual) if report.hilbert_dual is not None and not primary else None),
-        ("dim_hom", list(report.hilbert_hom) if report.hilbert_hom is not None and not primary else None),
-    ]
-    present = [(name, vals) for name, vals in cols if vals is not None]
-    header = ["k"] + [name for name, _ in present]
+    present = [key for key in HILBERT_FIELDS if getattr(report, key) is not None]
+    shown = [key for key in present if key in HILBERT_FIELDS[:2]] or present
+    cols = [("dim_A", [dim_A(report.weight, k) for k in range(report.kmax + 1)])]
+    cols += [("dim_" + key.removeprefix("hilbert_"), getattr(report, key)) for key in shown]
+    header = ["k"] + [name for name, _ in cols]
     p_col: list[int] | None = None
     if report.hilbert_D is not None:
         p_col = [dim_A(report.weight, k) - d for k, d in enumerate(report.hilbert_D)]
         header.append("p_k")
     lines = [",".join(header)]
     for k in range(report.kmax + 1):
-        row = [str(k)] + [str(vals[k]) for _, vals in present]
+        row = [str(k)] + [str(vals[k]) for _, vals in cols]
         if p_col is not None:
             row.append(str(p_col[k]))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def report_text(report: Report) -> str:
-    lines = [f"spec: {report.name}"]
-    lines.append(f"kmax: {report.kmax}  weight: {report.weight}")
-    for label in ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom"):
-        val = getattr(report, label)
-        if val is not None:
-            lines.append(f"{label}: {list(val)}")
-    if report.p_by_weight is not None:
-        for w, p in report.p_by_weight:
-            lines.append(f"p{w}: {list(p)}")
-    for label in ("shift_a", "n", "p_D", "p_12", "dual_constant"):
-        val = getattr(report, label)
-        if val is not None:
-            lines.append(f"{label}: {val}")
-    if report.n_pair is not None:
-        lines.append(f"n_1: {report.n_pair[0]}  n_2: {report.n_pair[1]}")
-    if report.verdicts:
-        verdict_str = "  ".join(f"{k}={str(v).lower()}" for k, v in report.verdicts.items())
-        lines.append(f"verdicts: {verdict_str}")
-    lines.append(f"ok: {str(report.ok).lower()}")
-    for w in report.warnings:
-        lines.append(f"warning: {w}")
+# fields the text header already shows, or that text output never showed
+_TEXT_HIDDEN = ("name", "weight", "kmax", "weights", "d_fit", "n_2")
+
+
+def text_fields(fields: dict) -> list[tuple[str, str]]:
+    """(label, value) lines of a ``Report.to_dict()`` table, in its order, as
+    text output shows them: one line per weight for p_by_weight, n_2 on the
+    n_1 line, one line per warning, JSON for every other value."""
+    lines = []
+    for key, val in fields.items():
+        if key in _TEXT_HIDDEN:
+            continue
+        if key == "p_by_weight":
+            lines += [(f"p{w}", json.dumps(p)) for w, p in val.items()]
+        elif key == "n_1":
+            lines.append(("n_1", f"{val}  n_2: {fields['n_2']}"))
+        elif key == "verdicts":
+            if val:
+                lines.append(("verdicts", "  ".join(f"{k}={str(v).lower()}" for k, v in val.items())))
+        elif key == "warnings":
+            lines += [("warning", w) for w in val]
+        else:
+            lines.append((key, json.dumps(val)))
+    return lines
+
+
+def report_text(report: Report, timing: bool = False) -> str:
+    lines = [f"spec: {report.name}", f"kmax: {report.kmax}  weight: {report.weight}"]
+    lines += [f"{label}: {value}" for label, value in text_fields(report.to_dict(timing))]
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
-"""Exact linear algebra over Q: polynomials, rational functions, matrices.
+"""Exact linear algebra over Q: polynomials, row reduction, and the shared
+text form of sums of monomials.
 
-Everything runs on ``fractions.Fraction``; there are no floats anywhere, so
-every result is exact and reproducible bit-for-bit.  Matrix reduction uses
-plain Gaussian elimination with the pivot taken as the first nonzero entry in
-column order, which makes the reduced echelon form -- and hence nullspace
-bases -- canonical for a given row space and column order.
+Values are ``fractions.Fraction`` or ``int``; there are no floats anywhere,
+so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
+plain Gaussian elimination on integer-scaled rows with the pivot taken as the
+first nonzero entry in column order, which makes the reduced echelon form --
+and hence nullspace bases -- canonical for a given row space and column order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def rat_from_str(text: str | int) -> Fraction:
@@ -167,12 +168,6 @@ class Poly:
         p = Fraction(point)
         return sum((v * p**e for e, v in self._c.items()), Fraction(0))
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lc = self.leading_coeff()
-        return self * (1 / lc)
-
     def shift_x(self, a: int) -> "Poly":
         """Multiply by x**a."""
         if a == 0:
@@ -222,148 +217,9 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd (zero if both inputs are zero)."""
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
-
-
 # ---------------------------------------------------------------------------
-# rational functions
+# row reduction
 # ---------------------------------------------------------------------------
-
-class RatFunc:
-    """Rational function num/den, always reduced, with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = Poly({0: 1})):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Poly(), Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree():
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lc = den.leading_coeff()
-            if lc != 1:
-                inv = 1 / lc
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p, Poly.one())
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == Poly.one()
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __neg__(self) -> "RatFunc":
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __mul__(self, other: "RatFunc | Poly | Fraction | int") -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return RatFunc(self.num * other.num, self.den * other.den)
-        if isinstance(other, Poly):
-            return RatFunc(self.num * other, self.den)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * other, self.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RatFunc":
-        # (n/d)' = (n'd - nd')/d^2
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.is_polynomial:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
-
-
-# ---------------------------------------------------------------------------
-# matrices and row reduction
-# ---------------------------------------------------------------------------
-
-class QMatrix:
-    """Dense immutable matrix over Q (row-major)."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows: int, ncols: int, entries: Sequence[Fraction | int]):
-        if nrows < 0 or ncols < 0 or len(entries) != nrows * ncols:
-            raise ValueError("matrix shape does not match entry count")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = tuple(Fraction(v) for v in entries)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> "QMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        flat: list[Fraction | int] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return QMatrix(nrows, ncols, flat)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.ncols + j]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.entries))
-
 
 def _row_gcd(row: list[int], start: int) -> int:
     g = 0
@@ -504,20 +360,6 @@ class RowReducer:
                     vec[pc] = -row[j]
             basis.append(tuple(vec))
         return tuple(basis)
-
-
-def rank(matrix: QMatrix) -> int:
-    red = RowReducer(matrix.ncols)
-    for i in range(matrix.nrows):
-        red.add_row(matrix.row(i))
-    return red.rank
-
-
-def nullspace(matrix: QMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    red = RowReducer(matrix.ncols)
-    for i in range(matrix.nrows):
-        red.add_row(matrix.row(i))
-    return red.nullspace()
 
 
 # ---------------------------------------------------------------------------

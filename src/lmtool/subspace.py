@@ -68,10 +68,6 @@ class Functional:
         return " + ".join(parts)
 
 
-def functional_apply(functional: Functional, f: Poly) -> Fraction:
-    return functional.apply(f)
-
-
 def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functional, ...]:
     """Canonical form: group by point, row-reduce each point's coefficient
     matrix (deduplicates and drops dependent functionals), sort points."""

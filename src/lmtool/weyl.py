@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Iterable, Mapping
 
-from .linalg import Poly, RatFunc, format_monomial_sum, parse_monomial_sum
+from .linalg import Poly, format_monomial_sum, parse_monomial_sum
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class Weight:
 
     def __str__(self) -> str:
         return f"({self.w1},{self.w2})"
-
-
-def _clean(terms: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
-    return {k: v for k, v in terms.items() if v}
 
 
 class WeylEl:
@@ -92,10 +88,6 @@ class WeylEl:
     @staticmethod
     def d(power: int = 1) -> "WeylEl":
         return WeylEl({(0, power): 1})
-
-    @staticmethod
-    def scalar(value: Fraction | int) -> "WeylEl":
-        return WeylEl({(0, 0): Fraction(value)})
 
     @staticmethod
     def from_poly(p: Poly) -> "WeylEl":
@@ -193,16 +185,6 @@ class WeylEl:
             out = out + (derivs[b] * c).shift_x(a)
         return out
 
-    def apply_ratfunc(self, r: RatFunc) -> RatFunc:
-        """Apply to a rational function (derivatives via the quotient rule)."""
-        derivs = [r]
-        for _ in range(self.max_d_order()):
-            derivs.append(derivs[-1].derivative())
-        out = RatFunc(Poly())
-        for (a, b), c in self._terms.items():
-            out = out + derivs[b] * Poly({a: c})
-        return out
-
     # -- filtration -------------------------------------------------------------
 
     def wdegree(self, weight: Weight) -> int | None:
@@ -236,11 +218,6 @@ class WeylEl:
 
     def __repr__(self) -> str:
         return f"WeylEl({self})"
-
-
-def parse_weyl(text: str) -> WeylEl:
-    """Parse the text form, e.g. "x^2*d^2 + 2*x*d - 2"."""
-    return WeylEl.parse(text)
 
 
 class SymbolPoly:

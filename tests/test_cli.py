@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import lmtool
 from lmtool import cli
 from lmtool.invariants import NegativeChernError, Report, fit_euler, HilbertSeq
 from lmtool.weyl import Weight
@@ -15,6 +16,37 @@ CUSP_DOC = '{"kind": "monomial", "name": "cusp", "gaps": [1]}'
 
 # sha256 of the stdout of `lmtool verify --kmax 12` over the whole catalog
 CATALOG_KMAX12_SHA256 = "c9e878d29fa842d3ead699fe18d44bff9d59fde7bad7546780baff02760b1d14"
+
+# sha256 of stdout for each verb and format at --kmax 8; a rendering change
+# that moves a single byte shows up here
+VERB_ARGS = {
+    "chern": ["chern", "--spec", "cusp", "--spec", "mixed"],
+    "invariant-1": ["invariant", "--spec", "cusp", "--spec", "two-point"],
+    "invariant-2": ["invariant", "--spec", "cusp", "--spec", "two-point", "--weights", "1,1;2,1"],
+    "dual": ["dual", "--spec", "cusp", "--spec", "mixed"],
+    "relative": ["relative", "--spec", "cusp", "--spec", "two-point"],
+    "verify": ["verify", "--spec", "cusp", "--spec", "gaps-1-2"],
+}
+VERB_SHA256 = {
+    ("chern", "json"): "1e0d17b9b0c8e064cc459fee00e4e8f25df430c774d0940e3a490a0dca941ed2",
+    ("chern", "csv"): "ee08c2bcf655f62c760102f89797d604cd6a3ad63a0fe89ab1f4fcf0c1d68335",
+    ("chern", "text"): "b810359fe3a6638540ff2e8f0ab0ab0d52390f5c13210a31c7ff1d4cfa0d4c57",
+    ("invariant-1", "json"): "3af8bfda4f0cc285e186cbc2fb2641ab25c464c12f17e54e2acdd696eaf87183",
+    ("invariant-1", "csv"): "81d0f1efddaa38572b71a2ca3f880e48cf1da1739199943e9c3c82213074f437",
+    ("invariant-1", "text"): "e5f16188a569b28ccf59d9ec799f86c5ca26d12eda24307fcdcf27f550110031",
+    ("invariant-2", "json"): "21956f7ef68bd743f1763277176f7047097fd45c508ead8fffc0f6059e4a8cbd",
+    ("invariant-2", "csv"): "a1ad3a157c8dcbfae0858d55f71f2833b6578d1e96cface90e6ad729f13fee5b",
+    ("invariant-2", "text"): "c87ae4d85b2893c396d0a2298c6fbeac7f7d6174e6f2e5b9c5e06cb151a3180f",
+    ("dual", "json"): "023ffa82cd278f808ab40b52a1aecbf086c2959e9c73320e9f8f2a668308c12f",
+    ("dual", "csv"): "6d78c8ce7594954345cd6c1e4b1230a149379b38943280a4f33ace0e7047267b",
+    ("dual", "text"): "f12a858458e2e6ad374f13b48c3483edbc7e609e5948d967c83a4c6b2784ca8e",
+    ("relative", "json"): "5dcd05e3d66457d6781528daeb19c8d904a0835c9526b182f4b84175bb1605ab",
+    ("relative", "csv"): "779d72d6df1396c20fa736e1a2a72a6f53c381445045791b854b695916225a1d",
+    ("relative", "text"): "6dbcb397fbc6c3453f751d87e0cd504560b147613ebd9dc6e1d61058bf9ccc39",
+    ("verify", "json"): "5148dcb9767dab2e74320504c764fa675ab3473ff2d7a2daea8e5609e0988255",
+    ("verify", "csv"): "1b93c88d60fc80b0799eae27d4c8819dbcacc512bbea13d138b77bfc70812e74",
+    ("verify", "text"): "54f4fb8978ef373e379095e091ed68eb9691f8fdce5b5d3565f7741535d47035",
+}
 
 
 @pytest.fixture
@@ -156,6 +188,18 @@ def test_output_is_deterministic(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX12_SHA256
 
 
+@pytest.mark.parametrize("verb,fmt", sorted(VERB_SHA256))
+def test_output_digest_per_verb_and_format(capsys, verb, fmt):
+    code, out, err = run(capsys, *VERB_ARGS[verb], "--kmax", "8", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERB_SHA256[verb, fmt]
+
+
+def test_all_exports_resolve():
+    missing = [name for name in lmtool.__all__ if not hasattr(lmtool, name)]
+    assert missing == []
+
+
 def test_emitted_report_revalidates(capsys):
     _, out, _ = run(capsys, "verify", "--spec", "gaps-1-3")
     report = json.loads(out)
@@ -179,13 +223,11 @@ def test_emitted_report_revalidates(capsys):
 
 def test_usage_errors_exit_2(capsys, cusp_file):
     cases = [
-        ["invariant"],                                   # no spec
         ["relative", "--spec", "cusp"],                  # needs two
         ["verify", "--spec", "no-such-spec"],
         ["invariant", "--spec", "cusp", "--kmax", "3"],
         ["invariant", "--spec", "cusp", "--weights", "0,1"],
         ["invariant", "--spec", "cusp", "--weights", "1"],
-        ["chern", "--spec", "cusp", "--weights", "2,1"],
         ["verify", "--spec", cusp_file, "--weights", "1,1"],
         ["verify", "--spec", "cusp", "--weights", "1,1;1,1"],   # repeated weight
         ["no-such-verb"],
@@ -195,6 +237,40 @@ def test_usage_errors_exit_2(capsys, cusp_file):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+    messages = {
+        ("invariant",): "invariant needs at least one --spec",
+        ("chern", "--weights", "1,1"): "chern needs at least one --spec",
+        ("dual", "--kmax", "8"): "dual needs at least one --spec",
+        ("chern", "--spec", "cusp", "--weights", "2,1"): "chern is pinned to weight 1,1",
+        ("dual", "--spec", "cusp", "--weights", "1,2"): "dual is pinned to weight 1,1",
+        ("relative", "--spec", "cusp", "--spec", "trivial", "--weights", "2,1"):
+            "relative is pinned to weight 1,1",
+    }
+    for argv, message in messages.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"lmtool: error: {message}\n"), argv
+
+
+def test_kmax_above_bound_exits_2(capsys, monkeypatch):
+    def no_towers(*args, **kwargs):
+        raise AssertionError("a tower was requested")
+
+    monkeypatch.setattr(cli, "full_report", no_towers)
+    monkeypatch.setattr(cli, "chern_number", no_towers)
+    code, out, err = run(capsys, "verify", "--spec", "cusp", "--kmax", "100000")
+    assert (code, out) == (2, "")
+    assert err == "lmtool: error: --kmax must be at most 200\n"
+    code, out, err = run(capsys, "chern", "--spec", "cusp", "--kmax", "201")
+    assert (code, err) == (2, "lmtool: error: --kmax must be at most 200\n")
+
+
+def test_builtin_name_wins_over_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cusp").write_text('{"kind": "monomial", "gaps": [1, 2]}')
+    code, out, _ = run(capsys, "chern", "--spec", "cusp")
+    assert (code, json.loads(out)["n"]) == (0, 1)
+    code, out, _ = run(capsys, "chern", "--spec", "./cusp")
+    assert (code, json.loads(out)["n"]) == (0, 2)
 
 
 def test_malformed_spec_file_exits_2(capsys, tmp_path):
@@ -209,14 +285,22 @@ def test_verdict_failure_exits_1(capsys, monkeypatch):
     broken = Report(
         name="cusp", kmax=12,
         hilbert_M=(0, 0, 2, 5, 9, 14),
-        verdicts={"t2": False},
+        hilbert_dual=(2, 5, 9, 14, 20, 27),
+        p_by_weight=((W11, (0, 2, 2, 2, 2, 2)), (Weight(2, 1), (0, 1, 2, 2, 2, 2))),
+        n=1,
+        verdicts={"t2": False, "dual": True, "weights": False},
     )
     monkeypatch.setattr(cli, "full_report", lambda *a, **k: broken)
     code, out, err = run(capsys, "verify", "--spec", "cusp")
     assert code == 1
     assert json.loads(out)["ok"] is False
-    assert "t2" in err
-    assert "hilbert_M" in err
+    assert err == (
+        "lmtool: verdict failure for cusp: t2, weights\n"
+        "lmtool:   hilbert_M = [0, 0, 2, 5, 9, 14]\n"
+        "lmtool:   hilbert_dual = [2, 5, 9, 14, 20, 27]\n"
+        "lmtool:   p(1,1) = [0, 2, 2, 2, 2, 2]\n"
+        "lmtool:   p(2,1) = [0, 1, 2, 2, 2, 2]\n"
+    )
 
 
 def test_negative_chern_exits_3(capsys, monkeypatch):

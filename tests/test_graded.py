@@ -33,7 +33,7 @@ from lmtool.graded import (
 )
 from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import SubspaceSpec, parse_spec
-from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis, parse_weyl
+from lmtool.weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
 
 X = sympy.Symbol("x")
 W11 = Weight(1, 1)
@@ -149,7 +149,7 @@ def test_cusp_module_piece_k3():
     piece = module_piece(catalog_get("cusp"), W11, 3)
     assert piece.dim == 5
     # same space as the hand-computed spanning set
-    pinned = [parse_weyl(s) for s in ("1 - x*d", "d - x*d^2", "x^2", "x^3", "x^2*d")]
+    pinned = [WeylEl.parse(s) for s in ("1 - x*d", "d - x*d^2", "x^2", "x^3", "x^2*d")]
     idx = {key: j for j, key in enumerate(monomial_basis(W11, 3))}
     red = RowReducer(len(idx))
     assert sum(red.add_row(_coeff_row(u.terms(), idx)) for u in pinned) == 5

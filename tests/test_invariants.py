@@ -64,7 +64,6 @@ def test_hilbert_seq_validation():
 def test_fit_full_quadratic():
     fit = fit_euler(seq([1, 3, 6, 10, 15]))
     assert (fit.shift, fit.constant, fit.window) == (0, 0, (0, 4))
-    assert fit.exact
 
 
 def test_fit_with_shift_and_constant():

@@ -1,4 +1,4 @@
-"""Exact polynomial / rational-function / matrix layer, checked against sympy."""
+"""Exact polynomial and row-reduction layer, checked against sympy."""
 
 from fractions import Fraction
 
@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 
 from lmtool.linalg import (
     Poly,
-    QMatrix,
-    RatFunc,
     RowReducer,
-    nullspace,
     parse_monomial_sum,
     poly_divmod,
-    poly_gcd,
-    rank,
     rat_from_str,
     rat_to_str,
 )
@@ -125,100 +120,55 @@ def test_poly_divmod_literals():
     assert rem == Poly.parse("1")
 
 
-@given(polys(max_degree=4), polys(max_degree=4))
-def test_poly_gcd_matches_sympy(p, q):
-    ours = poly_gcd(p, q)
-    theirs = sympy.gcd(to_sympy(p), to_sympy(q), X)
-    if p.is_zero and q.is_zero:
-        assert ours.is_zero
-    else:
-        assert to_sympy(ours).equals(sympy.monic(theirs, X))
-
-
 def test_poly_shift_x():
     p = Poly.parse("x^2 + 1")
     assert p.shift_x(2) == Poly.parse("x^4 + x^2")
-
-
-# -- rational functions --------------------------------------------------------
-
-def test_ratfunc_reduces():
-    r = RatFunc(Poly.parse("x^2 - 1"), Poly.parse("x - 1"))
-    assert r.is_polynomial
-    assert r.as_poly() == Poly.parse("x + 1")
-
-
-def test_ratfunc_monic_denominator():
-    r = RatFunc(Poly.parse("x"), Poly.parse("2*x + 2"))
-    assert r.den.leading_coeff() == 1
-    assert r == RatFunc(Poly.parse("1/2*x"), Poly.parse("x + 1"))
-
-
-@given(polys(max_degree=3), polys(max_degree=3), polys(max_degree=2))
-def test_ratfunc_arithmetic_matches_sympy(a, b, d):
-    if d.is_zero:
-        return
-    r = RatFunc(a, d)
-    s = RatFunc(b, d)
-    total = r + s
-    expect = sympy.cancel((to_sympy(a) + to_sympy(b)) / to_sympy(d))
-    got = sympy.cancel(to_sympy(total.num) / to_sympy(total.den))
-    assert sympy.simplify(got - expect) == 0
-
-
-@given(polys(max_degree=3), polys(max_degree=2))
-def test_ratfunc_derivative_matches_sympy(a, d):
-    if d.is_zero:
-        return
-    r = RatFunc(a, d).derivative()
-    expect = sympy.cancel(sympy.diff(to_sympy(a) / to_sympy(d), X))
-    got = sympy.cancel(to_sympy(r.num) / to_sympy(r.den))
-    assert sympy.simplify(got - expect) == 0
 
 
 # -- row reduction -------------------------------------------------------------
 
 @st.composite
 def matrices(draw):
+    """A non-empty list of equal-length rows of rationals."""
     ncols = draw(st.integers(min_value=1, max_value=6))
     nrows = draw(st.integers(min_value=1, max_value=6))
-    rows = draw(
+    return draw(
         st.lists(
             st.lists(rationals, min_size=ncols, max_size=ncols),
             min_size=nrows,
             max_size=nrows,
         )
     )
-    return QMatrix.from_rows(rows)
 
 
-def to_sympy_matrix(m: QMatrix):
-    return sympy.Matrix(
-        m.nrows, m.ncols,
-        [sympy.Rational(m.entry(i, j).numerator, m.entry(i, j).denominator)
-         for i in range(m.nrows) for j in range(m.ncols)],
-    )
+def reduce_rows(rows) -> RowReducer:
+    red = RowReducer(len(rows[0]))
+    for r in rows:
+        red.add_row(r)
+    return red
 
 
-@given(matrices())
-@settings(max_examples=60)
-def test_rank_matches_sympy(m):
-    assert rank(m) == to_sympy_matrix(m).rank()
+def to_sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
 
 
 @given(matrices())
 @settings(max_examples=60)
-def test_nullspace_is_a_nullspace_basis(m):
-    basis = nullspace(m)
-    assert len(basis) == m.ncols - rank(m)
+def test_rank_matches_sympy(rows):
+    assert reduce_rows(rows).rank == to_sympy_matrix(rows).rank()
+
+
+@given(matrices())
+@settings(max_examples=60)
+def test_nullspace_is_a_nullspace_basis(rows):
+    red = reduce_rows(rows)
+    basis = red.nullspace()
+    assert len(basis) == len(rows[0]) - red.rank
     for vec in basis:
-        for i in range(m.nrows):
-            assert sum(m.entry(i, j) * vec[j] for j in range(m.ncols)) == 0
+        for r in rows:
+            assert sum(a * b for a, b in zip(r, vec)) == 0
     # canonical: one vector per free column, unit there, supported no later
-    red = RowReducer(m.ncols)
-    for i in range(m.nrows):
-        red.add_row(m.row(i))
-    free = [j for j in range(m.ncols) if j not in red.pivot_cols()]
+    free = [j for j in range(len(rows[0])) if j not in red.pivot_cols()]
     assert [max(j for j, c in enumerate(v) if c) for v in basis] == free
     for v, j in zip(basis, free):
         assert v[j] == 1
@@ -226,16 +176,10 @@ def test_nullspace_is_a_nullspace_basis(m):
 
 @given(matrices(), st.randoms(use_true_random=False))
 @settings(max_examples=40)
-def test_rref_is_row_order_invariant(m, rng):
-    rows = [list(m.row(i)) for i in range(m.nrows)]
+def test_rref_is_row_order_invariant(rows, rng):
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    red_a, red_b = RowReducer(m.ncols), RowReducer(m.ncols)
-    for r in rows:
-        red_a.add_row(r)
-    for r in shuffled:
-        red_b.add_row(r)
-    assert red_a.rref() == red_b.rref()
+    assert reduce_rows(rows).rref() == reduce_rows(shuffled).rref()
 
 
 @st.composite
@@ -269,13 +213,10 @@ def test_add_row_rejects_wrong_length():
 
 
 def test_prefix_rank_and_prefix_nullspace():
-    m = QMatrix.from_rows([
+    red = reduce_rows([
         [1, 0, 2, 0],
         [0, 0, 1, 1],
     ])
-    red = RowReducer(4)
-    for i in range(m.nrows):
-        red.add_row(m.row(i))
     assert [red.prefix_rank(n) for n in range(5)] == [0, 1, 1, 2, 2]
     # truncating the 4-column nullspace vectors solves the 3-column system
     full = red.nullspace()
@@ -284,16 +225,16 @@ def test_prefix_rank_and_prefix_nullspace():
 
 
 def test_rank_literals():
-    assert rank(QMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank(QMatrix.from_rows([[0] * 5, [0] * 5])) == 0
+    assert reduce_rows([[1, 2], [2, 4]]).rank == 1
+    assert reduce_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank == 3
+    assert reduce_rows([[0] * 5, [0] * 5]).rank == 0
 
 
 def test_nullspace_literals():
-    assert nullspace(QMatrix.from_rows([[1, 1]])) == ((Fraction(-1), Fraction(1)),)
-    assert nullspace(QMatrix.from_rows([[1, 0], [0, 1]])) == ()
+    assert reduce_rows([[1, 1]]).nullspace() == ((Fraction(-1), Fraction(1)),)
+    assert reduce_rows([[1, 0], [0, 1]]).nullspace() == ()
     # no constraints at all: the canonical basis of the full space
-    assert nullspace(QMatrix.from_rows([[0, 0, 0]])) == (
+    assert reduce_rows([[0, 0, 0]]).nullspace() == (
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),

@@ -15,7 +15,6 @@ from lmtool.subspace import (
     Functional,
     SpecError,
     SubspaceSpec,
-    functional_apply,
     parse_spec,
 )
 
@@ -66,10 +65,10 @@ def test_functional_apply_matches_sympy(fn, f):
 
 def test_functional_apply_literals():
     d_at_zero = Functional(Fraction(0), ((1, Fraction(1)),))
-    assert functional_apply(d_at_zero, Poly.parse("x^2 + 3*x")) == 3
-    assert functional_apply(d_at_zero, Poly.parse("x^2")) == 0
+    assert d_at_zero.apply(Poly.parse("x^2 + 3*x")) == 3
+    assert d_at_zero.apply(Poly.parse("x^2")) == 0
     value_plus_slope = Functional(Fraction(1), ((0, Fraction(1)), (1, Fraction(1))))
-    assert functional_apply(value_plus_slope, Poly.parse("x")) == 2
+    assert value_plus_slope.apply(Poly.parse("x")) == 2
 
 
 def test_functional_merges_terms():
