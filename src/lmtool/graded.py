@@ -190,15 +190,16 @@ class _Tower:
         (o, coeff_o * o!) scaled to integers, gives the row
         sum_o coeff_o o! w[o].  With c = p/q, multiplying by q*x = p + q*t
         keeps w integral, and scaling column x^a d^b by q^(a_top - a) gives
-        every entry of a row the common factor q^a_top.
+        every entry of a row the common factor q^a_top.  Each row is written
+        as ``{column: value}`` of its nonzero entries, the sparse form
+        ``RowReducer`` keeps.
         """
         w1, w2 = self.weight.w1, self.weight.w2
         p, q = c.numerator, c.denominator
         a_top, b_max = k_u // w1, k_u // w2
         col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
-        ncols = len(self.cols)
-        poles = [[0] * ncols for _ in range(m + b_max if m else 0)]  # poles[i]: t^-(i+1)
-        values = [[0] * ncols for _ in reads]
+        poles: list[dict[int, int]] = [{} for _ in range(m + b_max if m else 0)]  # poles[i]: t^-(i+1)
+        values: list[dict[int, int]] = [{} for _ in reads]
         lo = -m  # exponent of jet[0]
         for b in range(b_max + 1):
             if b:
@@ -224,9 +225,11 @@ class _Tower:
                     if w[i]:
                         poles[-lo - 1 - i][idx] = s * w[i]
                 for row, terms in zip(values, reads):
-                    row[idx] = s * sum(cf * w[o - lo] for o, cf in terms)
+                    v = sum(cf * w[o - lo] for o, cf in terms)
+                    if v:
+                        row[idx] = s * v
         for row in poles + values:
-            if any(row):
+            if row:
                 self.reducer.add_row(row)
 
     # queries --------------------------------------------------------------------

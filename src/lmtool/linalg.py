@@ -6,6 +6,10 @@ so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
 plain Gaussian elimination on integer-scaled rows with the pivot taken as the
 first nonzero entry in column order, which makes the reduced echelon form --
 and hence nullspace bases -- canonical for a given row space and column order.
+It stores each row sparsely, as ``{column: int}`` of its nonzero entries, and
+each elimination step touches only those: the rows the towers build are
+mostly zeros.  The steps and the pivots are those of dense elimination, so
+the echelon rows and the canonical form do not change with the storage.
 """
 
 from __future__ import annotations
@@ -67,10 +71,6 @@ class Poly:
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
 
     @staticmethod
     def one() -> "Poly":
@@ -221,79 +221,94 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 # row reduction
 # ---------------------------------------------------------------------------
 
-def _row_gcd(row: list[int], start: int) -> int:
+def _row_gcd(row: dict[int, int]) -> int:
     g = 0
-    for v in row[start:]:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return 1
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return 1
     return g
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], j: int) -> dict[int, int]:
+    """Clear column j of ``row`` with ``prow`` (whose entry there is
+    positive), in place and over prow's support only, then divide out the
+    gcd of what is left."""
+    a, b = row[j], prow[j]
+    g = gcd(a, b)
+    fa, fb = b // g, a // g  # fa > 0 keeps the sign of row's leading entry
+    if fa != 1:
+        for t in row:
+            row[t] *= fa
+    for t, v in prow.items():
+        w = row.get(t, 0) - v * fb
+        if w:
+            row[t] = w
+        else:
+            del row[t]
+    g = _row_gcd(row)
+    return {t: v // g for t, v in row.items()} if g > 1 else row
 
 
 class RowReducer:
     """Incremental Gaussian elimination over Q with canonical output.
 
-    Rows are rescaled to integers internally (a pure speed matter: the pivot
-    choice and final reduced echelon form are exactly those of
-    fraction-preserving elimination, since scaling a row never changes the
-    row space or which column carries the first nonzero entry).
+    Rows are stored sparsely, as ``{column: int}`` holding only the nonzero
+    entries, and rescaled to integers.  Both are pure speed matters: each
+    step does the arithmetic dense elimination would do on the nonzero
+    entries and skips only the zeros, the pivot is still the first nonzero
+    column, and scaling a row changes neither the row space nor that column.
+    So the echelon rows, the pivot set and the reduced echelon form are
+    exactly those of fraction-preserving dense elimination.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: list[list[int]] = []   # echelon rows, leading entry positive
+        self._rows: list[dict[int, int]] = []  # echelon rows, leading entry positive
         self._pivot_of: dict[int, int] = {}  # pivot column -> index into _rows
         self._rref: tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]] | None = None
 
     # -- building -----------------------------------------------------------
 
-    def _to_int_row(self, entries: Iterable[Fraction | int]) -> list[int]:
-        row = list(entries)
-        if len(row) != self.ncols:
-            raise ValueError("row length mismatch")
+    def _to_int_row(self, entries: Mapping[int, Fraction | int] | Iterable[Fraction | int]) -> dict[int, int]:
+        """A fresh ``{column: int}`` of the nonzero entries, scaled to integers."""
+        if isinstance(entries, Mapping):
+            if entries and (min(entries) < 0 or max(entries) >= self.ncols):
+                raise ValueError("row column out of range")
+            row = {t: v for t, v in entries.items() if v}
+        else:
+            dense = list(entries)
+            if len(dense) != self.ncols:
+                raise ValueError("row length mismatch")
+            row = {t: v for t, v in enumerate(dense) if v}
         # isinstance(v, Fraction) costs an ABC lookup for every int entry
-        if all(type(v) is int for v in row):
+        if all(type(v) is int for v in row.values()):
             return row
-        dens = [v.denominator for v in row if isinstance(v, Fraction) and v.denominator != 1]
-        if dens:
-            scale = lcm(*dens)
-            return [
-                v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else int(v) * scale
-                for v in row
-            ]
-        return [v.numerator if isinstance(v, Fraction) else int(v) for v in row]
+        scale = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+        return {
+            t: v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else int(v) * scale
+            for t, v in row.items()
+        }
 
-    def add_row(self, entries: Iterable[Fraction | int]) -> bool:
-        """Reduce a row against the current basis; returns True if rank grew."""
+    def add_row(self, entries: Mapping[int, Fraction | int] | Iterable[Fraction | int]) -> bool:
+        """Reduce a row, given densely or as ``{column: value}``, against the
+        current basis; returns True if rank grew."""
         if self._rref is not None:
             raise RuntimeError("reducer already finalized")
         row = self._to_int_row(entries)
-        n = self.ncols
-        j = next((t for t in range(n) if row[t]), None)
-        while j is not None:
+        while row:
+            j = min(row)
             pivot_idx = self._pivot_of.get(j)
             if pivot_idx is None:
-                g = _row_gcd(row, j)
+                g = _row_gcd(row)
                 if row[j] < 0:
                     g = -g
                 if g != 1:
-                    for t in range(j, n):
-                        row[t] //= g
+                    row = {t: v // g for t, v in row.items()}
                 self._pivot_of[j] = len(self._rows)
                 self._rows.append(row)
                 return True
-            prow = self._rows[pivot_idx]
-            a, b = row[j], prow[j]
-            g = gcd(a, b)
-            fa, fb = b // g, a // g
-            for t in range(j, n):
-                row[t] = row[t] * fa - prow[t] * fb
-            g = _row_gcd(row, j + 1)
-            if g > 1:
-                for t in range(j + 1, n):
-                    row[t] //= g
-            j = next((t for t in range(j + 1, n) if row[t]), None)
+            row = _eliminate(row, self._rows[pivot_idx], j)
         return False
 
     @property
@@ -310,35 +325,23 @@ class RowReducer:
     # -- canonical form ------------------------------------------------------
 
     def rref(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-        """Reduced row echelon form: (pivot columns, rows with unit pivots)."""
+        """Reduced row echelon form: (pivot columns, dense rows with unit pivots)."""
         if self._rref is None:
             pivots = sorted(self._pivot_of)
-            rows = [list(self._rows[self._pivot_of[c]]) for c in pivots]
-            n = self.ncols
+            rows = [dict(self._rows[self._pivot_of[c]]) for c in pivots]
             for i in range(len(pivots) - 1, -1, -1):
                 pc = pivots[i]
-                prow = rows[i]
                 for t in range(i):
-                    r = rows[t]
-                    if r[pc]:
-                        a, b = r[pc], prow[pc]
-                        g = gcd(a, b)
-                        fa, fb = b // g, a // g
-                        # prow is zero before pc, but fa rescales everything
-                        for s in range(n):
-                            r[s] = r[s] * fa - prow[s] * fb
-                        if fa < 0:  # keep leading entry positive
-                            for s in range(n):
-                                r[s] = -r[s]
-                        g = _row_gcd(r, 0)
-                        if g > 1:
-                            for s in range(n):
-                                r[s] //= g
-            frac_rows = tuple(
-                tuple(Fraction(v, row[pc]) for v in row)
-                for pc, row in zip(pivots, rows)
-            )
-            self._rref = (tuple(pivots), frac_rows)
+                    if pc in rows[t]:
+                        rows[t] = _eliminate(rows[t], rows[i], pc)
+            zero = Fraction(0)
+            frac_rows = []
+            for pc, row in zip(pivots, rows):
+                dense = [zero] * self.ncols
+                for s, v in row.items():
+                    dense[s] = Fraction(v, row[pc])
+                frac_rows.append(tuple(dense))
+            self._rref = (tuple(pivots), tuple(frac_rows))
         return self._rref
 
     def nullspace(self, ncols_prefix: int | None = None) -> tuple[tuple[Fraction, ...], ...]:

@@ -16,6 +16,8 @@ CUSP_DOC = '{"kind": "monomial", "name": "cusp", "gaps": [1]}'
 
 # sha256 of the stdout of `lmtool verify --kmax 12` over the whole catalog
 CATALOG_KMAX12_SHA256 = "c9e878d29fa842d3ead699fe18d44bff9d59fde7bad7546780baff02760b1d14"
+# ... and of `lmtool verify --kmax 20`, the output the benchmark checks
+CATALOG_KMAX20_SHA256 = "b473bf4471b2dcf1bf45eb3f2ef42921ed94ff268cd8f613603c91e9e4505e9e"
 
 # sha256 of stdout for each verb and format at --kmax 8; a rendering change
 # that moves a single byte shows up here
@@ -186,6 +188,12 @@ def test_output_is_deterministic(capsys):
     code, out, _ = run(capsys, "verify", "--kmax", "12")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX12_SHA256
+
+
+def test_catalog_verify_kmax20_digest(capsys):
+    code, out, _ = run(capsys, "verify", "--kmax", "20")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX20_SHA256
 
 
 @pytest.mark.parametrize("verb,fmt", sorted(VERB_SHA256))

@@ -1,8 +1,11 @@
 """Hilbert sequences, quadratic fits, and the integer invariants."""
 
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,7 @@ from lmtool.invariants import (
     verify_lm_chern,
     weight_independence,
 )
+from lmtool.subspace import Functional, SubspaceSpec
 from lmtool.weyl import Weight, dim_A
 
 
@@ -209,6 +213,91 @@ def test_telescoping_examples():
     assert telescoping_check(catalog_get("trivial"), W11, 6)
     assert telescoping_check(catalog_get("cusp"), W11, 6)
     assert telescoping_check(catalog_get("cusp"), Weight(2, 1), 6)
+
+
+# -- closed form for n ----------------------------------------------------------
+
+def closed_form_n(functionals) -> int:
+    """n = sum_c (sum_i gamma_i - m(m-1)/2) over the local valuation gaps
+    gamma_1..gamma_m at each point c of the V the functionals cut out
+    (Wilson; Berest-Wilson).  They need not be independent or normalized.
+
+    Near c an element of V is free beyond its d-jet (d the top order there)
+    and the jet f_0..f_d only has to satisfy the functionals at c, which read
+    it through the matrix M[fn][o] = coeff_o * o!.  Valuation e is attained
+    by some f with f_0 = .. = f_(e-1) = 0 and f_e = 1, which exists exactly
+    when column e of M lies in the span of the columns after it.
+    """
+    n = 0
+    for c in {fn.point for fn in functionals}:
+        fns = [fn for fn in functionals if fn.point == c]
+        d = max(fn.order for fn in fns)
+        m = sympy.zeros(len(fns), d + 1)
+        for i, fn in enumerate(fns):
+            for o, coeff in fn.terms:
+                m[i, o] = sympy.Rational(coeff.numerator, coeff.denominator) * factorial(o)
+        ranks = [m[:, e:].rank() for e in range(d + 1)] + [0]
+        gaps = [e for e in range(d + 1) if ranks[e] > ranks[e + 1]]
+        n += sum(gaps) - len(gaps) * (len(gaps) - 1) // 2
+    return n
+
+
+def _conditions(name, *points):
+    """A spec from (c, [functional, ...]) pairs, a functional as {order: coeff}."""
+    return SubspaceSpec.from_functionals(name, [
+        Functional(Fraction(c), tuple(terms.items())) for c, fns in points for terms in fns
+    ])
+
+
+CLOSED_FORM_LITERALS = [
+    (_conditions("d1+d2", (0, [{1: 1, 2: 1}])), 2),
+    (_conditions("d0+d1", (0, [{0: 1, 1: 1}])), 1),
+    (_conditions("d1+2d3", (0, [{1: 1, 3: 2}])), 3),
+    (_conditions("d1 at 0, d2-d3 at 1/2", (0, [{1: 1}]), ("1/2", [{2: 1, 3: -1}])), 4),
+]
+
+
+@pytest.mark.parametrize("spec,n", CLOSED_FORM_LITERALS, ids=lambda v: getattr(v, "name", None))
+def test_closed_form_n_literals(spec, n):
+    assert closed_form_n(spec.functionals) == n
+    assert chern_number(spec, 14).n == n
+    assert lm_invariant(spec, W11, 14).value == 2 * n
+
+
+def test_closed_form_n_on_catalog():
+    for spec in catalog():
+        assert chern_number(spec, 14).n == closed_form_n(spec.functionals), spec.name
+
+
+ORACLE_POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3)]
+
+
+@st.composite
+def mixed_order_specs(draw):
+    """1-2 points, conductor degree <= 5, functionals mixing derivative
+    orders; the spec and its functionals as drawn, before normalization."""
+    points = draw(st.lists(st.sampled_from(ORACLE_POINTS), min_size=1, max_size=2, unique=True))
+    budget = 5
+    fns = []
+    for i, c in enumerate(points):
+        top = draw(st.integers(min_value=0, max_value=budget - (len(points) - 1 - i) - 1))
+        budget -= top + 1
+        for _ in range(draw(st.integers(min_value=1, max_value=top + 1))):
+            coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=top + 1, max_size=top + 1))
+            if not any(coeffs):
+                coeffs[top] = 1
+            fns.append(Functional(c, tuple((o, Fraction(v)) for o, v in enumerate(coeffs) if v)))
+    return SubspaceSpec.from_functionals("random", fns), fns
+
+
+@given(mixed_order_specs())
+@settings(max_examples=120, deadline=None)
+def test_engine_n_matches_closed_form(case):
+    spec, drawn = case
+    assert spec.conductor.degree() <= 5
+    n = closed_form_n(drawn)
+    assert chern_number(spec, 16).n == n
+    assert lm_invariant(spec, W11, 16).value == 2 * n
 
 
 @given(st.sampled_from([s.name for s in catalog()]),

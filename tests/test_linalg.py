@@ -66,7 +66,7 @@ def test_poly_basics():
     assert p(Fraction(1)) == 0
     assert p(Fraction(3)) == 4
     assert str(p) == "x^2 - 2*x + 1"
-    assert Poly.zero().degree() is None
+    assert Poly().degree() is None
     assert Poly.one().degree() == 0
 
 
@@ -202,6 +202,65 @@ def test_int_rows_reduce_like_fraction_rows(case):
     assert rows == originals  # the caller's rows are not reduced in place
     assert red_int.rank == red_frac.rank
     assert red_int.rref() == red_frac.rref()
+
+
+@st.composite
+def sparse_cases(draw):
+    """Rows with zeros, each also as {col: value} keeping some explicit zeros."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30), rationals)
+    rows = draw(st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=7,
+    ))
+    maps = []
+    for r in rows:
+        keep_zero = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+        maps.append({j: v for j, (v, z) in enumerate(zip(r, keep_zero)) if v or z})
+    return ncols, rows, maps
+
+
+@given(sparse_cases())
+@settings(max_examples=80)
+def test_mapping_rows_reduce_like_dense_rows(case):
+    ncols, rows, maps = case
+    originals = [dict(m) for m in maps]
+    dense, sparse = RowReducer(ncols), RowReducer(ncols)
+    for r, m in zip(rows, maps):
+        assert sparse.add_row(m) == dense.add_row(r)
+    assert maps == originals  # the caller's mappings are not reduced in place
+    assert sparse.rank == dense.rank
+    assert sparse.pivot_cols() == dense.pivot_cols()
+    for prefix in range(ncols + 1):
+        assert sparse.nullspace(prefix) == dense.nullspace(prefix)
+    pivots, rref_rows = sparse.rref()
+    assert (pivots, rref_rows) == dense.rref()
+    # the sparse back-substitution against sympy's reduced echelon form
+    ref, ref_pivots = to_sympy_matrix([[Fraction(v) for v in r] for r in rows]).rref()
+    assert pivots == ref_pivots
+    assert [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rref_rows] == [
+        list(ref.row(i)) for i in range(len(pivots))
+    ]
+
+
+def test_add_row_rejects_column_out_of_range():
+    red = RowReducer(3)
+    with pytest.raises(ValueError):
+        red.add_row({3: 1})
+    with pytest.raises(ValueError):
+        red.add_row({-1: 1, 0: 2})
+    with pytest.raises(ValueError):
+        red.add_row({0: 1, 5: 0})
+    assert red.rank == 0
+
+
+def test_all_zero_mapping_is_not_kept():
+    red = RowReducer(3)
+    assert not red.add_row({})
+    assert not red.add_row({0: 0, 2: Fraction(0)})
+    assert red.rank == 0
+    assert red.pivot_cols() == []
+    assert red.add_row({2: Fraction(1, 2)})
+    assert red.rref() == ((2,), ((Fraction(0), Fraction(0), Fraction(1)),))
 
 
 def test_add_row_rejects_wrong_length():
