@@ -22,15 +22,11 @@ from .graded import (
 )
 from .invariants import (
     DEFAULT_WEIGHTS,
-    ChernResult,
-    DualResult,
     FitResult,
     HilbertSeq,
-    LmResult,
     NegativeChernError,
     NonPolynomialError,
     NotStabilizedError,
-    RelativeResult,
     Report,
     WeightIndependenceResult,
     chern_number,
@@ -53,20 +49,16 @@ from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChernResult",
     "DEFAULT_WEIGHTS",
-    "DualResult",
     "FitResult",
     "Functional",
     "GradedPiece",
     "HilbertSeq",
-    "LmResult",
     "NegativeChernError",
     "NonPolynomialError",
     "NotStabilizedError",
     "Poly",
     "QFraction",
-    "RelativeResult",
     "Report",
     "RowReducer",
     "SpecError",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +38,6 @@ from .invariants import (
     chern_number,
     dual_check,
     full_report,
-    hilbert_seq,
     lm_invariant,
     relative_invariant,
     report_csv,
@@ -105,63 +105,22 @@ class _Usage(Exception):
     pass
 
 
-def _invariant_reports(specs, weights, kmax) -> list[Report]:
-    reports = []
-    for spec in specs:
-        if len(weights) == 1:
-            res = lm_invariant(spec, weights[0], kmax)
-            dims = hilbert_seq((spec, spec), weights[0], 0, kmax)
-            reports.append(Report(
-                name=spec.name, kmax=kmax, weight=weights[0],
-                hilbert_D=dims.values,
-                p_by_weight=((weights[0], res.p_values),),
-                p_D=res.value, warnings=spec.warnings,
-            ))
-        else:
-            res = weight_independence(spec, weights, kmax)
-            reports.append(Report(
-                name=spec.name, kmax=kmax, weight=weights[0], weights=weights,
-                p_by_weight=res.p_sequences,
-                p_D=res.values[0][1],
-                verdicts={"weights": res.ok}, warnings=spec.warnings,
-            ))
-    return reports
-
-
-def _chern_reports(specs, kmax) -> list[Report]:
-    reports = []
-    for spec in specs:
-        res = chern_number(spec, kmax)
-        reports.append(Report(
-            name=spec.name, kmax=kmax,
-            hilbert_M=res.sequence.values,
-            shift_a=res.shift, n=res.n, warnings=spec.warnings,
-        ))
-    return reports
-
-
-def _relative_report(src, dst, kmax) -> Report:
-    res = relative_invariant(src, dst, kmax)
+def _weights_report(spec, weights, kmax) -> Report:
+    """invariant at several weights: p_D at each, and whether they agree."""
+    res = weight_independence(spec, weights, kmax)
     return Report(
-        name=f"{src.name}->{dst.name}", kmax=kmax,
-        hilbert_hom=res.sequence.values,
-        shift_a=res.shift, p_12=res.p_12, n_pair=(res.n_1, res.n_2),
-        verdicts={"relative": res.ok},
-        warnings=src.warnings + dst.warnings,
+        name=spec.name, kmax=kmax, weight=weights[0], weights=weights,
+        p_by_weight=res.p_sequences,
+        p_D=res.values[0][1],
+        verdicts={"weights": res.ok}, warnings=spec.warnings,
     )
 
 
-def _dual_reports(specs, kmax) -> list[Report]:
-    reports = []
-    for spec in specs:
-        res = dual_check(spec, kmax)
-        reports.append(Report(
-            name=spec.name, kmax=kmax,
-            hilbert_dual=res.sequence.values,
-            shift_a=res.shift, n=res.n, dual_constant=res.constant,
-            verdicts={"dual": res.ok}, warnings=spec.warnings,
-        ))
-    return reports
+def _timed(verb, *args) -> Report:
+    t0 = time.perf_counter()
+    report = verb(*args)
+    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return report
 
 
 def _render(reports: list[Report], fmt: str, timing: bool) -> str:
@@ -229,22 +188,23 @@ def run(argv: Sequence[str]) -> int:
         if args.verb in ("chern", "relative", "dual") and weights and weights != (W11,):
             raise _Usage(f"{args.verb} is pinned to weight 1,1")
 
-        if args.verb == "invariant":
-            reports = _invariant_reports(specs, weights or (W11,), args.kmax)
-        elif args.verb == "chern":
-            reports = _chern_reports(specs, args.kmax)
+        if args.verb == "invariant" and weights and len(weights) > 1:
+            jobs = [(_weights_report, spec, weights, args.kmax) for spec in specs]
+        elif args.verb == "invariant":
+            jobs = [(lm_invariant, spec, (weights or (W11,))[0], args.kmax) for spec in specs]
         elif args.verb == "relative":
-            reports = [_relative_report(specs[0], specs[1], args.kmax)]
-        elif args.verb == "dual":
-            reports = _dual_reports(specs, args.kmax)
+            jobs = [(relative_invariant, specs[0], specs[1], args.kmax)]
+        elif args.verb in ("chern", "dual"):
+            verb = chern_number if args.verb == "chern" else dual_check
+            jobs = [(verb, spec, args.kmax) for spec in specs]
         else:  # verify
             if weights is not None and len(weights) < 2:
                 raise _Usage("verify needs at least two weights")
-            targets = specs or list(catalog())
-            reports = [
-                full_report(spec, args.kmax, weights or DEFAULT_WEIGHTS)
-                for spec in targets
+            jobs = [
+                (full_report, spec, args.kmax, weights or DEFAULT_WEIGHTS)
+                for spec in specs or catalog()
             ]
+        reports = [_timed(*job) for job in jobs]
     except (_Usage, SpecError, ValueError) as exc:
         print(f"lmtool: error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,7 @@ NotStabilized, which callers surface as "raise kmax".
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
 from .graded import gr_inclusion_check, hom_dims, module_dims
@@ -137,92 +136,67 @@ def fit_euler(h: HilbertSeq) -> FitResult:
 # invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LmResult:
-    """Stabilized codimension p_D with its full p-sequence."""
-
-    spec_name: str
-    weight: Weight
-    value: int
-    p_values: tuple[int, ...]
-
-
-def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> LmResult:
+def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Report:
     """p_D = lim dim A_k - dim End_k; requires the last three entries to agree."""
     if kmax < 4:
         raise ValueError("kmax must be >= 4")
-    dims = hom_dims(spec, spec, weight, kmax)
+    dims = tuple(hom_dims(spec, spec, weight, kmax))
     p = tuple(dim_A(weight, k) - d for k, d in enumerate(dims))
     if not (p[-1] == p[-2] == p[-3]):
         raise NotStabilizedError(
             f"p-sequence for {spec.name} at {weight} still moving: tail {p[-3:]}; raise kmax"
         )
-    return LmResult(spec.name, weight, p[-1], p)
+    return Report(
+        name=spec.name, kmax=kmax, weight=weight, hilbert_D=dims,
+        p_by_weight=((weight, p),), p_D=p[-1], warnings=spec.warnings,
+    )
 
 
-@dataclass(frozen=True)
-class ChernResult:
-    spec_name: str
-    n: int
-    shift: int
-    fit: FitResult
-    sequence: HilbertSeq
-
-
-def chern_from_sequence(h: HilbertSeq, name: str = "") -> ChernResult:
+def chern_from_sequence(h: HilbertSeq, name: str = "") -> FitResult:
+    """The Euler fit of h, refused when its constant is negative (n >= 0)."""
     fit = fit_euler(h)
     if fit.constant < 0:
         raise NegativeChernError(
             f"{name or h.source}: fit constant {fit.constant} is negative"
         )
-    return ChernResult(name or h.source, fit.constant, fit.shift, fit, h)
+    return fit
 
 
-def chern_number(spec: SubspaceSpec, kmax: int = 12) -> ChernResult:
+def chern_number(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """Second invariant n of the ideal of V: shift-normalized fit constant of
     its Hilbert sequence at weight (1,1)."""
-    return chern_from_sequence(hilbert_seq(spec, W11, 0, kmax), spec.name)
+    seq = hilbert_seq(spec, W11, 0, kmax)
+    fit = chern_from_sequence(seq, spec.name)
+    return Report(
+        name=spec.name, kmax=kmax, hilbert_M=seq.values,
+        shift_a=fit.shift, n=fit.constant, warnings=spec.warnings,
+    )
 
 
-@dataclass(frozen=True)
-class RelativeResult:
-    names: tuple[str, str]
-    p_12: int
-    shift: int
-    n_1: int
-    n_2: int
-    ok: bool
-    sequence: HilbertSeq
-
-
-def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> RelativeResult:
+def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> Report:
     """Relative invariant of Hom(M_1, M_2) and the verdict p_12 = n_1 + n_2."""
     seq = hilbert_seq((src, dst), W11, 0, kmax)
     fit = fit_euler(seq)
     n_1 = chern_number(src, kmax).n
     n_2 = chern_number(dst, kmax).n
-    return RelativeResult(
-        (src.name, dst.name), fit.constant, fit.shift, n_1, n_2,
-        fit.constant == n_1 + n_2, seq,
+    return Report(
+        name=f"{src.name}->{dst.name}", kmax=kmax, hilbert_hom=seq.values,
+        shift_a=fit.shift, p_12=fit.constant, n_pair=(n_1, n_2),
+        verdicts={"relative": fit.constant == n_1 + n_2},
+        warnings=src.warnings + dst.warnings,
     )
 
 
-@dataclass(frozen=True)
-class DualResult:
-    spec_name: str
-    constant: int
-    shift: int
-    n: int
-    ok: bool
-    sequence: HilbertSeq
-
-
-def dual_check(spec: SubspaceSpec, kmax: int = 12) -> DualResult:
+def dual_check(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """Fit Hom(M, A) and compare its constant with n."""
     seq = hilbert_seq((spec, SubspaceSpec.trivial()), W11, 0, kmax)
     fit = fit_euler(seq)
     n = chern_number(spec, kmax).n
-    return DualResult(spec.name, fit.constant, fit.shift, n, fit.constant == n, seq)
+    return Report(
+        name=spec.name, kmax=kmax, hilbert_dual=seq.values,
+        shift_a=fit.shift, n=n, dual_constant=fit.constant,
+        verdicts={"dual": fit.constant == n}, warnings=spec.warnings,
+    )
 
 
 @dataclass(frozen=True)
@@ -242,28 +216,22 @@ def weight_independence(
     if len(weights) < 2:
         raise ValueError("weight independence needs at least two weights")
     results = [lm_invariant(spec, w, kmax) for w in weights]
-    values = tuple((r.weight, r.value) for r in results)
+    values = tuple((r.weight, r.p_D) for r in results)
     ok = len({v for _, v in values}) == 1
     return WeightIndependenceResult(
-        spec.name, values, tuple((r.weight, r.p_values) for r in results), ok
+        spec.name, values, tuple(r.p_by_weight[0] for r in results), ok
     )
 
 
 def telescoping_check(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> bool:
     """Partial sums of graded-piece dimensions must reproduce the filtered
-    codimension at every level: sum_{i<=k} (gr A_i - gr End_i) = dim A_k - dim End_k."""
-    dims = hom_dims(spec, spec, weight, kmax, kmin=-1)  # dims[0] is level -1
-    running = 0
-    prev_a = 0
-    for k in range(0, kmax + 1):
-        a_k = dim_A(weight, k)
-        gr_a = a_k - prev_a
-        gr_d = dims[k + 1] - dims[k]
-        running += gr_a - gr_d
-        if running != a_k - dims[k + 1]:
-            return False
-        prev_a = a_k
-    return True
+    codimension at every level: sum_{i<=k} (gr A_i - gr End_i) = dim A_k - dim End_k
+    for 0 <= k <= kmax, where gr X_i = dim X_i - dim X_{i-1} and dim A_{-1} = 0.
+
+    The sum telescopes to dim A_k - dim End_k + dim End_{-1}, so the identity
+    holds at every level exactly when End has no element of weighted degree
+    below 0, i.e. when dim End_{-1} = 0."""
+    return hom_dims(spec, spec, weight, kmax, kmin=-1)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +247,9 @@ def _as_list(seq: tuple[int, ...] | None) -> list[int] | None:
 
 @dataclass
 class Report:
-    """Carrier for everything a CLI verb needs to emit; optional fields stay
-    None when a verb does not compute them.  Verdicts are recomputable from
-    the embedded sequences."""
+    """What every verb returns and every output format renders; optional
+    fields stay None when a verb does not compute them.  Verdicts are
+    recomputable from the embedded sequences."""
 
     name: str
     kmax: int
@@ -338,26 +306,17 @@ class Report:
 def verify_lm_chern(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """The headline check: p_D = 2n at weight (1,1), with the End-sequence fit
     cross-checked to have shift 0 and constant p_D."""
-    t0 = time.perf_counter()
     ch = chern_number(spec, kmax)
     lm = lm_invariant(spec, W11, kmax)
-    d_seq = hilbert_seq((spec, spec), W11, 0, kmax)
-    d_fit = fit_euler(d_seq)
-    d_ok = d_fit.shift == 0 and d_fit.constant == lm.value
-    return Report(
-        name=spec.name,
-        kmax=kmax,
-        weight=W11,
-        hilbert_M=ch.sequence.values,
-        hilbert_D=d_seq.values,
-        p_by_weight=((W11, lm.p_values),),
-        shift_a=ch.shift,
+    d_fit = fit_euler(HilbertSeq(f"hom({spec.name},{spec.name})", W11, 0, kmax, lm.hilbert_D))
+    d_ok = d_fit.shift == 0 and d_fit.constant == lm.p_D
+    return replace(
+        lm,
+        hilbert_M=ch.hilbert_M,
+        shift_a=ch.shift_a,
         n=ch.n,
-        p_D=lm.value,
         d_fit=(d_fit.shift, d_fit.constant),
-        verdicts={"t2": lm.value == 2 * ch.n and d_ok},
-        warnings=spec.warnings,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        verdicts={"t2": lm.p_D == 2 * ch.n and d_ok},
     )
 
 
@@ -368,7 +327,6 @@ def full_report(
 ) -> Report:
     """Full verification: headline identity, dual fit, weight independence,
     graded inclusion at every level, and the telescoping identity."""
-    t0 = time.perf_counter()
     base = verify_lm_chern(spec, kmax)
     dual = dual_check(spec, kmax)
     wind = weight_independence(spec, weights, kmax)
@@ -376,29 +334,19 @@ def full_report(
         gr_inclusion_check(spec, w, k) for w in weights for k in range(0, kmax + 1)
     )
     tel_ok = all(telescoping_check(spec, w, kmax) for w in weights)
-    return Report(
-        name=spec.name,
-        kmax=kmax,
-        weight=W11,
+    return replace(
+        base,
         weights=tuple(weights),
-        hilbert_M=base.hilbert_M,
-        hilbert_D=base.hilbert_D,
-        hilbert_dual=dual.sequence.values,
+        hilbert_dual=dual.hilbert_dual,
         p_by_weight=wind.p_sequences,
-        shift_a=base.shift_a,
-        n=base.n,
-        p_D=base.p_D,
-        d_fit=base.d_fit,
-        dual_constant=dual.constant,
+        dual_constant=dual.dual_constant,
         verdicts={
-            "t2": base.verdicts["t2"],
+            **base.verdicts,
             "dual": dual.ok,
             "weights": wind.ok,
             "gr_inclusion": gr_ok,
             "telescoping": tel_ok,
         },
-        warnings=spec.warnings,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 

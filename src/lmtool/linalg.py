@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 
 def rat_from_str(text: str | int) -> Fraction:
-    """Parse a rational written as ``p`` or ``p/q``."""
-    if isinstance(text, int):
+    """Parse a rational written as ``p`` or ``p/q``; a bool is not a number."""
+    if type(text) is int:
         return Fraction(text)
     if isinstance(text, str):
         try:

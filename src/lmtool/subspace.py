@@ -228,7 +228,8 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
         if "points" in document:
             raise SpecError("monomial spec cannot carry 'points'")
         gaps = document.get("gaps")
-        if not isinstance(gaps, list) or not all(isinstance(g, int) and g >= 0 for g in gaps):
+        # type(...) is int: JSON true/false load as bool, a subclass of int
+        if not isinstance(gaps, list) or not all(type(g) is int and g >= 0 for g in gaps):
             raise SpecError("'gaps' must be a list of non-negative integers")
         if name is None:
             name = "gaps-" + "-".join(str(g) for g in sorted(set(gaps))) if gaps else "trivial"
@@ -269,7 +270,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
                 if "order" not in term or "coeff" not in term:
                     raise SpecError("term needs 'order' and 'coeff'")
                 order = term["order"]
-                if not isinstance(order, int) or order < 0:
+                if type(order) is not int or order < 0:
                     raise SpecError("'order' must be a non-negative integer")
                 try:
                     coeff = rat_from_str(term["coeff"])

@@ -15,6 +15,7 @@ import pytest
 from lmtool.catalog import catalog, catalog_get
 from lmtool.graded import clear_cache, gr_inclusion_check, hom_piece, module_piece
 from lmtool.invariants import (
+    HilbertSeq,
     dual_check,
     fit_euler,
     hilbert_seq,
@@ -110,7 +111,7 @@ def test_criterion_06_duality(report):
     ok = True
     for spec in catalog():
         res = dual_check(spec, 12)
-        ok = ok and res.ok and res.constant == res.n
+        ok = ok and res.ok and res.dual_constant == res.n
     report(6, "dual fit constant equals n for every catalog spec", ok)
 
 
@@ -119,8 +120,8 @@ def test_criterion_07_relative_identity(report):
     ok = True
     for a, b in pairs:
         res = relative_invariant(catalog_get(a), catalog_get(b), 12)
-        window = fit_euler(res.sequence).window
-        ok = ok and res.ok and res.p_12 == res.n_1 + res.n_2
+        window = fit_euler(HilbertSeq(res.name, W11, 0, res.kmax, res.hilbert_hom)).window
+        ok = ok and res.ok and res.p_12 == sum(res.n_pair)
         ok = ok and (window[1] - window[0] + 1) >= 3
     report(7, "p_12 = n_1 + n_2 on the three reference pairs, window >= 3", ok)
 
@@ -170,6 +171,6 @@ def test_criterion_10_monotone_codimension(report):
     ok = True
     for spec in catalog():
         for w in WEIGHTS:
-            p = lm_invariant(spec, w, 12).p_values
+            p = lm_invariant(spec, w, 12).p_by_weight[0][1]
             ok = ok and all(b >= a for a, b in zip(p, p[1:]))
     report(10, "codimension p(k) non-decreasing for all specs and weights", ok)

@@ -1,7 +1,10 @@
 """Command line behavior: verbs, formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +176,14 @@ def test_timing_flag_gates_elapsed(capsys):
     assert "elapsed_ms" in timed
 
 
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+def test_timing_measures_every_verb(capsys, verb):
+    code, out, _ = run(capsys, *VERB_ARGS[verb], "--kmax", "8", "--timing")
+    assert code == 0
+    reports = json.loads(out)
+    assert all(r["elapsed_ms"] > 0 for r in (reports if isinstance(reports, list) else [reports]))
+
+
 def test_out_writes_file(capsys, tmp_path, cusp_file):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--spec", cusp_file, "--out", str(target))
@@ -206,6 +217,24 @@ def test_output_digest_per_verb_and_format(capsys, verb, fmt):
 def test_all_exports_resolve():
     missing = [name for name in lmtool.__all__ if not hasattr(lmtool, name)]
     assert missing == []
+
+
+def test_package_imports_only_stdlib():
+    """The package is dependency-free: every import is relative or stdlib."""
+    sources = sorted(Path(lmtool.__file__).parent.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {m}" for m in modules
+                        if m.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_emitted_report_revalidates(capsys):
@@ -287,6 +316,22 @@ def test_malformed_spec_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--spec", str(bad))
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"kind": "monomial", "gaps": [true]}', "'gaps' must be a list of non-negative integers"),
+    ('{"kind": "conditions", "points": [{"c": true, "functionals": [[{"order": 1, "coeff": 1}]]}]}',
+     "not a rational: True"),
+    ('{"kind": "conditions", "points": [{"c": 0, "functionals": [[{"order": true, "coeff": 1}]]}]}',
+     "'order' must be a non-negative integer"),
+    ('{"kind": "conditions", "points": [{"c": 0, "functionals": [[{"order": 1, "coeff": true}]]}]}',
+     "not a rational: True"),
+], ids=["gaps", "c", "order", "coeff"])
+def test_json_boolean_is_not_a_number(capsys, tmp_path, doc, message):
+    path = tmp_path / "bool.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "chern", "--spec", str(path))
+    assert (code, out, err) == (2, "", f"lmtool: error: {path}: {message}\n")
 
 
 def test_verdict_failure_exits_1(capsys, monkeypatch):

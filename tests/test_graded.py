@@ -102,13 +102,16 @@ def oracle_hom_dim(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int)
     # u . (v/g) polynomial and in V2, for each low-basis v
     for v in src.low_basis:
         vg = poly_to_sympy(v) / g
+        # g^(b_max+1) d^b(v/g) is a polynomial; x^a times it is the numerator
+        # of x^a d^b (v/g), so each b needs one diff and one cancel
+        cleared = {
+            b: sympy.Poly(sympy.expand(sympy.cancel(sympy.diff(vg, X, b) * g ** (b_max + 1))), X)
+            for b in {b for _, b in cols}
+        }
         rem_rows = [[] for _ in range(modulus.degree())]
         fn_rows = [[] for _ in dst.functionals]
         for a, b in cols:
-            numerator = sympy.Poly(
-                sympy.expand(sympy.cancel(X ** a * sympy.diff(vg, X, b) * g ** (b_max + 1))),
-                X,
-            )
+            numerator = sympy.Poly(X ** a, X) * cleared[b]
             quo, rem = sympy.div(numerator, modulus)
             rem_coeffs = rem.all_coeffs()[::-1] if not rem.is_zero else []
             for e in range(modulus.degree()):

@@ -115,17 +115,17 @@ def test_fit_result_reproduces_its_window():
 # -- lm_invariant --------------------------------------------------------------------
 
 def test_lm_trivial():
-    assert lm_invariant(catalog_get("trivial"), W11, 8).value == 0
+    assert lm_invariant(catalog_get("trivial"), W11, 8).p_D == 0
 
 
 def test_lm_cusp():
     res = lm_invariant(catalog_get("cusp"), W11, 8)
-    assert res.value == 2
-    assert res.p_values == (0, 2, 2, 2, 2, 2, 2, 2, 2)
+    assert res.p_D == 2
+    assert res.p_by_weight[0][1] == (0, 2, 2, 2, 2, 2, 2, 2, 2)
 
 
 def test_lm_cusp_other_weight():
-    assert lm_invariant(catalog_get("cusp"), Weight(1, 2), 10).value == 2
+    assert lm_invariant(catalog_get("cusp"), Weight(1, 2), 10).p_D == 2
 
 
 def test_lm_requires_kmax_at_least_4():
@@ -147,7 +147,7 @@ def test_chern_catalog_values():
     }
     for spec in catalog():
         res = chern_number(spec)
-        assert (res.n, res.shift) == expected[spec.name], spec.name
+        assert (res.n, res.shift_a) == expected[spec.name], spec.name
 
 
 def test_negative_chern_is_reported():
@@ -177,26 +177,26 @@ def test_verify_whole_catalog():
 def test_relative_examples():
     triv, cusp = catalog_get("trivial"), catalog_get("cusp")
     r = relative_invariant(triv, triv)
-    assert (r.p_12, r.shift, r.ok) == (0, 0, True)
+    assert (r.p_12, r.shift_a, r.ok) == (0, 0, True)
     r = relative_invariant(cusp, cusp)
-    assert (r.p_12, r.shift, r.ok) == (2, 0, True)
+    assert (r.p_12, r.shift_a, r.ok) == (2, 0, True)
     r = relative_invariant(cusp, triv)
-    assert (r.p_12, r.n_1, r.n_2, r.ok) == (1, 1, 0, True)
+    assert (r.p_12, *r.n_pair, r.ok) == (1, 1, 0, True)
 
 
 def test_relative_of_self_equals_lm():
     for name in ("cusp", "gaps-1-2", "two-point"):
         spec = catalog_get(name)
         rel = relative_invariant(spec, spec)
-        assert rel.shift == 0
-        assert rel.p_12 == lm_invariant(spec).value
+        assert rel.shift_a == 0
+        assert rel.p_12 == lm_invariant(spec).p_D
 
 
 def test_dual_catalog():
     for spec in catalog():
         res = dual_check(spec)
         assert res.ok, spec.name
-        assert res.constant == res.n
+        assert res.dual_constant == res.n
 
 
 def test_weight_independence_examples():
@@ -261,7 +261,7 @@ CLOSED_FORM_LITERALS = [
 def test_closed_form_n_literals(spec, n):
     assert closed_form_n(spec.functionals) == n
     assert chern_number(spec, 14).n == n
-    assert lm_invariant(spec, W11, 14).value == 2 * n
+    assert lm_invariant(spec, W11, 14).p_D == 2 * n
 
 
 def test_closed_form_n_on_catalog():
@@ -297,7 +297,7 @@ def test_engine_n_matches_closed_form(case):
     assert spec.conductor.degree() <= 5
     n = closed_form_n(drawn)
     assert chern_number(spec, 16).n == n
-    assert lm_invariant(spec, W11, 16).value == 2 * n
+    assert lm_invariant(spec, W11, 16).p_D == 2 * n
 
 
 @given(st.sampled_from([s.name for s in catalog()]),
@@ -306,7 +306,8 @@ def test_engine_n_matches_closed_form(case):
 def test_codimension_is_monotone(name, weight):
     spec = catalog_get(name)
     res = lm_invariant(spec, weight, 12)
-    assert all(b >= a for a, b in zip(res.p_values, res.p_values[1:]))
+    p = res.p_by_weight[0][1]
+    assert all(b >= a for a, b in zip(p, p[1:]))
 
 
 # -- reports ---------------------------------------------------------------------------------
