@@ -18,7 +18,6 @@ from .graded import (
     hom_dims,
     hom_piece,
     module_dims,
-    module_piece,
 )
 from .invariants import (
     DEFAULT_WEIGHTS,
@@ -83,7 +82,6 @@ __all__ = [
     "hom_piece",
     "lm_invariant",
     "module_dims",
-    "module_piece",
     "monomial_basis",
     "parse_spec",
     "relative_invariant",

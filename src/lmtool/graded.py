@@ -68,9 +68,6 @@ class QFraction:
             return None
         return deg - weight.w1 * self.g.degree()
 
-    def to_dict(self) -> dict:
-        return {"u": str(self.u), "g": str(self.g)}
-
     def __str__(self) -> str:
         if self.g == Poly.one():
             return str(self.u)
@@ -79,28 +76,14 @@ class QFraction:
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """Basis of a filtered piece (weighted degree <= k) of a module or hom space."""
+    """Basis of a filtered piece (weighted degree <= k) of a hom space; the
+    module of V is the hom space from the trivial subspace."""
 
-    kind: str                      # "module" | "hom"
-    sources: tuple[SubspaceSpec, ...]
+    sources: tuple[SubspaceSpec, SubspaceSpec]
     weight: Weight
     k: int
     dim: int
-    basis: tuple
-
-    def to_dict(self) -> dict:
-        if self.kind == "module":
-            basis = [str(u) for u in self.basis]
-        else:
-            basis = [q.to_dict() for q in self.basis]
-        return {
-            "kind": self.kind,
-            "sources": [s.name for s in self.sources],
-            "weight": list(self.weight.as_tuple()),
-            "k": self.k,
-            "dim": self.dim,
-            "basis": basis,
-        }
+    basis: tuple[QFraction, ...]
 
 
 def _taylor(p: Poly, c: Fraction) -> list[Fraction]:
@@ -281,18 +264,11 @@ def clear_cache() -> None:
 _TRIVIAL = SubspaceSpec.trivial()
 
 
-def module_piece(spec: SubspaceSpec, weight: Weight, k: int) -> GradedPiece:
-    """Basis of {u in A : wdeg(u) <= k, u . C[x] in V}."""
-    tower = _tower_for(_TRIVIAL, spec, weight, max(k, 0))
-    basis = tower.basis_elements(k)
-    return GradedPiece("module", (spec,), weight, k, len(basis), basis)
-
-
 def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> GradedPiece:
     """Basis of {p : wdeg(p) <= k, p . V1 in V2} as operators u o g^{-1}."""
     tower = _tower_for(src, dst, weight, max(k, 0))
     basis = tuple(QFraction(u, tower.g) for u in tower.basis_elements(k))
-    return GradedPiece("hom", (src, dst), weight, k, len(basis), basis)
+    return GradedPiece((src, dst), weight, k, len(basis), basis)
 
 
 def module_dims(spec: SubspaceSpec, weight: Weight, kmax: int, kmin: int = 0) -> list[int]:
@@ -310,11 +286,9 @@ def gr_symbol_space(piece_k: GradedPiece, piece_prev: GradedPiece) -> tuple[Symb
 
     Because bases are nested, the symbols of the vectors new at level k are
     automatically independent and span the graded piece; its dimension is
-    dim_k - dim_{k-1}.  Hom symbols are numerator forms, of weighted degree
+    dim_k - dim_{k-1}.  The symbols are numerator forms, of weighted degree
     k + w1*deg(g).
     """
-    if piece_k.kind != piece_prev.kind:
-        raise ValueError("graded pieces of different kinds")
     if piece_k.sources != piece_prev.sources:
         raise ValueError("graded pieces of different sources")
     if piece_k.weight != piece_prev.weight:
@@ -323,8 +297,6 @@ def gr_symbol_space(piece_k: GradedPiece, piece_prev: GradedPiece) -> tuple[Symb
         raise ValueError("pieces must sit at consecutive degrees")
     weight = piece_k.weight
     new = piece_k.basis[piece_prev.dim:]
-    if piece_k.kind == "module":
-        return tuple(u.top_component(weight, piece_k.k) for u in new)
     gdeg = piece_k.sources[0].conductor.degree()
     target = piece_k.k + weight.w1 * gdeg
     return tuple(q.u.top_component(weight, target) for q in new)

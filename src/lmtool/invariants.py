@@ -356,23 +356,21 @@ def report_csv(report: Report) -> str:
     """Hilbert table: k, dim_A, dim_M, dim_D, p_k.
 
     Dual/hom sequences get their own column only when the standard module
-    and endomorphism columns are absent (dual and relative runs).
+    and endomorphism columns are absent (dual and relative runs).  Without
+    an End sequence (multi-weight invariant runs) there is one "p(w1,w2)"
+    column per weight instead of p_k, quoted because the name has a comma.
     """
     present = [key for key in HILBERT_FIELDS if getattr(report, key) is not None]
     shown = [key for key in present if key in HILBERT_FIELDS[:2]] or present
     cols = [("dim_A", [dim_A(report.weight, k) for k in range(report.kmax + 1)])]
     cols += [("dim_" + key.removeprefix("hilbert_"), getattr(report, key)) for key in shown]
-    header = ["k"] + [name for name, _ in cols]
-    p_col: list[int] | None = None
     if report.hilbert_D is not None:
-        p_col = [dim_A(report.weight, k) - d for k, d in enumerate(report.hilbert_D)]
-        header.append("p_k")
-    lines = [",".join(header)]
+        cols.append(("p_k", [dim_A(report.weight, k) - d for k, d in enumerate(report.hilbert_D)]))
+    elif report.p_by_weight is not None:
+        cols += [(f'"p{w}"', p) for w, p in report.p_by_weight]
+    lines = [",".join(["k"] + [name for name, _ in cols])]
     for k in range(report.kmax + 1):
-        row = [str(k)] + [str(vals[k]) for _, vals in cols]
-        if p_col is not None:
-            row.append(str(p_col[k]))
-        lines.append(",".join(row))
+        lines.append(",".join([str(k)] + [str(vals[k]) for _, vals in cols]))
     return "\n".join(lines) + "\n"
 
 

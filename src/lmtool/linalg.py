@@ -14,7 +14,6 @@ the echelon rows and the canonical form do not change with the storage.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -83,11 +82,6 @@ class Poly:
     @staticmethod
     def x(power: int = 1) -> "Poly":
         return Poly({power: 1})
-
-    @staticmethod
-    def parse(text: str) -> "Poly":
-        terms = parse_monomial_sum(text, ("x",))
-        return Poly({exps[0]: c for exps, c in terms.items()})
 
     # -- inspection ---------------------------------------------------------
 
@@ -368,100 +362,6 @@ class RowReducer:
 # ---------------------------------------------------------------------------
 # shared text form for sums of monomials
 # ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z]+)|(?P<op>[\^*+-]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"cannot parse {rest!r}")
-        if m.group("num"):
-            out.append(("num", m.group("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
-
-
-def parse_monomial_sum(text: str, variables: Sequence[str]) -> dict[tuple[int, ...], Fraction]:
-    """Parse "c*x^a*d^b + ..." into {(a, b, ...): c} over the given variables.
-
-    Grammar: terms joined by + or -, each term a '*'-separated product of an
-    optional rational and variable powers ``v`` or ``v^k``.
-    """
-    tokens = _tokenize(text)
-    var_index = {v: i for i, v in enumerate(variables)}
-    result: dict[tuple[int, ...], Fraction] = {}
-    pos = 0
-
-    def parse_term(sign: int) -> None:
-        nonlocal pos
-        coeff = Fraction(sign)
-        exps = [0] * len(variables)
-        saw_factor = False
-        while True:
-            if pos >= len(tokens):
-                raise ValueError("unexpected end of expression")
-            kind, val = tokens[pos]
-            if kind == "num":
-                coeff *= Fraction(val)
-                pos += 1
-            elif kind == "name":
-                if val not in var_index:
-                    raise ValueError(f"unknown variable {val!r}")
-                pos += 1
-                power = 1
-                if pos < len(tokens) and tokens[pos] == ("op", "^"):
-                    pos += 1
-                    if pos >= len(tokens) or tokens[pos][0] != "num" or "/" in tokens[pos][1]:
-                        raise ValueError("expected integer exponent after '^'")
-                    power = int(tokens[pos][1])
-                    pos += 1
-                exps[var_index[val]] += power
-            else:
-                raise ValueError(f"unexpected {val!r}")
-            saw_factor = True
-            if pos < len(tokens) and tokens[pos] == ("op", "*"):
-                pos += 1
-                continue
-            break
-        if not saw_factor:
-            raise ValueError("empty term")
-        key = tuple(exps)
-        new = result.get(key, Fraction(0)) + coeff
-        if new:
-            result[key] = new
-        elif key in result:
-            del result[key]
-
-    if not tokens:
-        raise ValueError("empty expression")
-    sign = 1
-    if tokens[pos] in (("op", "+"), ("op", "-")):
-        sign = -1 if tokens[pos][1] == "-" else 1
-        pos += 1
-    parse_term(sign)
-    while pos < len(tokens):
-        kind, val = tokens[pos]
-        if (kind, val) == ("op", "+"):
-            sign = 1
-        elif (kind, val) == ("op", "-"):
-            sign = -1
-        else:
-            raise ValueError(f"expected '+' or '-', found {val!r}")
-        pos += 1
-        parse_term(sign)
-    return result
-
 
 def format_monomial_sum(
     terms: Mapping[tuple[int, ...], Fraction],

@@ -63,10 +63,6 @@ class Functional:
             out += coeff * deriv(self.point)
         return out
 
-    def __str__(self) -> str:
-        parts = [f"{rat_to_str(c)}*f^({o})({rat_to_str(self.point)})" for o, c in self.terms]
-        return " + ".join(parts)
-
 
 def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functional, ...]:
     """Canonical form: group by point, row-reduce each point's coefficient
@@ -210,7 +206,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
             raise SpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SpecError("spec document must be a JSON object")
@@ -277,8 +273,6 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
                 except ValueError as exc:
                     raise SpecError(str(exc)) from exc
                 terms.append((order, coeff))
-            if not any(c for _, c in terms):
-                raise SpecError("functional has no nonzero term")
             functionals.append(Functional(c, tuple(terms)))
     if name is None:
         name = f"points-{len({fn.point for fn in functionals})}"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Iterable, Mapping
 
-from .linalg import Poly, format_monomial_sum, parse_monomial_sum
+from .linalg import Poly, format_monomial_sum
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ class WeylEl:
     @staticmethod
     def from_poly(p: Poly) -> "WeylEl":
         return WeylEl({(e, 0): v for e, v in p.items()})
-
-    @staticmethod
-    def parse(text: str) -> "WeylEl":
-        return WeylEl(parse_monomial_sum(text, ("x", "d")))
 
     # -- inspection -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from lmtool.catalog import catalog, catalog_get
-from lmtool.graded import clear_cache, gr_inclusion_check, hom_piece, module_piece
+from lmtool.graded import clear_cache, gr_inclusion_check, hom_piece
 from lmtool.invariants import (
     HilbertSeq,
     dual_check,
@@ -57,8 +57,9 @@ def test_criterion_02_cusp_fixture(report):
     clear_cache()
     cusp = catalog_get("cusp")
     t0 = time.perf_counter()
-    m2 = module_piece(cusp, W11, 2)
-    m3 = module_piece(cusp, W11, 3)
+    trivial = catalog_get("trivial")
+    m2 = hom_piece(trivial, cusp, W11, 2)
+    m3 = hom_piece(trivial, cusp, W11, 3)
     d1 = hom_piece(cusp, cusp, W11, 1)
     d2 = hom_piece(cusp, cusp, W11, 2)
     fit = fit_euler(hilbert_seq(cusp, W11, 0, 12))
@@ -66,7 +67,7 @@ def test_criterion_02_cusp_fixture(report):
     elapsed = time.perf_counter() - t0
     ok = (
         m2.dim == 2
-        and [str(u) for u in m2.basis] == ["x^2", "x*d - 1"]
+        and [str(q.u) for q in m2.basis] == ["x^2", "x*d - 1"]
         and m3.dim == 5
         and d1.dim == 1
         and d2.dim == 4

@@ -1,15 +1,19 @@
 """Command line behavior: verbs, formats, exit codes, determinism."""
 
 import ast
+import csv
 import hashlib
+import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import lmtool
-from lmtool import cli
+from lmtool import cli, graded
 from lmtool.invariants import NegativeChernError, Report, fit_euler, HilbertSeq
 from lmtool.weyl import Weight
 
@@ -40,7 +44,7 @@ VERB_SHA256 = {
     ("invariant-1", "csv"): "81d0f1efddaa38572b71a2ca3f880e48cf1da1739199943e9c3c82213074f437",
     ("invariant-1", "text"): "e5f16188a569b28ccf59d9ec799f86c5ca26d12eda24307fcdcf27f550110031",
     ("invariant-2", "json"): "21956f7ef68bd743f1763277176f7047097fd45c508ead8fffc0f6059e4a8cbd",
-    ("invariant-2", "csv"): "a1ad3a157c8dcbfae0858d55f71f2833b6578d1e96cface90e6ad729f13fee5b",
+    ("invariant-2", "csv"): "06d95d3b7b257560fa4ae52c6aad5eafd8883688819a40a1fd112e29d5bfb682",
     ("invariant-2", "text"): "c87ae4d85b2893c396d0a2298c6fbeac7f7d6174e6f2e5b9c5e06cb151a3180f",
     ("dual", "json"): "023ffa82cd278f808ab40b52a1aecbf086c2959e9c73320e9f8f2a668308c12f",
     ("dual", "csv"): "6d78c8ce7594954345cd6c1e4b1230a149379b38943280a4f33ace0e7047267b",
@@ -151,6 +155,15 @@ def test_invariant_multi_weight(capsys):
     assert set(report["p_by_weight"]) == {"(1,1)", "(2,1)"}
 
 
+def test_invariant_multi_weight_csv_has_p_columns(capsys):
+    code, out, _ = run(capsys, "invariant", "--spec", "cusp", "--weights", "1,2;1,1",
+                       "--kmax", "6", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["k", "dim_A", "p(1,2)", "p(1,1)"]
+    assert [row[2:] for row in rows[1:4]] == [["0", "0"], ["1", "2"], ["2", "2"]]
+
+
 # -- formats ---------------------------------------------------------------------------
 
 def test_csv_format(capsys, cusp_file):
@@ -216,6 +229,18 @@ def test_output_digest_per_verb_and_format(capsys, verb, fmt):
 
 def test_all_exports_resolve():
     missing = [name for name in lmtool.__all__ if not hasattr(lmtool, name)]
+    assert missing == []
+
+
+def test_bench_wrapped_names_resolve(monkeypatch):
+    """Every lmtool name the benchmark's tracer wraps or patches still exists,
+    so a deletion that would break `bench/run.py --trace 1` fails here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    spans = importlib.import_module("spans")
+    importlib.import_module("workloads")
+    names = [(owner, attr) for owner, attr, _ in spans.WRAPPED] + [(graded, "RowReducer")]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in names
+               if not callable(getattr(owner, attr, None))]
     assert missing == []
 
 
@@ -332,6 +357,17 @@ def test_json_boolean_is_not_a_number(capsys, tmp_path, doc, message):
     path.write_text(doc)
     code, out, err = run(capsys, "chern", "--spec", str(path))
     assert (code, out, err) == (2, "", f"lmtool: error: {path}: {message}\n")
+
+
+def test_deeply_nested_spec_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    env = dict(os.environ, PYTHONPATH=str(Path(lmtool.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "lmtool.cli", "chern", "--spec", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"lmtool: error: {path}: invalid JSON: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verdict_failure_exits_1(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lmtool.linalg import Poly
 from lmtool.weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
+from reference import parse_poly, parse_weyl, poly_to_sympy
 
 X = sympy.Symbol("x")
 
@@ -46,13 +47,6 @@ weights = st.builds(
 )
 
 
-def poly_to_sympy(p: Poly):
-    return sum(
-        (sympy.Rational(c.numerator, c.denominator) * X ** i for i, c in p.items()),
-        sympy.Integer(0),
-    )
-
-
 def apply_via_sympy(u: WeylEl, f: Poly):
     fs = poly_to_sympy(f)
     out = sympy.Integer(0)
@@ -70,33 +64,27 @@ def test_defining_relation():
 
 def test_normal_order_example():
     d, x = WeylEl.d(), WeylEl.x()
-    assert d * d * x * x == WeylEl.parse("x^2*d^2 + 4*x*d + 2")
+    assert d * d * x * x == parse_weyl("x^2*d^2 + 4*x*d + 2")
 
 
 def test_product_literals():
-    euler = WeylEl.parse("x*d")
-    assert euler * euler == WeylEl.parse("x^2*d^2 + x*d")
+    euler = parse_weyl("x*d")
+    assert euler * euler == parse_weyl("x^2*d^2 + x*d")
     # sanity through the action: x*d scales x^m by m, so its square scales by m^2
     for m in range(6):
         xm = Poly({m: Fraction(1)})
         assert (euler * euler).apply_poly(xm) == xm * Fraction(m * m)
-    assert WeylEl.parse("x^2") * WeylEl.parse("d") == WeylEl.parse("x^2*d")
+    assert parse_weyl("x^2") * parse_weyl("d") == parse_weyl("x^2*d")
 
 
 def test_parse_round_trip():
-    u = WeylEl.parse("3*x^2*d - 1/2*d^2 + 5")
-    assert WeylEl.parse(str(u)) == u
-    assert WeylEl.zero() == WeylEl.parse("0")
-
-
-def test_parse_rejects_garbage():
-    for bad in ("x + y", "d^", "", "x*"):
-        with pytest.raises(ValueError):
-            WeylEl.parse(bad)
+    u = parse_weyl("3*x^2*d - 1/2*d^2 + 5")
+    assert parse_weyl(str(u)) == u
+    assert WeylEl.zero() == parse_weyl("0")
 
 
 def test_from_poly_and_x_part():
-    p = Poly.parse("x^3 - 2")
+    p = parse_poly("x^3 - 2")
     u = WeylEl.from_poly(p)
     assert u.x_part() == p
     assert u.max_d_order() == 0
@@ -112,9 +100,9 @@ def test_apply_poly_matches_sympy(u, f):
 
 
 def test_apply_poly_literals():
-    assert WeylEl.parse("x*d - 1").apply_poly(Poly.parse("x")).is_zero
-    assert WeylEl.parse("d^2").apply_poly(Poly.parse("x^3")) == Poly.parse("6*x")
-    f = Poly.parse("x^4 - 1/3*x + 2")
+    assert parse_weyl("x*d - 1").apply_poly(parse_poly("x")).is_zero
+    assert parse_weyl("d^2").apply_poly(parse_poly("x^3")) == parse_poly("6*x")
+    f = parse_poly("x^4 - 1/3*x + 2")
     assert WeylEl.one().apply_poly(f) == f
 
 
@@ -148,10 +136,10 @@ def test_degree_additive(u, v, w):
 
 
 def test_wdegree_examples():
-    assert WeylEl.parse("x^2*d").wdegree(Weight(1, 1)) == 3
-    assert WeylEl.parse("x^2*d").wdegree(Weight(1, 2)) == 4
-    assert WeylEl.parse("x^2 + d^3").wdegree(Weight(2, 1)) == 4
-    assert WeylEl.parse("x*d^2 - d").wdegree(Weight(1, 1)) == 3
+    assert parse_weyl("x^2*d").wdegree(Weight(1, 1)) == 3
+    assert parse_weyl("x^2*d").wdegree(Weight(1, 2)) == 4
+    assert parse_weyl("x^2 + d^3").wdegree(Weight(2, 1)) == 4
+    assert parse_weyl("x*d^2 - d").wdegree(Weight(1, 1)) == 3
     assert WeylEl.zero().wdegree(Weight(1, 1)) is None
 
 
@@ -168,16 +156,16 @@ def test_weight_validation():
 # -- symbols -----------------------------------------------------------------------
 
 def test_top_component():
-    u = WeylEl.parse("x^2*d^2 + 4*x*d + 2")
+    u = parse_weyl("x^2*d^2 + 4*x*d + 2")
     sym = u.top_component(Weight(1, 1), 4)
     assert sym == SymbolPoly({(2, 2): Fraction(1)})
     with pytest.raises(ValueError):
         u.top_component(Weight(1, 1), 3)
-    v = WeylEl.parse("x*d^2 - d")
+    v = parse_weyl("x*d^2 - d")
     assert v.top_component(Weight(1, 1), 3) == SymbolPoly({(1, 2): Fraction(1)})
     # strictly below the requested degree: the class in that graded piece is zero
     assert v.top_component(Weight(1, 1), 4).is_zero
-    w = WeylEl.parse("x^2 + d^2")
+    w = parse_weyl("x^2 + d^2")
     assert w.top_component(Weight(1, 1), 2) == SymbolPoly(
         {(2, 0): Fraction(1), (0, 2): Fraction(1)}
     )
