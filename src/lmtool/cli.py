@@ -179,7 +179,7 @@ def run(argv: Sequence[str]) -> int:
             raise _Usage("--kmax must be at least 4")
         if args.kmax > KMAX_LIMIT:
             raise _Usage(f"--kmax must be at most {KMAX_LIMIT}")
-        weights = _parse_weights(args.weights) if args.weights else None
+        weights = None if args.weights is None else _parse_weights(args.weights)
         specs = [_load_spec(token) for token in args.spec]
         if args.verb in ("invariant", "chern", "dual") and not specs:
             raise _Usage(f"{args.verb} needs at least one --spec")

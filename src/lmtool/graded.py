@@ -68,11 +68,6 @@ class QFraction:
             return None
         return deg - weight.w1 * self.g.degree()
 
-    def __str__(self) -> str:
-        if self.g == Poly.one():
-            return str(self.u)
-        return f"({self.u}) * ({self.g})^-1"
-
 
 @dataclass(frozen=True)
 class GradedPiece:

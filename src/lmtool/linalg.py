@@ -1,5 +1,11 @@
-"""Exact linear algebra over Q: polynomials, row reduction, and the shared
-text form of sums of monomials.
+"""Exact linear algebra over Q: sparse sums of terms, polynomials and row
+reduction.
+
+``Terms`` is the one container for finite sums of monomials with rational
+coefficients.  It owns normalisation, addition, scalar multiplication,
+powers, equality, hashing and the text form; ``Poly`` here and
+``weyl.WeylEl`` and ``weyl.SymbolPoly`` subclass it and add only their
+variables, how two terms multiply and the operations of their own algebra.
 
 Values are ``fractions.Fraction`` or ``int``; there are no floats anywhere,
 so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
@@ -40,40 +46,136 @@ def rat_to_str(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# sparse sums of terms, and polynomials
 # ---------------------------------------------------------------------------
 
-class Poly:
+class Terms:
+    """Immutable finite sum of terms, stored sparsely as ``{key: Fraction}``
+    with no zero coefficient: the container behind ``Poly``, ``weyl.WeylEl``
+    and ``weyl.SymbolPoly``.
+
+    A key holds one exponent per name in ``_vars`` (a tuple; a subclass with
+    one variable may key by the bare exponent and override ``_key``), and
+    ``_one`` is the key of the unit.  A subclass gives its product as
+    ``_product``: the terms of ``self * other``, repeated keys allowed.
+    """
+
+    __slots__ = ("_terms", "_hash")
+    _vars: tuple[str, ...]
+    _one: object
+
+    def __init__(self, terms: Mapping | Iterable[tuple[object, Fraction | int]] = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        t: dict = {}
+        for key, v in items:
+            key = self._key(key)
+            v = Fraction(v)
+            if key in t:
+                v += t[key]
+            if v:
+                t[key] = v
+            elif key in t:
+                del t[key]
+        self._terms = t
+        self._hash: int | None = None
+
+    def _key(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        if len(key) != len(self._vars) or min(key) < 0:
+            raise ValueError(f"{type(self).__name__} needs {len(self._vars)} non-negative exponents, got {key!r}")
+        return tuple(int(e) for e in key)
+
+    @classmethod
+    def one(cls):
+        return cls({cls._one: 1})
+
+    # -- inspection ---------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self) -> list:
+        return sorted(self._terms.items())
+
+    terms = items
+
+    def __getitem__(self, key) -> Fraction:
+        return self._terms.get(key, Fraction(0))
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)([*self._terms.items(), *other._terms.items()])
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return type(self)({k: v * other for k, v in self._terms.items()})
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self._product(other))
+
+    def __rmul__(self, other):
+        return self * other if isinstance(other, (int, Fraction)) else NotImplemented
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of {type(self).__name__}")
+        out, base = self.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    # -- identity -----------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(self._terms.items())))
+        return self._hash
+
+    def __str__(self) -> str:
+        terms = {k if isinstance(k, tuple) else (k,): v for k, v in self._terms.items()}
+        return format_monomial_sum(terms, self._vars)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Poly(Terms):
     """Univariate polynomial over Q, stored sparsely as exponent -> coefficient.
 
     Immutable.  The degree of the zero polynomial is reported as ``None``,
     the "minus infinity" marker.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ()
+    _vars = ("x",)
+    _one = 0
 
-    def __init__(self, coeffs: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        c: dict[int, Fraction] = {}
-        for e, v in items:
-            e = int(e)
-            if e < 0:
-                raise ValueError("negative exponent in polynomial")
-            v = Fraction(v)
-            if e in c:
-                v += c[e]
-            if v:
-                c[e] = v
-            elif e in c:
-                del c[e]
-        self._c = c
-        self._hash: int | None = None
+    def _key(self, e: int) -> int:
+        e = int(e)
+        if e < 0:
+            raise ValueError(f"negative exponent in Poly, got {e}")
+        return e
+
+    def _product(self, other: "Poly"):
+        return ((e1 + e2, v1 * v2) for e1, v1 in self._terms.items() for e2, v2 in other._terms.items())
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly({0: 1})
 
     @staticmethod
     def const(value: Fraction | int) -> "Poly":
@@ -83,106 +185,27 @@ class Poly:
     def x(power: int = 1) -> "Poly":
         return Poly({power: 1})
 
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
+    # -- calculus -----------------------------------------------------------
 
     def degree(self) -> int | None:
         """Degree, or None (minus infinity) for the zero polynomial."""
-        return max(self._c) if self._c else None
+        return max(self._terms) if self._terms else None
 
     def leading_coeff(self) -> Fraction:
-        return self._c[max(self._c)] if self._c else Fraction(0)
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._c.items())
-
-    def __getitem__(self, exponent: int) -> Fraction:
-        return self._c.get(exponent, Fraction(0))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, Fraction(0)) + v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        return Poly(c)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly({e: -v for e, v in self._c.items()})
-
-    def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
-        if isinstance(other, Poly):
-            c: dict[int, Fraction] = {}
-            for e1, v1 in self._c.items():
-                for e2, v2 in other._c.items():
-                    e = e1 + e2
-                    w = c.get(e, Fraction(0)) + v1 * v2
-                    if w:
-                        c[e] = w
-                    elif e in c:
-                        del c[e]
-            return Poly(c)
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
-                return Poly()
-            return Poly({e: v * f for e, v in self._c.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of polynomial")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return self._terms[max(self._terms)] if self._terms else Fraction(0)
 
     def derivative(self) -> "Poly":
-        return Poly({e - 1: v * e for e, v in self._c.items() if e > 0})
+        return Poly({e - 1: v * e for e, v in self._terms.items() if e > 0})
 
     def __call__(self, point: Fraction | int) -> Fraction:
         p = Fraction(point)
-        return sum((v * p**e for e, v in self._c.items()), Fraction(0))
+        return sum((v * p**e for e, v in self._terms.items()), Fraction(0))
 
     def shift_x(self, a: int) -> "Poly":
         """Multiply by x**a."""
         if a == 0:
             return self
-        return Poly({e + a: v for e, v in self._c.items()})
-
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self._c == other._c
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._c.items())))
-        return self._hash
-
-    def __str__(self) -> str:
-        return format_monomial_sum({(e,): v for e, v in self._c.items()}, ("x",))
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
+        return Poly({e + a: v for e, v in self._terms.items()})
 
 
 def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -190,10 +213,10 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     q: dict[int, Fraction] = {}
-    r = {e: v for e, v in num._c.items()}
+    r = dict(num._terms)
     dd = den.degree()
     dlc = den.leading_coeff()
-    den_items = list(den._c.items())
+    den_items = list(den._terms.items())
     while r:
         e = max(r)
         if e < dd:

@@ -7,6 +7,11 @@ A weight w = (w1, w2) of strictly positive integers filters A by
 wdeg(x^a d^b) = a*w1 + b*w2; the associated graded algebra is the commutative
 polynomial ring in the principal symbols of x and d, represented here by
 :class:`SymbolPoly`.
+
+Both element classes subclass ``linalg.Terms``, which holds the sparse
+{(a, b): coeff} dict and does all but the product; each class adds its
+product (normal ordering for ``WeylEl``, the commutative one for
+``SymbolPoly``) and the queries of its own algebra.
 """
 
 from __future__ import annotations
@@ -14,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from typing import Iterable, Mapping
 
-from .linalg import Poly, format_monomial_sum
+from .linalg import Poly, Terms
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,11 @@ class Weight:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"weight must be 'w1,w2', got {text!r}")
-        return Weight(int(parts[0]), int(parts[1]))
+        try:
+            w1, w2 = (int(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"weight components must be integers, got {text!r}") from None
+        return Weight(w1, w2)
 
     def degree(self, a: int, b: int) -> int:
         return a * self.w1 + b * self.w2
@@ -49,37 +57,26 @@ class Weight:
         return f"({self.w1},{self.w2})"
 
 
-class WeylEl:
+class WeylEl(Terms):
     """Element of the Weyl algebra in normal order: {(a, b): coeff}."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
+    _vars = ("x", "d")
+    _one = (0, 0)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction | int] | Iterable[tuple[tuple[int, int], Fraction | int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        t: dict[tuple[int, int], Fraction] = {}
-        for (a, b), v in items:
-            if a < 0 or b < 0:
-                raise ValueError("negative exponent in Weyl element")
-            v = Fraction(v)
-            key = (int(a), int(b))
-            if key in t:
-                v += t[key]
-            if v:
-                t[key] = v
-            elif key in t:
-                del t[key]
-        self._terms = t
-        self._hash: int | None = None
+    def _product(self, other: "WeylEl"):
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in other._terms.items():
+                c = c1 * c2
+                # d^b1 x^a2 = sum_i C(b1,i) a2!/(a2-i)! x^(a2-i) d^(b1-i)
+                for i in range(min(b1, a2) + 1):
+                    yield (a1 + a2 - i, b1 + b2 - i), c * comb(b1, i) * perm(a2, i)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> "WeylEl":
         return WeylEl()
-
-    @staticmethod
-    def one() -> "WeylEl":
-        return WeylEl({(0, 0): 1})
 
     @staticmethod
     def x(power: int = 1) -> "WeylEl":
@@ -95,16 +92,6 @@ class WeylEl:
 
     # -- inspection -----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self._terms.items())
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self._terms.get(key, Fraction(0))
-
     def x_part(self) -> Poly:
         """The purely polynomial part (all terms with d-order 0)."""
         return Poly({a: v for (a, b), v in self._terms.items() if b == 0})
@@ -112,62 +99,15 @@ class WeylEl:
     def max_d_order(self) -> int:
         return max((b for (_, b) in self._terms), default=0)
 
-    # -- algebra --------------------------------------------------------------
-
-    def __add__(self, other: "WeylEl") -> "WeylEl":
-        if not isinstance(other, WeylEl):
-            return NotImplemented
-        t = dict(self._terms)
-        for k, v in other._terms.items():
-            w = t.get(k, Fraction(0)) + v
-            if w:
-                t[k] = w
-            elif k in t:
-                del t[k]
-        return WeylEl(t)
-
-    def __sub__(self, other: "WeylEl") -> "WeylEl":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylEl":
-        return WeylEl({k: -v for k, v in self._terms.items()})
+    # -- algebra: a Poly factor is read as an element of A ----------------------
 
     def __mul__(self, other: "WeylEl | Poly | Fraction | int") -> "WeylEl":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return WeylEl({k: v * f for k, v in self._terms.items()}) if f else WeylEl()
-        if isinstance(other, Poly):
-            other = WeylEl.from_poly(other)
-        if not isinstance(other, WeylEl):
-            return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                c = c1 * c2
-                # d^b1 x^a2 = sum_i C(b1,i) a2!/(a2-i)! x^(a2-i) d^(b1-i)
-                for i in range(min(b1, a2) + 1):
-                    key = (a1 + a2 - i, b1 + b2 - i)
-                    w = out.get(key, Fraction(0)) + c * comb(b1, i) * perm(a2, i)
-                    if w:
-                        out[key] = w
-                    elif key in out:
-                        del out[key]
-        return WeylEl(out)
+        return super().__mul__(WeylEl.from_poly(other) if isinstance(other, Poly) else other)
 
     def __rmul__(self, other: "Poly | Fraction | int") -> "WeylEl":
-        if isinstance(other, (int, Fraction)):
-            return self * other
         if isinstance(other, Poly):
             return WeylEl.from_poly(other) * self
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "WeylEl":
-        if n < 0:
-            raise ValueError("negative power of Weyl element")
-        out = WeylEl.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return super().__rmul__(other)
 
     # -- action on functions ---------------------------------------------------
 
@@ -199,77 +139,18 @@ class WeylEl:
             raise ValueError(f"element has weighted degree {deg} > {k}")
         return SymbolPoly({key: v for key, v in self._terms.items() if weight.degree(*key) == k})
 
-    # -- identity -----------------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylEl) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
-
-    def __str__(self) -> str:
-        return format_monomial_sum(self._terms, ("x", "d"))
-
-    def __repr__(self) -> str:
-        return f"WeylEl({self})"
-
-
-class SymbolPoly:
+class SymbolPoly(Terms):
     """Polynomial in the commuting symbols of x and d (the associated graded
     algebra of A is C[x, y]); used for principal-symbol computations."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
+    _vars = ("x", "y")
+    _one = (0, 0)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction | int] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        t: dict[tuple[int, int], Fraction] = {}
-        for (a, b), v in items:
-            v = Fraction(v)
-            key = (int(a), int(b))
-            if key in t:
-                v += t[key]
-            if v:
-                t[key] = v
-            elif key in t:
-                del t[key]
-        self._terms = t
-        self._hash: int | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self._terms.items())
-
-    def __add__(self, other: "SymbolPoly") -> "SymbolPoly":
-        t = dict(self._terms)
-        for k, v in other._terms.items():
-            w = t.get(k, Fraction(0)) + v
-            if w:
-                t[k] = w
-            elif k in t:
-                del t[k]
-        return SymbolPoly(t)
-
-    def __mul__(self, other: "SymbolPoly | Fraction | int") -> "SymbolPoly":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return SymbolPoly({k: v * f for k, v in self._terms.items()}) if f else SymbolPoly()
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                w = out.get(key, Fraction(0)) + c1 * c2
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-        return SymbolPoly(out)
-
-    __rmul__ = __mul__
+    def _product(self, other: "SymbolPoly"):
+        return (((a1 + a2, b1 + b2), c1 * c2)
+                for (a1, b1), c1 in self._terms.items() for (a2, b2), c2 in other._terms.items())
 
     def is_homogeneous(self, weight: Weight) -> bool:
         degs = {weight.degree(a, b) for (a, b) in self._terms}
@@ -284,20 +165,6 @@ class SymbolPoly:
         if self.is_zero:
             return True
         return self.min_x_exponent() >= m
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymbolPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
-
-    def __str__(self) -> str:
-        return format_monomial_sum(self._terms, ("x", "y"))
-
-    def __repr__(self) -> str:
-        return f"SymbolPoly({self})"
 
 
 def dim_A(weight: Weight, k: int) -> int:

@@ -307,6 +307,9 @@ def test_usage_errors_exit_2(capsys, cusp_file):
         ("dual", "--spec", "cusp", "--weights", "1,2"): "dual is pinned to weight 1,1",
         ("relative", "--spec", "cusp", "--spec", "trivial", "--weights", "2,1"):
             "relative is pinned to weight 1,1",
+        ("invariant", "--spec", "cusp", "--weights", ""): "empty weight list",
+        ("invariant", "--spec", "cusp", "--weights", "1e3,1"):
+            "weight components must be integers, got '1e3,1'",
     }
     for argv, message in messages.items():
         code, out, err = run(capsys, *argv)

@@ -79,14 +79,6 @@ def test_poly_derivative_matches_sympy(p):
     assert poly_to_sympy(p.derivative()).equals(sympy.diff(poly_to_sympy(p), X))
 
 
-@given(polys(max_degree=3), st.integers(min_value=0, max_value=3))
-def test_poly_pow(p, e):
-    expected = Poly.one()
-    for _ in range(e):
-        expected = expected * p
-    assert p ** e == expected
-
-
 @given(polys(), polys())
 def test_poly_divmod_exact(p, q):
     if q.is_zero:

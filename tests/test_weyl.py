@@ -83,6 +83,26 @@ def test_parse_round_trip():
     assert WeylEl.zero() == parse_weyl("0")
 
 
+def test_negative_exponents_rejected():
+    with pytest.raises(ValueError):
+        Poly({-1: 1})
+    with pytest.raises(ValueError):
+        WeylEl({(0, -1): 1})
+    with pytest.raises(ValueError):
+        SymbolPoly({(-2, 0): 1})
+
+
+@given(st.one_of(weyl_elements(max_exp=2), polys(max_degree=3)), st.integers(min_value=0, max_value=4))
+@settings(max_examples=60)
+def test_pow_is_repeated_product(u, n):
+    expected = type(u).one()
+    for _ in range(n):
+        expected = expected * u
+    assert u ** n == expected
+    with pytest.raises(ValueError):
+        u ** -1
+
+
 def test_from_poly_and_x_part():
     p = parse_poly("x^3 - 2")
     u = WeylEl.from_poly(p)
