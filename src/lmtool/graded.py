@@ -21,7 +21,11 @@ V2 (below t = x - c):
 One routine writes both kinds of rows.  Given the Laurent jet at c of
 F = t^s or F = v/g (v/g = t^-m * v/h with m the order of g at c, by
 power-series division of Taylor expansions), column x^a d^b gets the jet of
-x^a d^b F by b differentiations and a multiplications by x = c + t.
+x^a d^b F by b differentiations and a multiplications by x = c + t.  The jet
+is kept as its nonzero terms: every jet of t^s is a single term, and so is
+the jet of v/g at 0 for a monomial v and g = x^m.  So the walk over b costs
+the nonzero terms, not the jet length, and at c = 0, where multiplying by x
+only raises exponents, the walk over a stops once nothing is left up to t^d.
 
 The rows themselves are not canonical: a functional row reads the whole
 Laurent jet, which agrees with the functional applied to the polynomial
@@ -148,29 +152,37 @@ class _Tower:
             fn_reads = reads.get(c, [])
             top = d + b_max  # highest jet exponent any column reads
             for s in range(top + 1 if d >= 0 else 0):
-                self._add_jet_rows(c, [0] * s + [1] + [0] * (top - s), 0, d, fn_reads, k_u)
+                self._add_jet_rows(c, {s: 1}, 0, d, fn_reads, k_u)
             if self.src.low_basis:
                 h = _taylor(self.g, c)[m:]
                 for v in self.src.low_basis:
                     jet = _series_quotient(_taylor(v, c), h, top + m)
                     den = lcm(*(y.denominator for y in jet))
-                    self._add_jet_rows(c, [int(y * den) for y in jet], m, d, fn_reads, k_u)
+                    self._add_jet_rows(c, {e - m: int(y * den) for e, y in enumerate(jet) if y},
+                                       m, d, fn_reads, k_u)
 
-    def _add_jet_rows(self, c: Fraction, jet: list[int], m: int, d: int,
+    def _add_jet_rows(self, c: Fraction, jet: dict[int, int], m: int, d: int,
                       reads: list[list[tuple[int, int]]], k_u: int) -> None:
-        """Rows for one F given by its Laurent jet at c, the coefficients of
-        t^-m .. t^(d + b_max), t = x - c, scaled to integers (a row is only
-        defined up to scale).
+        """Rows for one F given by its Laurent jet at c: the nonzero
+        coefficients of t^-m .. t^(d + b_max), t = x - c, as
+        ``{exponent: value}`` scaled to integers (a row is only defined up to
+        scale).
 
         Column x^a d^b reads the jet w of x^a d^b F on t^-(m+b) .. t^d.  Each
         negative exponent is a principal-part row that must vanish.  Each dst
         functional sum_o coeff_o f^(o)(c), given in ``reads`` as the pairs
         (o, coeff_o * o!) scaled to integers, gives the row
-        sum_o coeff_o o! w[o].  With c = p/q, multiplying by q*x = p + q*t
-        keeps w integral, and scaling column x^a d^b by q^(a_top - a) gives
-        every entry of a row the common factor q^a_top.  Each row is written
-        as ``{column: value}`` of its nonzero entries, the sparse form
-        ``RowReducer`` keeps.
+        sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, so the walk
+        over b costs its nonzero terms and ends when the jet vanishes; a b
+        whose window (exponents <= d) is empty gives no entry.  Multiplying
+        by x = c + t never lowers the least exponent lo of the window.  At
+        c = 0 it only raises every exponent by one, so x^a d^b F reads the
+        window at e + a, and every column with a > d - lo is zero.  At
+        c = p/q != 0 the window is a dense list from lo to d, multiplying by
+        q*x = p + q*t keeps it integral, and scaling column x^a d^b by
+        q^(a_top - a) gives every entry of a row the common factor q^a_top.
+        Each row is written as ``{column: value}`` of its nonzero entries, the
+        sparse form ``RowReducer`` keeps.
         """
         w1, w2 = self.weight.w1, self.weight.w2
         p, q = c.numerator, c.denominator
@@ -178,34 +190,41 @@ class _Tower:
         col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
         poles: list[dict[int, int]] = [{} for _ in range(m + b_max if m else 0)]  # poles[i]: t^-(i+1)
         values: list[dict[int, int]] = [{} for _ in reads]
-        lo = -m  # exponent of jet[0]
         for b in range(b_max + 1):
             if b:
-                jet = [(lo + i) * y for i, y in enumerate(jet)]
-                if lo:
-                    lo -= 1
-                else:
-                    del jet[0]
-                if not any(jet):
+                jet = {e - 1: e * y for e, y in jet.items() if e}
+                if not jet:
                     break
-            w = jet[:d - lo + 1]
-            if not any(w):
+            window = {e: y for e, y in jet.items() if e <= d}
+            if not window:
                 continue
-            for a in range((k_u - b * w2) // w1 + 1):
-                if a:
-                    if p:
-                        w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
-                    else:  # c = 0: multiplying by x is a shift
-                        w = [0] + w[:-1]
+            lo = min(window)
+            a_end = (k_u - b * w2) // w1 + 1
+            if p:
+                w = [window.get(e, 0) for e in range(lo, d + 1)]
+            else:  # c = 0: x^a d^b F is zero up to t^d once a > d - lo
+                a_end = min(a_end, d - lo + 1)
+            for a in range(a_end):
                 idx = self.col_index[(a, b)]
-                s = col_scale[a]
-                for i in range(-lo):
-                    if w[i]:
-                        poles[-lo - 1 - i][idx] = s * w[i]
-                for row, terms in zip(values, reads):
-                    v = sum(cf * w[o - lo] for o, cf in terms)
-                    if v:
-                        row[idx] = s * v
+                if p:
+                    if a:
+                        w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
+                    s = col_scale[a]
+                    for i in range(-lo):
+                        if w[i]:
+                            poles[-lo - 1 - i][idx] = s * w[i]
+                    for row, terms in zip(values, reads):
+                        v = sum(cf * w[o - lo] for o, cf in terms if o >= lo)
+                        if v:
+                            row[idx] = s * v
+                else:
+                    for e, y in window.items():
+                        if e + a < 0:
+                            poles[-e - a - 1][idx] = y
+                    for row, terms in zip(values, reads):
+                        v = sum(cf * window.get(o - a, 0) for o, cf in terms)
+                        if v:
+                            row[idx] = v
         for row in poles + values:
             if row:
                 self.reducer.add_row(row)

@@ -20,6 +20,7 @@ the echelon rows and the canonical form do not change with the storage.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -80,9 +81,14 @@ class Terms:
         self._hash: int | None = None
 
     def _key(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        if len(key) != len(self._vars) or min(key) < 0:
-            raise ValueError(f"{type(self).__name__} needs {len(self._vars)} non-negative exponents, got {key!r}")
-        return tuple(int(e) for e in key)
+        try:
+            exps = tuple(map(operator.index, key))
+        except TypeError:
+            exps = ()
+        if len(exps) != len(self._vars) or min(exps) < 0:
+            raise ValueError(f"{type(self).__name__} needs {len(self._vars)} non-negative integer exponents, "
+                             f"got {key!r}")
+        return exps
 
     @classmethod
     def one(cls):
@@ -167,10 +173,13 @@ class Poly(Terms):
     _one = 0
 
     def _key(self, e: int) -> int:
-        e = int(e)
-        if e < 0:
-            raise ValueError(f"negative exponent in Poly, got {e}")
-        return e
+        try:
+            exp = operator.index(e)
+        except TypeError:
+            exp = -1
+        if exp < 0:
+            raise ValueError(f"Poly needs a non-negative integer exponent, got {e!r}")
+        return exp
 
     def _product(self, other: "Poly"):
         return ((e1 + e2, v1 * v2) for e1, v1 in self._terms.items() for e2, v2 in other._terms.items())

@@ -31,6 +31,7 @@ from lmtool.graded import (
     hom_piece,
     module_dims,
 )
+from lmtool.invariants import DEFAULT_WEIGHTS
 from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import SubspaceSpec, parse_spec
 from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis
@@ -348,6 +349,53 @@ def test_dimension_only_depends_on_scaled_weight(name, k):
     spec = catalog_get(name)
     assert hom_dims(spec, spec, Weight(2, 2), 2 * k, kmin=2 * k)[0] == \
         hom_dims(spec, spec, W11, k, kmin=k)[0]
+
+
+TRANSLATION_POINTS = ["1", "-1", "1/2", "-2/3", "2"]
+
+
+@st.composite
+def condition_points(draw):
+    """The points of a conditions spec, as (c, functionals) with each
+    functional a list of (order, coeff): 1-3 points, 0 among them at least
+    half the time, one or two functionals of order <= 2 at each."""
+    points = draw(st.lists(st.sampled_from(TRANSLATION_POINTS), max_size=2, unique=True))
+    if not points or draw(st.booleans()):
+        points.append("0")
+    out = []
+    for c in points:
+        fns = []
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3))
+            if not any(coeffs):
+                coeffs[-1] = 1
+            fns.append([(o, v) for o, v in enumerate(coeffs) if v])
+        out.append((Fraction(c), fns))
+    return out
+
+
+def translated(points, t: Fraction) -> SubspaceSpec:
+    """The conditions spec with every point moved by t: the image of V under
+    f(x) -> f(x - t)."""
+    return parse_spec({"kind": "conditions", "points": [
+        {"c": str(c + t), "functionals": [[{"order": o, "coeff": v} for o, v in fn] for fn in fns]}
+        for c, fns in points]})
+
+
+@given(condition_points(), condition_points(),
+       st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(1)]))
+@settings(max_examples=25, deadline=None)
+def test_dimensions_are_translation_invariant(points1, points2, t):
+    # x -> x - t, d -> d keeps every weighted filtration, so no dimension
+    # moves; a point that lands on 0 or leaves it swaps the c = 0 shift walk
+    # for the c != 0 multiply walk on the same operators
+    kmax = 10
+    v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
+    u1, u2 = translated(points1, t), translated(points2, t)
+    for weight in DEFAULT_WEIGHTS:
+        assert module_dims(v1, weight, kmax) == module_dims(u1, weight, kmax), weight
+        assert hom_dims(v1, v1, weight, kmax) == hom_dims(u1, u1, weight, kmax), weight
+        assert hom_dims(v1, v2, weight, kmax) == hom_dims(u1, u2, weight, kmax), weight
 
 
 def test_results_survive_cache_clears():

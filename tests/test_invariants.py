@@ -128,6 +128,13 @@ def test_lm_cusp_other_weight():
     assert lm_invariant(catalog_get("cusp"), Weight(1, 2), 10).p_D == 2
 
 
+def test_lm_cusp_lopsided_weight():
+    # p_(30,1)(k) settles only from k = 30 * n = 30 on (a kmax of 12 reads a
+    # false plateau at 1), and at w2 = 1 the jet walk runs over b up to kmax
+    # and beyond
+    assert lm_invariant(catalog_get("cusp"), Weight(30, 1), 40).p_D == 2
+
+
 def test_lm_requires_kmax_at_least_4():
     with pytest.raises(ValueError):
         lm_invariant(catalog_get("cusp"), W11, 3)

@@ -92,6 +92,20 @@ def test_negative_exponents_rejected():
         SymbolPoly({(-2, 0): 1})
 
 
+@pytest.mark.parametrize("make,bad", [
+    (Poly, 1.5),
+    (Poly, Fraction(2)),
+    (WeylEl, (1.9, 0)),
+    (WeylEl, (0, Fraction(1, 2))),
+    (SymbolPoly, (1, 2.0)),
+    (WeylEl, 1),
+])
+def test_non_integer_exponents_rejected(make, bad):
+    # rejected, not truncated: int() would make Poly({1.5: 1}) equal Poly.x()
+    with pytest.raises(ValueError, match=make.__name__):
+        make({bad: 1})
+
+
 @given(st.one_of(weyl_elements(max_exp=2), polys(max_degree=3)), st.integers(min_value=0, max_value=4))
 @settings(max_examples=60)
 def test_pow_is_repeated_product(u, n):
