@@ -11,10 +11,12 @@ Verbs:
 Exit codes: 0 success, 1 an identity verdict failed, 2 usage or parse
 error, 3 a sequence did not stabilize (raise --kmax); a negative fit
 constant counts as not stabilized, since n >= 0 for every V.  A --kmax
-above KMAX_LIMIT is a usage error.  A --spec token that names a built-in
-spec means that spec even if a file of the same name exists; ./NAME reaches
-the file.  Reports go to stdout (or --out); diagnostics go to stderr.
-Output is deterministic: timing appears only under --timing.
+above KMAX_LIMIT, a weight component above WEIGHT_LIMIT and a spec file
+whose conductor degree is above subspace.CONDUCTOR_DEGREE_LIMIT are usage
+errors.  A --spec token that names a built-in spec means that spec even if
+a file of the same name exists; ./NAME reaches the file.  Reports go to
+stdout (or --out); diagnostics go to stderr.  Output is deterministic:
+timing appears only under --timing.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .weyl import Weight
 
 _VERBS = ("invariant", "chern", "relative", "dual", "verify", "catalog")
 KMAX_LIMIT = 200  # cost grows steeply with kmax; larger values are refused
+WEIGHT_LIMIT = 64  # the column count grows with max(w1, w2); larger components are refused
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -84,6 +87,9 @@ def _parse_weights(raw: str) -> tuple[Weight, ...]:
     if not parts:
         raise ValueError("empty weight list")
     weights = tuple(Weight.parse(p) for p in parts)
+    for w in weights:
+        if max(w.w1, w.w2) > WEIGHT_LIMIT:
+            raise ValueError(f"weight components must be at most {WEIGHT_LIMIT}, got '{w.w1},{w.w2}'")
     if len(set(weights)) < len(weights):
         raise ValueError("repeated weight in weight list")
     return weights

@@ -18,14 +18,19 @@ V2 (below t = x - c):
     principal part at any root of g, and each functional of V2 at c reads
     its jet there.
 
-One routine writes both kinds of rows.  Given the Laurent jet at c of
-F = t^s or F = v/g (v/g = t^-m * v/h with m the order of g at c, by
-power-series division of Taylor expansions), column x^a d^b gets the jet of
-x^a d^b F by b differentiations and a multiplications by x = c + t.  The jet
-is kept as its nonzero terms: every jet of t^s is a single term, and so is
-the jet of v/g at 0 for a monomial v and g = x^m.  So the walk over b costs
-the nonzero terms, not the jet length, and at c = 0, where multiplying by x
-only raises exponents, the walk over a stops once nothing is left up to t^d.
+Each tower writes u in the columns (x - c0)^a d^b, centred at c0, the
+least point of V1 and V2 (0 when there is none).  One routine writes both
+kinds of rows.  Given the Laurent jet at c of F = t^s or F = v/g
+(v/g = t^-m * v/h with m the order of g at c, by power-series division of
+Taylor expansions), column (x - c0)^a d^b gets the jet of (x - c0)^a d^b F
+by b differentiations and a multiplications by x - c0 = (c - c0) + t.  The
+jet is kept as its nonzero terms: every jet of t^s is a single term, and so
+is the jet of v/g at 0 for a monomial v and g = x^m.  So the walk over b
+costs the nonzero terms, not the jet length, and at c = c0, where
+multiplying by x - c0 only raises exponents, the walk over a stops once
+nothing is left up to t^d.  Centring there gives every tower at least one
+point on this sparse walk; the others multiply a dense window by the
+smaller offset c - c0 instead of c.
 
 The rows themselves are not canonical: a functional row reads the whole
 Laurent jet, which agrees with the functional applied to the polynomial
@@ -36,16 +41,23 @@ solution set, and the row space is its annihilator, so the canonical RREF
 Columns (monomials of u) are sorted by weighted degree, so the system for
 degree k is a column prefix of the system for k_max: one reduction yields
 every dimension, and the canonical nullspace gives nested bases (each basis
-vector is supported on columns up to its free column).
+vector is supported on columns up to its free column).  The centre moves
+none of this.  (x - c0)^a d^b is x^a d^b plus columns of lower weighted
+degree, which come earlier, so each column prefix spans the same operators
+for every c0: the prefix ranks, hence the pivot columns, every dimension
+and the graded-inclusion reading below are those of the columns x^a d^b.
+Only the bases differ, as different nested bases of the same spaces;
+``basis_elements`` writes them back in x^j d^b by the binomial theorem.
 
 Graded inclusion is read off the same reduction.  The columns of top
 degree at level k are [lo, hi) = [ncols(k-1), ncols(k)), and the vectors new
 at level k belong to the free columns j in [lo, hi).  The top symbol of
-vector j is column j plus some pivot columns in [lo, j).  Within one degree
-the columns run by rising d-order, so their x-exponents fall: column j has
-the least x-exponent of its symbol.  Every symbol is therefore divisible by
-x^deg(g) exactly when every free column in [lo, hi) has x-exponent
->= deg(g), and no basis, symbol or RREF is built.
+vector j is column j plus some pivot columns in [lo, j) (the symbol of
+column (x - c0)^a d^b is x^a xi^b).  Within one degree the columns run by
+rising d-order, so their x-exponents fall: column j has the least
+x-exponent of its symbol.  Every symbol is therefore divisible by x^deg(g)
+exactly when every free column in [lo, hi) has x-exponent >= deg(g), and
+no basis, symbol or RREF is built.
 """
 
 from __future__ import annotations
@@ -111,7 +123,7 @@ class _Tower:
     piece up to kmax is a column prefix of it.  The rows are built point by
     point from Laurent jets (see the module docstring)."""
 
-    __slots__ = ("src", "dst", "weight", "kmax", "g", "gdeg",
+    __slots__ = ("src", "dst", "weight", "kmax", "g", "gdeg", "c0",
                  "cols", "col_index", "reducer")
 
     def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
@@ -121,6 +133,7 @@ class _Tower:
         self.kmax = kmax
         self.g = src.conductor
         self.gdeg = self.g.degree()
+        self.c0 = min(src.points + dst.points, default=Fraction(0))
         k_u = kmax + weight.w1 * self.gdeg
         self.cols = monomial_basis(weight, k_u)
         self.col_index = {ab: i for i, ab in enumerate(self.cols)}
@@ -134,7 +147,8 @@ class _Tower:
         """At each point c of src or dst: the rows of F = (x-c)^s for
         s <= d + b_max, then those of F = v/g for each low-basis v.  m is the
         order of g at c and d the top order of a dst functional there (-1 if
-        none)."""
+        none).  The jets are taken at c; the columns multiply them by
+        x - c0 = (c - c0) + t."""
         b_max = k_u // self.weight.w2
         src_order: dict[Fraction, int] = {}
         for fn in self.src.functionals:
@@ -150,42 +164,43 @@ class _Tower:
             m = src_order.get(c, -1) + 1
             d = dst_order.get(c, -1)
             fn_reads = reads.get(c, [])
+            offset = c - self.c0
             top = d + b_max  # highest jet exponent any column reads
             for s in range(top + 1 if d >= 0 else 0):
-                self._add_jet_rows(c, {s: 1}, 0, d, fn_reads, k_u)
+                self._add_jet_rows(offset, {s: 1}, 0, d, fn_reads, k_u)
             if self.src.low_basis:
                 h = _taylor(self.g, c)[m:]
                 for v in self.src.low_basis:
                     jet = _series_quotient(_taylor(v, c), h, top + m)
                     den = lcm(*(y.denominator for y in jet))
-                    self._add_jet_rows(c, {e - m: int(y * den) for e, y in enumerate(jet) if y},
+                    self._add_jet_rows(offset, {e - m: int(y * den) for e, y in enumerate(jet) if y},
                                        m, d, fn_reads, k_u)
 
-    def _add_jet_rows(self, c: Fraction, jet: dict[int, int], m: int, d: int,
+    def _add_jet_rows(self, offset: Fraction, jet: dict[int, int], m: int, d: int,
                       reads: list[list[tuple[int, int]]], k_u: int) -> None:
-        """Rows for one F given by its Laurent jet at c: the nonzero
+        """Rows for one F given by its Laurent jet at a point c: the nonzero
         coefficients of t^-m .. t^(d + b_max), t = x - c, as
         ``{exponent: value}`` scaled to integers (a row is only defined up to
-        scale).
+        scale).  ``offset`` is c - c0, so x - c0 = offset + t.
 
-        Column x^a d^b reads the jet w of x^a d^b F on t^-(m+b) .. t^d.  Each
-        negative exponent is a principal-part row that must vanish.  Each dst
-        functional sum_o coeff_o f^(o)(c), given in ``reads`` as the pairs
-        (o, coeff_o * o!) scaled to integers, gives the row
-        sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, so the walk
-        over b costs its nonzero terms and ends when the jet vanishes; a b
-        whose window (exponents <= d) is empty gives no entry.  Multiplying
-        by x = c + t never lowers the least exponent lo of the window.  At
-        c = 0 it only raises every exponent by one, so x^a d^b F reads the
-        window at e + a, and every column with a > d - lo is zero.  At
-        c = p/q != 0 the window is a dense list from lo to d, multiplying by
-        q*x = p + q*t keeps it integral, and scaling column x^a d^b by
-        q^(a_top - a) gives every entry of a row the common factor q^a_top.
-        Each row is written as ``{column: value}`` of its nonzero entries, the
-        sparse form ``RowReducer`` keeps.
+        Column (x-c0)^a d^b reads the jet w of (x-c0)^a d^b F on
+        t^-(m+b) .. t^d.  Each negative exponent is a principal-part row that
+        must vanish.  Each dst functional sum_o coeff_o f^(o)(c), given in
+        ``reads`` as the pairs (o, coeff_o * o!) scaled to integers, gives
+        the row sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, so
+        the walk over b costs its nonzero terms and ends when the jet
+        vanishes; a b whose window (exponents <= d) is empty gives no entry.
+        Multiplying by x - c0 never lowers the least exponent lo of the
+        window.  At c = c0 it only raises every exponent by one, so
+        (x-c0)^a d^b F reads the window at e + a, and every column with
+        a > d - lo is zero.  At offset p/q != 0 the window is a dense list
+        from lo to d, multiplying by q*(x-c0) = p + q*t keeps it integral,
+        and scaling column a by q^(a_top - a) gives every entry of a row the
+        common factor q^a_top.  Each row is written as ``{column: value}`` of
+        its nonzero entries, the sparse form ``RowReducer`` keeps.
         """
         w1, w2 = self.weight.w1, self.weight.w2
-        p, q = c.numerator, c.denominator
+        p, q = offset.numerator, offset.denominator
         a_top, b_max = k_u // w1, k_u // w2
         col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
         poles: list[dict[int, int]] = [{} for _ in range(m + b_max if m else 0)]  # poles[i]: t^-(i+1)
@@ -202,7 +217,7 @@ class _Tower:
             a_end = (k_u - b * w2) // w1 + 1
             if p:
                 w = [window.get(e, 0) for e in range(lo, d + 1)]
-            else:  # c = 0: x^a d^b F is zero up to t^d once a > d - lo
+            else:  # c = c0: (x-c0)^a d^b F is zero up to t^d once a > d - lo
                 a_end = min(a_end, d - lo + 1)
             for a in range(a_end):
                 idx = self.col_index[(a, b)]
@@ -239,11 +254,14 @@ class _Tower:
         return n - self.reducer.prefix_rank(n)
 
     def basis_elements(self, k: int) -> tuple[WeylEl, ...]:
-        out = []
-        for vec in self.reducer.nullspace(self.ncols_at(k)):
-            terms = {self.cols[i]: c for i, c in enumerate(vec) if c}
-            out.append(WeylEl(terms))
-        return tuple(out)
+        """The canonical nullspace at level k, each column (x-c0)^a d^b
+        written out as sum_j C(a, j) (-c0)^(a-j) x^j d^b."""
+        shift = Poly({0: -self.c0, 1: 1})
+        return tuple(
+            WeylEl(((j, b), c * cj)
+                   for (a, b), c in zip(self.cols, vec) if c
+                   for j, cj in (shift ** a).items())
+            for vec in self.reducer.nullspace(self.ncols_at(k)))
 
     def gr_divisible(self, k: int) -> bool:
         """Is the top symbol (numerator form) of every basis vector new at

@@ -86,6 +86,15 @@ def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functiona
     return tuple(out)
 
 
+def _top_orders(functionals: Iterable[Functional]) -> dict[Fraction, int]:
+    """The top derivative order at each point: the conductor has a root of
+    multiplicity order + 1 there.  Normalising the functionals keeps it."""
+    out: dict[Fraction, int] = {}
+    for fn in functionals:
+        out[fn.point] = max(out.get(fn.point, -1), fn.order)
+    return out
+
+
 @dataclass(frozen=True)
 class SubspaceSpec:
     """Validated subspace description with derived conductor and low basis.
@@ -104,9 +113,7 @@ class SubspaceSpec:
     def __post_init__(self) -> None:
         normalized = _normalize_functionals(self.functionals)
         object.__setattr__(self, "functionals", normalized)
-        by_point: dict[Fraction, int] = {}
-        for fn in normalized:
-            by_point[fn.point] = max(by_point.get(fn.point, -1), fn.order)
+        by_point = _top_orders(normalized)
         g = Poly.one()
         for point in sorted(by_point):
             g = g * (Poly.x() - Poly.const(point)) ** (by_point[point] + 1)
@@ -186,6 +193,14 @@ def _complement_closed(gaps: Sequence[int]) -> bool:
     return not any(s + t in gap_set for s in non_gaps for t in non_gaps)
 
 
+CONDUCTOR_DEGREE_LIMIT = 64  # tower columns grow with deg(g); larger specs are refused
+
+
+def _check_conductor_degree(degree: int) -> None:
+    if degree > CONDUCTOR_DEGREE_LIMIT:
+        raise SpecError(f"conductor degree {degree} is above the limit of {CONDUCTOR_DEGREE_LIMIT}")
+
+
 _TOP_KEYS = {"name", "kind", "gaps", "points"}
 _POINT_KEYS = {"c", "functionals"}
 _TERM_KEYS = {"order", "coeff"}
@@ -201,7 +216,8 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
          "points": [{"c": "0", "functionals": [[{"order": 1, "coeff": "1"}]]}]}
 
     Unknown keys are rejected; duplicate points are merged.  Rationals may be
-    written as integers or "p/q" strings.
+    written as integers or "p/q" strings.  A conductor of degree above
+    CONDUCTOR_DEGREE_LIMIT is rejected before the spec is built.
     """
     if isinstance(document, str):
         try:
@@ -227,6 +243,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
         # type(...) is int: JSON true/false load as bool, a subclass of int
         if not isinstance(gaps, list) or not all(type(g) is int and g >= 0 for g in gaps):
             raise SpecError("'gaps' must be a list of non-negative integers")
+        _check_conductor_degree(max(gaps) + 1 if gaps else 0)
         if name is None:
             name = "gaps-" + "-".join(str(g) for g in sorted(set(gaps))) if gaps else "trivial"
         return SubspaceSpec.from_gaps(name, gaps)
@@ -274,6 +291,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
                     raise SpecError(str(exc)) from exc
                 terms.append((order, coeff))
             functionals.append(Functional(c, tuple(terms)))
+    _check_conductor_degree(sum(o + 1 for o in _top_orders(functionals).values()))
     if name is None:
         name = f"points-{len({fn.point for fn in functionals})}"
     return SubspaceSpec.from_functionals(name, functionals)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import lmtool
 from lmtool import cli, graded
 from lmtool.invariants import NegativeChernError, Report, fit_euler, HilbertSeq
+from lmtool.subspace import parse_spec
 from lmtool.weyl import Weight
 
 W11 = Weight(1, 1)
@@ -55,6 +57,23 @@ VERB_SHA256 = {
     ("verify", "json"): "5148dcb9767dab2e74320504c764fa675ab3473ff2d7a2daea8e5609e0988255",
     ("verify", "csv"): "1b93c88d60fc80b0799eae27d4c8819dbcacc512bbea13d138b77bfc70812e74",
     ("verify", "text"): "54f4fb8978ef373e379095e091ed68eb9691f8fdce5b5d3565f7741535d47035",
+}
+
+# two conditions specs with no point at 0: f'(1/2) = 0 and
+# 2f(1/2) - f^(3)(1/2)/3 = 0, then the same with f'(-1/3) = 0 added
+OFF_ZERO_HALF = [{"c": "1/2", "functionals": [
+    [{"order": 1, "coeff": 1}],
+    [{"order": 0, "coeff": 2}, {"order": 3, "coeff": "-1/3"}]]}]
+OFF_ZERO_DOCS = {
+    "off-zero-1": {"kind": "conditions", "name": "off-zero-1", "points": OFF_ZERO_HALF},
+    "off-zero-2": {"kind": "conditions", "name": "off-zero-2", "points": OFF_ZERO_HALF + [
+        {"c": "-1/3", "functionals": [[{"order": 1, "coeff": 1}]]}]},
+}
+# sha256 of stdout of `lmtool verify --spec off-zero-1 --spec off-zero-2 --kmax 12`
+OFF_ZERO_SHA256 = {
+    "json": "802a19aea06e1aade4132141e817557b419779ebd68ff814bcd6cd1f44c8305b",
+    "csv": "ff9aeaabd681d61519f751b7f8fc3e93403fa25568a52ade36e831129c4efd76",
+    "text": "15dc8fb2120101e174aa62d367bf05490cf6c849434c3861f49ad4b740cedfa0",
 }
 
 
@@ -227,6 +246,18 @@ def test_output_digest_per_verb_and_format(capsys, verb, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERB_SHA256[verb, fmt]
 
 
+@pytest.mark.parametrize("fmt", sorted(OFF_ZERO_SHA256))
+def test_off_zero_verify_digest(capsys, tmp_path, fmt):
+    paths = []
+    for name, doc in OFF_ZERO_DOCS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths += ["--spec", str(path)]
+    code, out, err = run(capsys, "verify", *paths, "--kmax", "12", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == OFF_ZERO_SHA256[fmt]
+
+
 def test_all_exports_resolve():
     missing = [name for name in lmtool.__all__ if not hasattr(lmtool, name)]
     assert missing == []
@@ -310,6 +341,8 @@ def test_usage_errors_exit_2(capsys, cusp_file):
         ("invariant", "--spec", "cusp", "--weights", ""): "empty weight list",
         ("invariant", "--spec", "cusp", "--weights", "1e3,1"):
             "weight components must be integers, got '1e3,1'",
+        ("invariant", "--spec", "cusp", "--weights", "1,1;65,1"):
+            "weight components must be at most 64, got '65,1'",
     }
     for argv, message in messages.items():
         code, out, err = run(capsys, *argv)
@@ -327,6 +360,35 @@ def test_kmax_above_bound_exits_2(capsys, monkeypatch):
     assert err == "lmtool: error: --kmax must be at most 200\n"
     code, out, err = run(capsys, "chern", "--spec", "cusp", "--kmax", "201")
     assert (code, err) == (2, "lmtool: error: --kmax must be at most 200\n")
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["invariant", "--spec", "cusp", "--weights", "1000000000000,1;1,1", "--kmax", "4"], None,
+     "weight components must be at most 64, got '1000000000000,1'"),
+    (["invariant", "--spec", "mixed", "--weights", "100,1;1,1", "--kmax", "4"], None,
+     "weight components must be at most 64, got '100,1'"),
+    (["chern", "--spec"], '{"kind": "monomial", "gaps": [5000]}',
+     "{path}: conductor degree 5001 is above the limit of 64"),
+    (["chern", "--spec"], '{"kind": "conditions", "points": [{"c": "1/2", "functionals": '
+                          '[[{"order": 40, "coeff": 1}]]}, {"c": 2, "functionals": '
+                          '[[{"order": 24, "coeff": 1}, {"order": 30, "coeff": 0}]]}]}',
+     "{path}: conductor degree 66 is above the limit of 64"),
+], ids=["huge-weight", "weight-100", "gap-5000", "two-point-66"])
+def test_runaway_input_exits_2_at_parse(capsys, tmp_path, argv, doc, message):
+    if doc is not None:
+        path = tmp_path / "runaway.json"
+        path.write_text(doc)
+        argv = argv + [str(path)]
+        message = message.format(path=path)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (2, "", f"lmtool: error: {message}\n")
+
+
+def test_limits_admit_their_bound():
+    assert cli._parse_weights("64,1;1,64") == (Weight(64, 1), Weight(1, 64))
+    assert parse_spec('{"kind": "monomial", "gaps": [63]}').conductor.degree() == 64
 
 
 def test_builtin_name_wins_over_file(capsys, tmp_path, monkeypatch):

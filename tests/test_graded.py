@@ -245,12 +245,17 @@ def test_endomorphism_dims_match_oracle(name, weight, kmax):
     assert ours == theirs
 
 
-# non-catalog specs at non-integer points: f'(1/2) = 0 and f(-1/3) + 2f'(-1/3) = 0
+# non-catalog specs at non-integer points: f'(1/2) = 0, f(-1/3) + 2f'(-1/3) = 0,
+# and f'(1/2) = f'(-1/3) = 0; none has a point at 0, so their towers are
+# centred elsewhere and hom_piece writes their bases back from (x - c0)^a d^b
 EXTRA_SPECS = {
     "half-cusp": parse_spec({"kind": "conditions", "name": "half-cusp", "points": [
         {"c": "1/2", "functionals": [[{"order": 1, "coeff": 1}]]}]}),
     "third-mixed": parse_spec({"kind": "conditions", "name": "third-mixed", "points": [
         {"c": "-1/3", "functionals": [[{"order": 0, "coeff": 1}, {"order": 1, "coeff": 2}]]}]}),
+    "off-zero-pair": parse_spec({"kind": "conditions", "name": "off-zero-pair", "points": [
+        {"c": "1/2", "functionals": [[{"order": 1, "coeff": 1}]]},
+        {"c": "-1/3", "functionals": [[{"order": 1, "coeff": 1}]]}]}),
 }
 
 
@@ -305,9 +310,14 @@ def piece_max_order(piece) -> int:
     ("cusp", "gaps-1-2", W11, 3),
     ("two-point", "cusp", W11, 2),
     ("mixed", "mixed", W11, 1),
+    ("half-cusp", "half-cusp", W11, 3),
+    ("half-cusp", "trivial", W21, 3),
+    ("off-zero-pair", "off-zero-pair", W11, 2),
+    ("half-cusp", "off-zero-pair", W11, 2),
+    ("third-mixed", "off-zero-pair", Weight(1, 2), 3),
 ])
 def test_hom_basis_maps_source_into_target(src, dst, weight, k):
-    s, d = catalog_get(src), catalog_get(dst)
+    s, d = spec_named(src), spec_named(dst)
     piece = hom_piece(s, d, weight, k)
     g = poly_to_sympy(s.conductor)
     b_top = max((q.u.max_d_order() for q in piece.basis), default=0)
@@ -327,7 +337,7 @@ def test_hom_basis_maps_source_into_target(src, dst, weight, k):
 # structural properties
 # ---------------------------------------------------------------------------
 
-spec_names = st.sampled_from(["trivial", "cusp", "gaps-1-2", "gaps-1-3", "two-point"])
+spec_names = st.sampled_from(["trivial", "cusp", "gaps-1-2", "gaps-1-3", "two-point", "off-zero-pair"])
 small_weights = st.builds(
     Weight, st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=2)
 )
@@ -336,7 +346,7 @@ small_weights = st.builds(
 @given(spec_names, small_weights, st.integers(min_value=0, max_value=6))
 @settings(max_examples=30, deadline=None)
 def test_bases_are_nested(name, weight, k):
-    spec = catalog_get(name)
+    spec = spec_named(name)
     lower = hom_piece(spec, spec, weight, k)
     upper = hom_piece(spec, spec, weight, k + 1)
     assert upper.basis[: lower.dim] == lower.basis
@@ -346,7 +356,7 @@ def test_bases_are_nested(name, weight, k):
 @settings(max_examples=20, deadline=None)
 def test_dimension_only_depends_on_scaled_weight(name, k):
     # (2,2) assigns twice the (1,1)-degree, so level 2k recovers level k
-    spec = catalog_get(name)
+    spec = spec_named(name)
     assert hom_dims(spec, spec, Weight(2, 2), 2 * k, kmin=2 * k)[0] == \
         hom_dims(spec, spec, W11, k, kmin=k)[0]
 
@@ -374,28 +384,43 @@ def condition_points(draw):
     return out
 
 
-def translated(points, t: Fraction) -> SubspaceSpec:
-    """The conditions spec with every point moved by t: the image of V under
-    f(x) -> f(x - t)."""
+def translated(points, t: Fraction, s: int = 1) -> SubspaceSpec:
+    """The conditions spec with every point c moved to s*c + t, s = +-1: the
+    image of V under f(x) -> f(s*(x - t)), which turns f^(o)(c) into
+    s^o f^(o)(s*c + t)."""
     return parse_spec({"kind": "conditions", "points": [
-        {"c": str(c + t), "functionals": [[{"order": o, "coeff": v} for o, v in fn] for fn in fns]}
+        {"c": str(s * c + t),
+         "functionals": [[{"order": o, "coeff": v * s ** o} for o, v in fn] for fn in fns]}
         for c, fns in points]})
 
 
 @given(condition_points(), condition_points(),
-       st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(1)]))
+       st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(1)]), st.sampled_from([1, -1]))
 @settings(max_examples=25, deadline=None)
-def test_dimensions_are_translation_invariant(points1, points2, t):
-    # x -> x - t, d -> d keeps every weighted filtration, so no dimension
-    # moves; a point that lands on 0 or leaves it swaps the c = 0 shift walk
-    # for the c != 0 multiply walk on the same operators
+def test_dimensions_are_translation_invariant(points1, points2, t, s):
+    # x -> s*x + t, d -> s*d keeps every weighted filtration, so no dimension
+    # moves; nor do the pivot columns, because each column (x - c)^a d^b is
+    # +-x^a d^b plus earlier columns, for any centre c, so every
+    # column-prefix span is the same; the graded-inclusion reading follows
+    # from the pivots.  A tower is centred at its least point, so s = -1
+    # moves the sparse c = c0 walk to another point's conditions and the
+    # test cross-checks it against the dense walk
     kmax = 10
     v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
-    u1, u2 = translated(points1, t), translated(points2, t)
+    u1, u2 = translated(points1, t, s), translated(points2, t, s)
     for weight in DEFAULT_WEIGHTS:
         assert module_dims(v1, weight, kmax) == module_dims(u1, weight, kmax), weight
         assert hom_dims(v1, v1, weight, kmax) == hom_dims(u1, u1, weight, kmax), weight
         assert hom_dims(v1, v2, weight, kmax) == hom_dims(u1, u2, weight, kmax), weight
+        for (s1, d1), (s2, d2) in [((TRIVIAL, v1), (TRIVIAL, u1)), ((v1, v1), (u1, u1)),
+                                   ((v1, v2), (u1, u2))]:
+            # a cached tower may run past kmax, so compare pivots up to it
+            t1, t2 = _tower_for(s1, d1, weight, kmax), _tower_for(s2, d2, weight, kmax)
+            n = t1.ncols_at(kmax)
+            assert [j for j in t1.reducer.pivot_cols() if j < n] == \
+                [j for j in t2.reducer.pivot_cols() if j < n], weight
+            assert [t1.gr_divisible(k) for k in range(kmax + 1)] == \
+                [t2.gr_divisible(k) for k in range(kmax + 1)], weight
 
 
 def test_results_survive_cache_clears():
@@ -493,10 +518,12 @@ def test_gr_inclusion_on_sample():
 
 def test_gr_divisible_matches_symbol_reference():
     # the RREF reader against gr_symbol_space over every ordered pair of
-    # catalog specs; the cross-hom pairs (src != dst) give real False cases
+    # catalog specs and two specs with no point at 0; the cross-hom pairs
+    # (src != dst) give real False cases
+    specs = [*catalog(), EXTRA_SPECS["half-cusp"], EXTRA_SPECS["off-zero-pair"]]
     verdicts = []
-    for src in catalog():
-        for dst in catalog():
+    for src in specs:
+        for dst in specs:
             gdeg = src.conductor.degree()
             for weight in (W11, W21, Weight(1, 2)):
                 for k in range(6):
