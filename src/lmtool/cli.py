@@ -9,14 +9,16 @@ Verbs:
   catalog    list the built-in specs
 
 Exit codes: 0 success, 1 an identity verdict failed, 2 usage or parse
-error, 3 a sequence did not stabilize (raise --kmax); a negative fit
-constant counts as not stabilized, since n >= 0 for every V.  A --kmax
-above KMAX_LIMIT, a weight component above WEIGHT_LIMIT and a spec file
-whose conductor degree is above subspace.CONDUCTOR_DEGREE_LIMIT are usage
-errors.  A --spec token that names a built-in spec means that spec even if
-a file of the same name exists; ./NAME reaches the file.  Reports go to
-stdout (or --out); diagnostics go to stderr.  Output is deterministic:
-timing appears only under --timing.
+error, 3 a sequence did not stabilize (raise --kmax), 4 an exception inside
+the computation, which is a fault in lmtool, not in the input (reported in
+one line, without a traceback).  A negative fit constant counts as not
+stabilized, since n >= 0 for every V.  A --kmax above KMAX_LIMIT, a weight
+component above WEIGHT_LIMIT and a spec file whose conductor degree is above
+subspace.CONDUCTOR_DEGREE_LIMIT are usage errors.  A --spec token that
+names a built-in spec means that spec even if a file of the same name
+exists; ./NAME reaches the file.  Reports go to stdout (or --out);
+diagnostics go to stderr.  Output is deterministic: timing appears only
+under --timing.
 """
 
 from __future__ import annotations
@@ -210,14 +212,19 @@ def run(argv: Sequence[str]) -> int:
                 (full_report, spec, args.kmax, weights or DEFAULT_WEIGHTS)
                 for spec in specs or catalog()
             ]
-        reports = [_timed(*job) for job in jobs]
     except (_Usage, SpecError, ValueError) as exc:
         print(f"lmtool: error: {exc}", file=sys.stderr)
         return 2
+
+    try:
+        reports = [_timed(*job) for job in jobs]
     except (NotStabilizedError, NonPolynomialError, NegativeChernError) as exc:
         print(f"lmtool: not stabilized: {exc}", file=sys.stderr)
         print("lmtool: raise --kmax and rerun", file=sys.stderr)
         return 3
+    except Exception as exc:  # the input was checked above, so this is a fault in lmtool
+        print(f"lmtool: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     try:
         _emit(_render(reports, args.format, args.timing), args.out)

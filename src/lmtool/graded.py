@@ -32,6 +32,20 @@ nothing is left up to t^d.  Centring there gives every tower at least one
 point on this sparse walk; the others multiply a dense window by the
 smaller offset c - c0 instead of c.
 
+Pole rows come once per independent principal part.  At c write
+v/g = P + R, with P the principal part (t^-m .. t^-1) and R regular at c.
+Every column maps R to a function regular at c, so the pole rows of v/g
+are those of P, and they are linear in P.  P is t^-m times the digits
+0..m-1 of v/h, h = g/t^m, and multiplying by 1/h is invertible mod t^m,
+so P is a linear, injective image of the Taylor digits 0..m-1 of v at c.
+``SubspaceSpec.local_basis`` lists the low-basis vectors whose digits are
+independent of those before them, and only these get pole rows; every v
+still gets its value rows, which read past the principal part.  The pole
+rows of any other v are combinations of pole rows offered before them, so
+the reducer would reduce each to zero and leave its state untouched: the
+echelon rows kept, hence the pivots, every dimension, ``gr_divisible`` and
+the canonical RREF, are exactly those of offering every row.
+
 The rows themselves are not canonical: a functional row reads the whole
 Laurent jet, which agrees with the functional applied to the polynomial
 u.(v/g) only where the pole rows hold.  What the conditions fix is the
@@ -147,8 +161,9 @@ class _Tower:
         """At each point c of src or dst: the rows of F = (x-c)^s for
         s <= d + b_max, then those of F = v/g for each low-basis v.  m is the
         order of g at c and d the top order of a dst functional there (-1 if
-        none).  The jets are taken at c; the columns multiply them by
-        x - c0 = (c - c0) + t."""
+        none).  Only the v in ``src.local_basis`` at c get pole rows (see the
+        module docstring); every v gets value rows.  The jets are taken at c;
+        the columns multiply them by x - c0 = (c - c0) + t."""
         b_max = k_u // self.weight.w2
         src_order: dict[Fraction, int] = {}
         for fn in self.src.functionals:
@@ -170,18 +185,23 @@ class _Tower:
                 self._add_jet_rows(offset, {s: 1}, 0, d, fn_reads, k_u)
             if self.src.low_basis:
                 h = _taylor(self.g, c)[m:]
-                for v in self.src.low_basis:
+                carriers = self.src.local_basis.get(c, ())
+                for i, v in enumerate(self.src.low_basis):
+                    new = i in carriers  # a new principal part at c
+                    if not new and d < 0:
+                        continue  # neither pole nor value rows to write
                     jet = _series_quotient(_taylor(v, c), h, top + m)
                     den = lcm(*(y.denominator for y in jet))
                     self._add_jet_rows(offset, {e - m: int(y * den) for e, y in enumerate(jet) if y},
-                                       m, d, fn_reads, k_u)
+                                       m if new else 0, d, fn_reads, k_u)
 
     def _add_jet_rows(self, offset: Fraction, jet: dict[int, int], m: int, d: int,
                       reads: list[list[tuple[int, int]]], k_u: int) -> None:
         """Rows for one F given by its Laurent jet at a point c: the nonzero
         coefficients of t^-m .. t^(d + b_max), t = x - c, as
         ``{exponent: value}`` scaled to integers (a row is only defined up to
-        scale).  ``offset`` is c - c0, so x - c0 = offset + t.
+        scale).  ``offset`` is c - c0, so x - c0 = offset + t.  m = 0 writes
+        no principal-part rows, even if the jet has a pole.
 
         Column (x-c0)^a d^b reads the jet w of (x-c0)^a d^b F on
         t^-(m+b) .. t^d.  Each negative exponent is a principal-part row that
@@ -225,7 +245,7 @@ class _Tower:
                     if a:
                         w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
                     s = col_scale[a]
-                    for i in range(-lo):
+                    for i in range(-lo if m else 0):
                         if w[i]:
                             poles[-lo - 1 - i][idx] = s * w[i]
                     for row, terms in zip(values, reads):
@@ -233,9 +253,10 @@ class _Tower:
                         if v:
                             row[idx] = s * v
                 else:
-                    for e, y in window.items():
-                        if e + a < 0:
-                            poles[-e - a - 1][idx] = y
+                    if m:
+                        for e, y in window.items():
+                            if e + a < 0:
+                                poles[-e - a - 1][idx] = y
                     for row, terms in zip(values, reads):
                         v = sum(cf * window.get(o - a, 0) for o, cf in terms)
                         if v:

@@ -247,15 +247,6 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 # row reduction
 # ---------------------------------------------------------------------------
 
-def _row_gcd(row: dict[int, int]) -> int:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 def _eliminate(row: dict[int, int], prow: dict[int, int], j: int) -> dict[int, int]:
     """Clear column j of ``row`` with ``prow`` (whose entry there is
     positive), in place and over prow's support only, then divide out the
@@ -272,7 +263,7 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], j: int) -> dict[int, i
             row[t] = w
         else:
             del row[t]
-    g = _row_gcd(row)
+    g = gcd(*row.values())
     return {t: v // g for t, v in row.items()} if g > 1 else row
 
 
@@ -326,7 +317,7 @@ class RowReducer:
             j = min(row)
             pivot_idx = self._pivot_of.get(j)
             if pivot_idx is None:
-                g = _row_gcd(row)
+                g = gcd(*row.values())
                 if row[j] < 0:
                     g = -g
                 if g != 1:

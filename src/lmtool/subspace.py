@@ -6,6 +6,12 @@ rational point c.  Such V contain g*C[x] for the conductor polynomial
 g = prod_j (x - c_j)^(d_j + 1) (d_j the maximal derivative order used at c_j),
 so V = span(low_basis) + g*C[x] with low_basis a basis of the part of V of
 degree below deg g.  This finite data is everything the graded solvers need.
+
+Near a point c with m = d + 1 (d the top order there), the image of V in
+C[t]/t^m, t = x - c, is the kernel of the r functionals at c, of dimension
+m - r.  ``local_basis`` records, at each c, which low-basis vectors have
+Taylor digits 0..m-1 at c independent of those before them: exactly m - r
+of them, and every other vector's digits are a combination of theirs.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import perm
 from typing import Iterable, Sequence
 
 from .linalg import Poly, RowReducer, rat_from_str, rat_to_str
@@ -86,6 +93,15 @@ def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functiona
     return tuple(out)
 
 
+def _monomial_derivatives(c: Fraction, deg: int, m: int) -> list[list[int]]:
+    """q^deg times the o-th derivative of x^i at c = p/q, for i < deg and
+    o < m: i!/(i-o)! p^(i-o) q^(deg-i+o), an integer.  Each row built from
+    these carries the common factor q^deg, which moves no rank or nullspace."""
+    p, q = c.numerator, c.denominator
+    return [[perm(i, o) * p ** (i - o) * q ** (deg - i + o) if o <= i else 0 for o in range(m)]
+            for i in range(deg)]
+
+
 def _top_orders(functionals: Iterable[Functional]) -> dict[Fraction, int]:
     """The top derivative order at each point: the conductor has a root of
     multiplicity order + 1 there.  Normalising the functionals keeps it."""
@@ -109,6 +125,7 @@ class SubspaceSpec:
     warnings: tuple[str, ...] = ()
     conductor: Poly = field(init=False)
     low_basis: tuple[Poly, ...] = field(init=False)
+    local_basis: dict[Fraction, tuple[int, ...]] = field(init=False)  # point -> low_basis indices
 
     def __post_init__(self) -> None:
         normalized = _normalize_functionals(self.functionals)
@@ -118,16 +135,30 @@ class SubspaceSpec:
         for point in sorted(by_point):
             g = g * (Poly.x() - Poly.const(point)) ** (by_point[point] + 1)
         object.__setattr__(self, "conductor", g)
-        object.__setattr__(self, "low_basis", self._compute_low_basis())
+        deg = g.degree()
+        derivs = {c: _monomial_derivatives(c, deg, order + 1) for c, order in by_point.items()}
+        object.__setattr__(self, "low_basis", self._compute_low_basis(derivs))
+        object.__setattr__(self, "local_basis", {
+            c: self._compute_local_basis(d, by_point[c] + 1) for c, d in derivs.items()})
 
-    def _compute_low_basis(self) -> tuple[Poly, ...]:
+    def _compute_low_basis(self, derivs: dict[Fraction, list[list[int]]]) -> tuple[Poly, ...]:
         deg = self.conductor.degree()
         if deg == 0:
             return ()
         red = RowReducer(deg)
         for fn in self.functionals:
-            red.add_row([fn.apply(Poly.x(i) if i else Poly.one()) for i in range(deg)])
+            d = derivs[fn.point]
+            red.add_row([sum(coeff * d[i][o] for o, coeff in fn.terms) for i in range(deg)])
         return tuple(Poly(dict(enumerate(vec))) for vec in red.nullspace())
+
+    def _compute_local_basis(self, d: list[list[int]], m: int) -> tuple[int, ...]:
+        """Indices of the low-basis vectors whose derivatives 0..m-1 at the
+        point of ``d`` -- their Taylor digits times k! -- are independent of
+        those of the vectors before them."""
+        red = RowReducer(m)
+        return tuple(
+            i for i, v in enumerate(self.low_basis)
+            if red.add_row([sum(y * d[e][k] for e, y in v.items()) for k in range(m)]))
 
     # -- constructors ----------------------------------------------------------
 

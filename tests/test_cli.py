@@ -470,6 +470,24 @@ def test_negative_chern_exits_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--spec", "cusp"],
+    ["chern", "--spec", "two-point", "--format", "text"],
+])
+def test_engine_fault_exits_4(capsys, monkeypatch, argv):
+    # a ValueError raised inside the computation is a fault in lmtool, not a
+    # usage error: it must not print "lmtool: error:" and exit 2
+    def faulty(self, k_u):
+        min([])
+
+    graded.clear_cache()
+    monkeypatch.setattr(graded._Tower, "_add_rows", faulty)
+    code, out, err = run(capsys, *argv)
+    graded.clear_cache()
+    assert (code, out) == (4, "")
+    assert err == "lmtool: internal error: ValueError: min() arg is an empty sequence\n"
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "catalog", "--out", str(tmp_path / "nope" / "x.json"))
     assert code == 2

@@ -13,6 +13,7 @@ The frozen fixtures below were computed by hand first and cross-checked by
 both oracles before being pinned.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -21,6 +22,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmtool import graded
 from lmtool.catalog import catalog, catalog_get
 from lmtool.graded import (
     _tower_for,
@@ -421,6 +423,72 @@ def test_dimensions_are_translation_invariant(points1, points2, t, s):
                 [j for j in t2.reducer.pivot_cols() if j < n], weight
             assert [t1.gr_divisible(k) for k in range(kmax + 1)] == \
                 [t2.gr_divisible(k) for k in range(kmax + 1)], weight
+
+
+class CountingReducer(RowReducer):
+    """A RowReducer that counts the rows offered to it."""
+
+    def __init__(self, ncols):
+        super().__init__(ncols)
+        self.offered = 0
+
+    def add_row(self, entries):
+        self.offered += 1
+        return super().add_row(entries)
+
+
+def with_every_pole(spec: SubspaceSpec) -> SubspaceSpec:
+    """A copy of spec whose every low-basis vector gets pole rows at every point."""
+    full = SubspaceSpec.from_functionals(spec.name, spec.functionals)
+    object.__setattr__(full, "local_basis", {c: tuple(range(len(full.low_basis))) for c in full.points})
+    return full
+
+
+def build_counted(src, dst, weight, kmax):
+    """A fresh tower, its rows offered, and its pole-carrying jets per point."""
+    poles = Counter()
+    add_jet_rows = graded._Tower._add_jet_rows
+
+    def spy(tower, offset, jet, m, *rest):
+        if m:
+            poles[tower.c0 + offset] += 1
+        return add_jet_rows(tower, offset, jet, m, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graded, "RowReducer", CountingReducer)
+        mp.setattr(graded._Tower, "_add_jet_rows", spy)
+        tower = graded._Tower(src, dst, weight, kmax)
+    return tower, tower.reducer.offered, dict(poles)
+
+
+@pytest.mark.parametrize("name,offered,full_offered,poles,full_poles", [
+    ("two-point", 76, 94, {0: 1, 1: 1}, {0: 2, 1: 2}),
+    ("mixed", 103, 160, {0: 2, 1: 1}, {0: 3, 1: 3}),
+])
+def test_pole_rows_once_per_principal_part(name, offered, full_offered, poles, full_poles):
+    # End at weight (1,1), kmax 12: only the low-basis vectors of
+    # spec.local_basis get pole rows, m_c - r_c of them at each point c, and
+    # the tower keeps exactly the echelon rows it keeps when every vector
+    # gets them
+    spec = catalog_get(name)
+    full = with_every_pole(spec)
+    tower, n, jets = build_counted(spec, spec, W11, 12)
+    full_tower, full_n, full_jets = build_counted(full, full, W11, 12)
+    assert (n, jets) == (offered, poles)
+    assert (full_n, full_jets) == (full_offered, full_poles)
+    assert tower.reducer._rows == full_tower.reducer._rows
+
+
+@given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))
+@settings(max_examples=25, deadline=None)
+def test_pole_rows_of_old_principal_parts_reduce_to_zero(points1, points2, weight):
+    # rows, not just the row space: each skipped pole row is a combination
+    # of pole rows offered before it, so the reducer never kept it
+    v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
+    for src, dst in [(v1, v1), (v1, v2)]:
+        tower = graded._Tower(src, dst, weight, 8)
+        full = graded._Tower(with_every_pole(src), dst, weight, 8)
+        assert tower.reducer._rows == full.reducer._rows
 
 
 def test_results_survive_cache_clears():

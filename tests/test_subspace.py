@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmtool.linalg import Poly
@@ -116,6 +116,40 @@ def test_low_basis_spans_the_low_part():
     assert spec.conductor == parse_poly("x^4")
     assert len(spec.low_basis) == 2
     assert {str(p) for p in spec.low_basis} == {"1", "x^2"}
+
+
+def assert_local_basis(spec: SubspaceSpec) -> None:
+    """At each point c, with m = top order + 1 and r functionals there,
+    ``local_basis`` holds exactly m - r low-basis indices: those whose Taylor
+    digits 0..m-1 at c (here by sympy) raise the rank of the digits of the
+    vectors before them."""
+    assert set(spec.local_basis) == set(spec.points)
+    for c in spec.points:
+        at_c = [fn for fn in spec.functionals if fn.point == c]
+        m = max(fn.order for fn in at_c) + 1
+        t = sympy.Rational(c.numerator, c.denominator)
+        digits = [[sympy.diff(poly_to_sympy(v), X, k).subs(X, t) / sympy.factorial(k) for k in range(m)]
+                  for v in spec.low_basis]
+        ranks = [0] + [sympy.Matrix(digits[:i + 1]).rank() for i in range(len(digits))]
+        assert spec.local_basis[c] == tuple(i for i in range(len(digits)) if ranks[i + 1] > ranks[i])
+        assert len(spec.local_basis[c]) == m - len(at_c), c
+
+
+def test_local_basis_on_catalog():
+    from lmtool.catalog import catalog, catalog_get
+
+    for spec in catalog():
+        assert_local_basis(spec)
+    # mixed: f''(0) = f'(1) = 0, low basis 1, x^3 - 3x, x^4 - 4x, with
+    # Taylor digits (1, 0, 0), (0, -3, 0), (0, -4, 0) at 0 and (1, 0),
+    # (-2, 0), (-3, 0) at 1
+    assert catalog_get("mixed").local_basis == {Fraction(0): (0, 1), Fraction(1): (0,)}
+
+
+@given(st.lists(functionals(), min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_local_basis_on_random_specs(fns):
+    assert_local_basis(SubspaceSpec.from_functionals("random", fns))
 
 
 def test_contains_zero_polynomial():
