@@ -61,7 +61,7 @@ degree, which come earlier, so each column prefix spans the same operators
 for every c0: the prefix ranks, hence the pivot columns, every dimension
 and the graded-inclusion reading below are those of the columns x^a d^b.
 Only the bases differ, as different nested bases of the same spaces;
-``basis_elements`` writes them back in x^j d^b by the binomial theorem.
+``hom_piece`` writes them back in x^j d^b by the binomial theorem.
 
 Graded inclusion is read off the same reduction.  The columns of top
 degree at level k are [lo, hi) = [ncols(k-1), ncols(k)), and the vectors new
@@ -72,10 +72,17 @@ rising d-order, so their x-exponents fall: column j has the least
 x-exponent of its symbol.  Every symbol is therefore divisible by x^deg(g)
 exactly when every free column in [lo, hi) has x-exponent >= deg(g), and
 no basis, symbol or RREF is built.
+
+So the cache keeps, per tower, only the weight, deg g, kmax, the
+x-exponent of each column and the sorted pivot columns; the echelon rows
+go once the build is done.  dim(k) is the column count at level k less
+the pivots below it.  ``hom_piece``, which needs the canonical nullspace,
+builds and reduces the rows of its level afresh on each call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -132,28 +139,25 @@ def _series_quotient(num: list[Fraction], den: list[Fraction], top: int) -> list
     return out
 
 
-class _Tower:
-    """One reduced linear system per (source, target, weight); every filtered
-    piece up to kmax is a column prefix of it.  The rows are built point by
-    point from Laurent jets (see the module docstring)."""
+class _Rows:
+    """The linear system of one (source, target, weight) up to kmax: its
+    columns (x - c0)^a d^b in order and one ``RowReducer`` holding its rows,
+    built point by point from Laurent jets (see the module docstring).  The
+    cached ``_Tower`` keeps only its pivots; ``hom_piece`` reads the reducer."""
 
-    __slots__ = ("src", "dst", "weight", "kmax", "g", "gdeg", "c0",
-                 "cols", "col_index", "reducer")
+    __slots__ = ("src", "dst", "weight", "g", "c0", "cols", "col_index", "reducer")
 
     def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
         self.src = src
         self.dst = dst
         self.weight = weight
-        self.kmax = kmax
         self.g = src.conductor
-        self.gdeg = self.g.degree()
         self.c0 = min(src.points + dst.points, default=Fraction(0))
-        k_u = kmax + weight.w1 * self.gdeg
+        k_u = kmax + weight.w1 * self.g.degree()
         self.cols = monomial_basis(weight, k_u)
         self.col_index = {ab: i for i, ab in enumerate(self.cols)}
         self.reducer = RowReducer(len(self.cols))
-        if self.cols:
-            self._add_rows(k_u)
+        self._add_rows(k_u)
 
     # rows ---------------------------------------------------------------------
 
@@ -265,34 +269,38 @@ class _Tower:
             if row:
                 self.reducer.add_row(row)
 
-    # queries --------------------------------------------------------------------
+
+class _Tower:
+    """What the engine reads of one reduced system.  Every filtered piece up
+    to kmax is a column prefix of it, and both queries need only its pivot
+    columns and the x-exponents of its columns (see the module docstring)."""
+
+    __slots__ = ("weight", "gdeg", "kmax", "xexp", "pivots", "pivot_set")
+
+    def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
+        rows = _Rows(src, dst, weight, kmax)
+        self.weight = weight
+        self.gdeg = rows.g.degree()
+        self.kmax = kmax
+        self.xexp = tuple(a for a, _ in rows.cols)
+        self.pivots = tuple(rows.reducer.pivot_cols())
+        self.pivot_set = frozenset(self.pivots)
 
     def ncols_at(self, k: int) -> int:
         return dim_A(self.weight, k + self.weight.w1 * self.gdeg)
 
     def dim(self, k: int) -> int:
         n = self.ncols_at(k)
-        return n - self.reducer.prefix_rank(n)
-
-    def basis_elements(self, k: int) -> tuple[WeylEl, ...]:
-        """The canonical nullspace at level k, each column (x-c0)^a d^b
-        written out as sum_j C(a, j) (-c0)^(a-j) x^j d^b."""
-        shift = Poly({0: -self.c0, 1: 1})
-        return tuple(
-            WeylEl(((j, b), c * cj)
-                   for (a, b), c in zip(self.cols, vec) if c
-                   for j, cj in (shift ** a).items())
-            for vec in self.reducer.nullspace(self.ncols_at(k)))
+        return n - bisect_left(self.pivots, n)
 
     def gr_divisible(self, k: int) -> bool:
         """Is the top symbol (numerator form) of every basis vector new at
         level k divisible by x^deg(g)?  Only the pivot columns are read, see
         the module docstring."""
-        pivots = set(self.reducer.pivot_cols())
         return all(
-            self.cols[j][0] >= self.gdeg
+            self.xexp[j] >= self.gdeg
             for j in range(self.ncols_at(k - 1), self.ncols_at(k))
-            if j not in pivots
+            if j not in self.pivot_set
         )
 
 
@@ -318,9 +326,18 @@ _TRIVIAL = SubspaceSpec.trivial()
 
 
 def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> GradedPiece:
-    """Basis of {p : wdeg(p) <= k, p . V1 in V2} as operators u o g^{-1}."""
-    tower = _tower_for(src, dst, weight, max(k, 0))
-    basis = tuple(QFraction(u, tower.g) for u in tower.basis_elements(k))
+    """Basis of {p : wdeg(p) <= k, p . V1 in V2} as operators u o g^{-1}: the
+    canonical nullspace at level k of a system built for it alone, each
+    column (x-c0)^a d^b written out as sum_j C(a, j) (-c0)^(a-j) x^j d^b."""
+    rows = _Rows(src, dst, weight, max(k, 0))
+    shift = Poly({0: -rows.c0, 1: 1})
+    powers = [(shift ** a).items() for a in range(max(a for a, _ in rows.cols) + 1)]
+    n = dim_A(weight, k + weight.w1 * rows.g.degree())
+    basis = tuple(
+        QFraction(WeylEl(((j, b), c * cj)
+                         for (a, b), c in zip(rows.cols, vec) if c
+                         for j, cj in powers[a]), rows.g)
+        for vec in rows.reducer.nullspace(n))
     return GradedPiece((src, dst), weight, k, len(basis), basis)
 
 

@@ -103,8 +103,6 @@ class Terms:
     def items(self) -> list:
         return sorted(self._terms.items())
 
-    terms = items
-
     def __getitem__(self, key) -> Fraction:
         return self._terms.get(key, Fraction(0))
 
@@ -206,10 +204,6 @@ class Poly(Terms):
     def derivative(self) -> "Poly":
         return Poly({e - 1: v * e for e, v in self._terms.items() if e > 0})
 
-    def __call__(self, point: Fraction | int) -> Fraction:
-        p = Fraction(point)
-        return sum((v * p**e for e, v in self._terms.items()), Fraction(0))
-
     def shift_x(self, a: int) -> "Poly":
         """Multiply by x**a."""
         if a == 0:
@@ -277,13 +271,15 @@ class RowReducer:
     column, and scaling a row changes neither the row space nor that column.
     So the echelon rows, the pivot set and the reduced echelon form are
     exactly those of fraction-preserving dense elimination.
+
+    A reducer has no finalized state: rows may be added at any time, and
+    ``rref`` and ``nullspace`` reduce the current rows afresh on each call.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows: list[dict[int, int]] = []  # echelon rows, leading entry positive
         self._pivot_of: dict[int, int] = {}  # pivot column -> index into _rows
-        self._rref: tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]] | None = None
 
     # -- building -----------------------------------------------------------
 
@@ -310,8 +306,6 @@ class RowReducer:
     def add_row(self, entries: Mapping[int, Fraction | int] | Iterable[Fraction | int]) -> bool:
         """Reduce a row, given densely or as ``{column: value}``, against the
         current basis; returns True if rank grew."""
-        if self._rref is not None:
-            raise RuntimeError("reducer already finalized")
         row = self._to_int_row(entries)
         while row:
             j = min(row)
@@ -335,31 +329,25 @@ class RowReducer:
     def pivot_cols(self) -> list[int]:
         return sorted(self._pivot_of)
 
-    def prefix_rank(self, ncols_prefix: int) -> int:
-        """Rank of the submatrix made of the first ``ncols_prefix`` columns."""
-        return sum(1 for c in self._pivot_of if c < ncols_prefix)
-
     # -- canonical form ------------------------------------------------------
 
     def rref(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
         """Reduced row echelon form: (pivot columns, dense rows with unit pivots)."""
-        if self._rref is None:
-            pivots = sorted(self._pivot_of)
-            rows = [dict(self._rows[self._pivot_of[c]]) for c in pivots]
-            for i in range(len(pivots) - 1, -1, -1):
-                pc = pivots[i]
-                for t in range(i):
-                    if pc in rows[t]:
-                        rows[t] = _eliminate(rows[t], rows[i], pc)
-            zero = Fraction(0)
-            frac_rows = []
-            for pc, row in zip(pivots, rows):
-                dense = [zero] * self.ncols
-                for s, v in row.items():
-                    dense[s] = Fraction(v, row[pc])
-                frac_rows.append(tuple(dense))
-            self._rref = (tuple(pivots), tuple(frac_rows))
-        return self._rref
+        pivots = sorted(self._pivot_of)
+        rows = [dict(self._rows[self._pivot_of[c]]) for c in pivots]
+        for i in range(len(pivots) - 1, -1, -1):
+            pc = pivots[i]
+            for t in range(i):
+                if pc in rows[t]:
+                    rows[t] = _eliminate(rows[t], rows[i], pc)
+        zero = Fraction(0)
+        frac_rows = []
+        for pc, row in zip(pivots, rows):
+            dense = [zero] * self.ncols
+            for s, v in row.items():
+                dense[s] = Fraction(v, row[pc])
+            frac_rows.append(tuple(dense))
+        return tuple(pivots), tuple(frac_rows)
 
     def nullspace(self, ncols_prefix: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
         """Canonical nullspace basis, one vector per free column in increasing

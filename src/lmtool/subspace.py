@@ -59,17 +59,6 @@ class Functional:
         """Maximal derivative order appearing."""
         return self.terms[-1][0]
 
-    def apply(self, f: Poly) -> Fraction:
-        out = Fraction(0)
-        deriv = f
-        level = 0
-        for order, coeff in self.terms:
-            while level < order:
-                deriv = deriv.derivative()
-                level += 1
-            out += coeff * deriv(self.point)
-        return out
-
 
 def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functional, ...]:
     """Canonical form: group by point, row-reduce each point's coefficient
@@ -186,10 +175,6 @@ class SubspaceSpec:
         return SubspaceSpec(name=name, functionals=tuple(functionals))
 
     # -- queries -----------------------------------------------------------------
-
-    def contains(self, f: Poly) -> bool:
-        """Membership test for V (all functionals vanish)."""
-        return all(fn.apply(f) == 0 for fn in self.functionals)
 
     @property
     def points(self) -> tuple[Fraction, ...]:

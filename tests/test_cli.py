@@ -16,6 +16,7 @@ import pytest
 import lmtool
 from lmtool import cli, graded
 from lmtool.invariants import NegativeChernError, Report, fit_euler, HilbertSeq
+from lmtool.linalg import RowReducer
 from lmtool.subspace import parse_spec
 from lmtool.weyl import Weight
 
@@ -237,6 +238,22 @@ def test_catalog_verify_kmax20_digest(capsys):
     code, out, _ = run(capsys, "verify", "--kmax", "20")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX20_SHA256
+
+
+def test_cached_towers_hold_no_reducer(capsys):
+    # a cached tower keeps its pivots, not the reducer that found them: no
+    # value in the cache holds a RowReducer or an echelon row ({column: int})
+    graded.clear_cache()
+    code, _, _ = run(capsys, "verify", "--kmax", "20")
+    assert code == 0
+    towers = list(graded._tower_cache.values())
+    assert towers
+    for tower in towers:
+        assert not hasattr(tower, "__dict__")
+        for slot in type(tower).__slots__:
+            value = getattr(tower, slot)
+            items = value if isinstance(value, (tuple, list, set, frozenset)) else (value,)
+            assert not any(isinstance(v, (RowReducer, dict, list, tuple)) for v in items), slot
 
 
 @pytest.mark.parametrize("verb,fmt", sorted(VERB_SHA256))
@@ -481,7 +498,7 @@ def test_engine_fault_exits_4(capsys, monkeypatch, argv):
         min([])
 
     graded.clear_cache()
-    monkeypatch.setattr(graded._Tower, "_add_rows", faulty)
+    monkeypatch.setattr(graded._Rows, "_add_rows", faulty)
     code, out, err = run(capsys, *argv)
     graded.clear_cache()
     assert (code, out) == (4, "")

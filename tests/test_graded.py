@@ -37,7 +37,7 @@ from lmtool.invariants import DEFAULT_WEIGHTS
 from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import SubspaceSpec, parse_spec
 from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis
-from reference import parse_weyl, poly_to_sympy
+from reference import frac, functional_sympy, in_subspace_sympy, parse_weyl, poly_to_sympy
 
 X = sympy.Symbol("x")
 W11 = Weight(1, 1)
@@ -46,33 +46,12 @@ W21 = Weight(2, 1)
 TRIVIAL = SubspaceSpec.trivial()
 
 
-def frac(r: Fraction):
-    return sympy.Rational(r.numerator, r.denominator)
-
-
 def apply_u_sympy(u, fexpr):
     """u . f for a WeylEl u and a sympy expression f (possibly rational)."""
     out = sympy.Integer(0)
-    for (a, b), c in u.terms():
+    for (a, b), c in u.items():
         out += frac(c) * X ** a * sympy.diff(fexpr, X, b)
     return sympy.cancel(out)
-
-
-def functional_sympy(fn, expr):
-    val = sympy.Integer(0)
-    for e, c in fn.terms:
-        val += frac(c) * sympy.diff(expr, X, e).subs(X, frac(fn.point))
-    return sympy.nsimplify(val)
-
-
-def in_subspace_sympy(spec: SubspaceSpec, expr) -> bool:
-    """Is the sympy expression a polynomial lying in the subspace?"""
-    expr = sympy.cancel(expr)
-    num, den = sympy.fraction(sympy.together(expr))
-    if not den.is_number:
-        return False
-    poly = sympy.expand(expr)
-    return all(functional_sympy(fn, poly) == 0 for fn in spec.functionals)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +144,8 @@ def test_cusp_module_piece_k3():
     pinned = [parse_weyl(s) for s in ("1 - x*d", "d - x*d^2", "x^2", "x^3", "x^2*d")]
     idx = {key: j for j, key in enumerate(monomial_basis(W11, 3))}
     red = RowReducer(len(idx))
-    assert sum(red.add_row(_coeff_row(u.terms(), idx)) for u in pinned) == 5
-    assert not any(red.add_row(_coeff_row(q.u.terms(), idx)) for q in piece.basis)
+    assert sum(red.add_row(_coeff_row(u.items(), idx)) for u in pinned) == 5
+    assert not any(red.add_row(_coeff_row(q.u.items(), idx)) for q in piece.basis)
 
 
 def test_cusp_module_dims():
@@ -419,8 +398,7 @@ def test_dimensions_are_translation_invariant(points1, points2, t, s):
             # a cached tower may run past kmax, so compare pivots up to it
             t1, t2 = _tower_for(s1, d1, weight, kmax), _tower_for(s2, d2, weight, kmax)
             n = t1.ncols_at(kmax)
-            assert [j for j in t1.reducer.pivot_cols() if j < n] == \
-                [j for j in t2.reducer.pivot_cols() if j < n], weight
+            assert [j for j in t1.pivots if j < n] == [j for j in t2.pivots if j < n], weight
             assert [t1.gr_divisible(k) for k in range(kmax + 1)] == \
                 [t2.gr_divisible(k) for k in range(kmax + 1)], weight
 
@@ -445,20 +423,21 @@ def with_every_pole(spec: SubspaceSpec) -> SubspaceSpec:
 
 
 def build_counted(src, dst, weight, kmax):
-    """A fresh tower, its rows offered, and its pole-carrying jets per point."""
+    """A fresh tower's rows, the number offered, and its pole-carrying jets
+    per point."""
     poles = Counter()
-    add_jet_rows = graded._Tower._add_jet_rows
+    add_jet_rows = graded._Rows._add_jet_rows
 
-    def spy(tower, offset, jet, m, *rest):
+    def spy(rows, offset, jet, m, *rest):
         if m:
-            poles[tower.c0 + offset] += 1
-        return add_jet_rows(tower, offset, jet, m, *rest)
+            poles[rows.c0 + offset] += 1
+        return add_jet_rows(rows, offset, jet, m, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graded, "RowReducer", CountingReducer)
-        mp.setattr(graded._Tower, "_add_jet_rows", spy)
-        tower = graded._Tower(src, dst, weight, kmax)
-    return tower, tower.reducer.offered, dict(poles)
+        mp.setattr(graded._Rows, "_add_jet_rows", spy)
+        rows = graded._Rows(src, dst, weight, kmax)
+    return rows, rows.reducer.offered, dict(poles)
 
 
 @pytest.mark.parametrize("name,offered,full_offered,poles,full_poles", [
@@ -472,11 +451,11 @@ def test_pole_rows_once_per_principal_part(name, offered, full_offered, poles, f
     # gets them
     spec = catalog_get(name)
     full = with_every_pole(spec)
-    tower, n, jets = build_counted(spec, spec, W11, 12)
-    full_tower, full_n, full_jets = build_counted(full, full, W11, 12)
+    rows, n, jets = build_counted(spec, spec, W11, 12)
+    full_rows, full_n, full_jets = build_counted(full, full, W11, 12)
     assert (n, jets) == (offered, poles)
     assert (full_n, full_jets) == (full_offered, full_poles)
-    assert tower.reducer._rows == full_tower.reducer._rows
+    assert rows.reducer._rows == full_rows.reducer._rows
 
 
 @given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))
@@ -486,9 +465,30 @@ def test_pole_rows_of_old_principal_parts_reduce_to_zero(points1, points2, weigh
     # of pole rows offered before it, so the reducer never kept it
     v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
     for src, dst in [(v1, v1), (v1, v2)]:
-        tower = graded._Tower(src, dst, weight, 8)
-        full = graded._Tower(with_every_pole(src), dst, weight, 8)
-        assert tower.reducer._rows == full.reducer._rows
+        rows = graded._Rows(src, dst, weight, 8)
+        full = graded._Rows(with_every_pole(src), dst, weight, 8)
+        assert rows.reducer._rows == full.reducer._rows
+
+
+@given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))
+@settings(max_examples=20, deadline=None)
+def test_cached_tower_reads_like_its_reducer(points1, points2, weight):
+    # the cache keeps only pivots and column x-exponents; every dimension
+    # and graded-inclusion reading must equal the one taken from the
+    # canonical nullspace of a fresh reducer of the same rows, whose vector
+    # for free column j is supported on columns <= j
+    v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
+    clear_cache()
+    for src, dst in [(TRIVIAL, v1), (v1, v1), (v1, v2)]:
+        tower = _tower_for(src, dst, weight, 0)
+        rows = graded._Rows(src, dst, weight, tower.kmax)
+        free = [max(j for j, c in enumerate(vec) if c) for vec in rows.reducer.nullspace()]
+        gdeg = src.conductor.degree()
+        for k in range(tower.kmax + 1):
+            lo, hi = tower.ncols_at(k - 1), tower.ncols_at(k)
+            assert tower.dim(k) == sum(j < hi for j in free), (src, dst, k)
+            assert tower.gr_divisible(k) == all(
+                rows.cols[j][0] >= gdeg for j in free if lo <= j < hi), (src, dst, k)
 
 
 def test_results_survive_cache_clears():
@@ -532,13 +532,13 @@ def test_gr_symbols_of_the_cusp_level_two():
     assert len(syms) == 3
     # the symbol of x^2*d^2 + 2*x*d - 2 must lie in the span
     target = SymbolPoly({(2, 2): Fraction(1)})
-    keys = sorted({key for s in (*syms, target) for key, _ in s.terms()})
+    keys = sorted({key for s in (*syms, target) for key, _ in s.items()})
     idx = {key: j for j, key in enumerate(keys)}
     red = RowReducer(len(keys))
     for s in syms:
-        red.add_row(_coeff_row(s.terms(), idx))
+        red.add_row(_coeff_row(s.items(), idx))
     assert red.rank == 3
-    assert not red.add_row(_coeff_row(target.terms(), idx))
+    assert not red.add_row(_coeff_row(target.items(), idx))
 
 
 def test_gr_symbols_of_the_trivial_subspace_level_one():
@@ -546,7 +546,7 @@ def test_gr_symbols_of_the_trivial_subspace_level_one():
     syms = gr_symbol_space(
         hom_piece(triv, triv, W11, 1), hom_piece(triv, triv, W11, 0)
     )
-    assert [s.terms() for s in syms] == [
+    assert [s.items() for s in syms] == [
         [((1, 0), Fraction(1))],
         [((0, 1), Fraction(1))],
     ]
@@ -565,7 +565,7 @@ def test_gr_symbols_are_homogeneous():
 
 
 def sym_terms(sym):
-    return list(sym.terms())
+    return list(sym.items())
 
 
 def test_gr_symbol_space_validates_inputs():
@@ -594,10 +594,9 @@ def test_gr_divisible_matches_symbol_reference():
         for dst in specs:
             gdeg = src.conductor.degree()
             for weight in (W11, W21, Weight(1, 2)):
+                pieces = [hom_piece(src, dst, weight, k) for k in range(-1, 6)]
                 for k in range(6):
-                    symbols = gr_symbol_space(
-                        hom_piece(src, dst, weight, k), hom_piece(src, dst, weight, k - 1)
-                    )
+                    symbols = gr_symbol_space(pieces[k + 1], pieces[k])
                     expected = all(sym.divisible_by_x(gdeg) for sym in symbols)
                     got = _tower_for(src, dst, weight, k).gr_divisible(k)
                     assert got == expected, (src.name, dst.name, weight, k)

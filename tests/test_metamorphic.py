@@ -83,5 +83,4 @@ def test_dimensions_are_scaling_invariant(points1, points2):
             # pivots, match; a cached tower may run past kmax
             t1, t2 = _tower_for(s1, d1, weight, kmax), _tower_for(s2, d2, weight, kmax)
             n = t1.ncols_at(kmax)
-            assert [j for j in t1.reducer.pivot_cols() if j < n] == \
-                [j for j in t2.reducer.pivot_cols() if j < n], weight
+            assert [j for j in t1.pivots if j < n] == [j for j in t2.pivots if j < n], weight

@@ -50,7 +50,7 @@ weights = st.builds(
 def apply_via_sympy(u: WeylEl, f: Poly):
     fs = poly_to_sympy(f)
     out = sympy.Integer(0)
-    for (a, b), c in u.terms():
+    for (a, b), c in u.items():
         out += sympy.Rational(c.numerator, c.denominator) * X ** a * sympy.diff(fs, X, b)
     return sympy.expand(out)
 
