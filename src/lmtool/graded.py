@@ -99,12 +99,6 @@ class QFraction:
     u: WeylEl
     g: Poly
 
-    def wdegree(self, weight: Weight) -> int | None:
-        deg = self.u.wdegree(weight)
-        if deg is None:
-            return None
-        return deg - weight.w1 * self.g.degree()
-
 
 @dataclass(frozen=True)
 class GradedPiece:
@@ -169,13 +163,9 @@ class _Rows:
         module docstring); every v gets value rows.  The jets are taken at c;
         the columns multiply them by x - c0 = (c - c0) + t."""
         b_max = k_u // self.weight.w2
-        src_order: dict[Fraction, int] = {}
-        for fn in self.src.functionals:
-            src_order[fn.point] = max(src_order.get(fn.point, -1), fn.order)
-        dst_order: dict[Fraction, int] = {}
+        src_order, dst_order = self.src.top_orders, self.dst.top_orders
         reads: dict[Fraction, list[list[tuple[int, int]]]] = {}
         for fn in self.dst.functionals:
-            dst_order[fn.point] = max(dst_order.get(fn.point, -1), fn.order)
             scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
             reads.setdefault(fn.point, []).append(
                 [(o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms])

@@ -3,9 +3,10 @@ reduction.
 
 ``Terms`` is the one container for finite sums of monomials with rational
 coefficients.  It owns normalisation, addition, scalar multiplication,
-powers, equality, hashing and the text form; ``Poly`` here and
-``weyl.WeylEl`` and ``weyl.SymbolPoly`` subclass it and add only their
-variables, how two terms multiply and the operations of their own algebra.
+equality, hashing and the text form; ``Poly`` here and ``weyl.WeylEl`` and
+``weyl.SymbolPoly`` subclass it and add their variables and queries.  Only
+``Poly`` multiplies two of its elements: the conductor is a product of
+powers, and ``graded.hom_piece`` expands powers of x - c0.
 
 Values are ``fractions.Fraction`` or ``int``; there are no floats anywhere,
 so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
@@ -56,14 +57,12 @@ class Terms:
     and ``weyl.SymbolPoly``.
 
     A key holds one exponent per name in ``_vars`` (a tuple; a subclass with
-    one variable may key by the bare exponent and override ``_key``), and
-    ``_one`` is the key of the unit.  A subclass gives its product as
-    ``_product``: the terms of ``self * other``, repeated keys allowed.
+    one variable may key by the bare exponent and override ``_key``).  A sum
+    multiplies only by a scalar here; ``Poly`` adds its own product.
     """
 
     __slots__ = ("_terms", "_hash")
     _vars: tuple[str, ...]
-    _one: object
 
     def __init__(self, terms: Mapping | Iterable[tuple[object, Fraction | int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -89,10 +88,6 @@ class Terms:
             raise ValueError(f"{type(self).__name__} needs {len(self._vars)} non-negative integer exponents, "
                              f"got {key!r}")
         return exps
-
-    @classmethod
-    def one(cls):
-        return cls({cls._one: 1})
 
     # -- inspection ---------------------------------------------------------
 
@@ -120,26 +115,12 @@ class Terms:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return type(self)({k: v * other for k, v in self._terms.items()})
-        if type(other) is not type(self):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return type(self)(self._product(other))
+        return type(self)({k: v * other for k, v in self._terms.items()})
 
     def __rmul__(self, other):
         return self * other if isinstance(other, (int, Fraction)) else NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative power of {type(self).__name__}")
-        out, base = self.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     # -- identity -----------------------------------------------------------
 
@@ -168,7 +149,6 @@ class Poly(Terms):
 
     __slots__ = ()
     _vars = ("x",)
-    _one = 0
 
     def _key(self, e: int) -> int:
         try:
@@ -179,9 +159,6 @@ class Poly(Terms):
             raise ValueError(f"Poly needs a non-negative integer exponent, got {e!r}")
         return exp
 
-    def _product(self, other: "Poly"):
-        return ((e1 + e2, v1 * v2) for e1, v1 in self._terms.items() for e2, v2 in other._terms.items())
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -189,10 +166,14 @@ class Poly(Terms):
         return Poly({0: Fraction(value)})
 
     @staticmethod
+    def one() -> "Poly":
+        return Poly({0: 1})
+
+    @staticmethod
     def x(power: int = 1) -> "Poly":
         return Poly({power: 1})
 
-    # -- calculus -----------------------------------------------------------
+    # -- degree -------------------------------------------------------------
 
     def degree(self) -> int | None:
         """Degree, or None (minus infinity) for the zero polynomial."""
@@ -201,14 +182,24 @@ class Poly(Terms):
     def leading_coeff(self) -> Fraction:
         return self._terms[max(self._terms)] if self._terms else Fraction(0)
 
-    def derivative(self) -> "Poly":
-        return Poly({e - 1: v * e for e, v in self._terms.items() if e > 0})
+    # -- product -------------------------------------------------------------
 
-    def shift_x(self, a: int) -> "Poly":
-        """Multiply by x**a."""
-        if a == 0:
-            return self
-        return Poly({e + a: v for e, v in self._terms.items()})
+    def __mul__(self, other):
+        if type(other) is not Poly:
+            return super().__mul__(other)
+        return Poly((e1 + e2, v1 * v2) for e1, v1 in self._terms.items() for e2, v2 in other._terms.items())
+
+    def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("negative power of Poly")
+        out, base = Poly.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
 
 def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:

@@ -114,12 +114,14 @@ class SubspaceSpec:
     warnings: tuple[str, ...] = ()
     conductor: Poly = field(init=False)
     low_basis: tuple[Poly, ...] = field(init=False)
+    top_orders: dict[Fraction, int] = field(init=False)  # point -> top derivative order there
     local_basis: dict[Fraction, tuple[int, ...]] = field(init=False)  # point -> low_basis indices
 
     def __post_init__(self) -> None:
         normalized = _normalize_functionals(self.functionals)
         object.__setattr__(self, "functionals", normalized)
         by_point = _top_orders(normalized)
+        object.__setattr__(self, "top_orders", by_point)
         g = Poly.one()
         for point in sorted(by_point):
             g = g * (Poly.x() - Poly.const(point)) ** (by_point[point] + 1)

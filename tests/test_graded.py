@@ -281,8 +281,13 @@ def test_module_basis_maps_polynomials_into_subspace(name, weight, k):
 
 
 def piece_max_order(piece) -> int:
-    orders = [q.u.max_d_order() for q in piece.basis] or [0]
-    return max(orders)
+    """The largest d-exponent in a piece's basis (0 if it is empty)."""
+    return max((b for q in piece.basis for (_, b), _ in q.u.items()), default=0)
+
+
+def qfraction_wdegree(q, weight) -> int:
+    """Weighted degree of u o g^{-1}: that of u less w1 * deg g."""
+    return q.u.wdegree(weight) - weight.w1 * q.g.degree()
 
 
 @pytest.mark.parametrize("src,dst,weight,k", [
@@ -301,10 +306,10 @@ def test_hom_basis_maps_source_into_target(src, dst, weight, k):
     s, d = spec_named(src), spec_named(dst)
     piece = hom_piece(s, d, weight, k)
     g = poly_to_sympy(s.conductor)
-    b_top = max((q.u.max_d_order() for q in piece.basis), default=0)
+    b_top = piece_max_order(piece)
     d_top = max((fn.order for fn in d.functionals), default=0)
     for q in piece.basis:
-        assert q.wdegree(weight) <= k
+        assert qfraction_wdegree(q, weight) <= k
         # on the conductor tail g*x^j the action is u.x^j
         for j in range(b_top + d_top + 2):
             assert in_subspace_sympy(d, apply_u_sympy(q.u, X ** j)), (str(q.u), "tail", j)
@@ -476,11 +481,12 @@ def test_cached_tower_reads_like_its_reducer(points1, points2, weight):
     # the cache keeps only pivots and column x-exponents; every dimension
     # and graded-inclusion reading must equal the one taken from the
     # canonical nullspace of a fresh reducer of the same rows, whose vector
-    # for free column j is supported on columns <= j
+    # for free column j is supported on columns <= j; kmax 12 is asked for,
+    # so every k <= 12 is checked whatever the cache's least build level
     v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
     clear_cache()
     for src, dst in [(TRIVIAL, v1), (v1, v1), (v1, v2)]:
-        tower = _tower_for(src, dst, weight, 0)
+        tower = _tower_for(src, dst, weight, 12)
         rows = graded._Rows(src, dst, weight, tower.kmax)
         free = [max(j for j, c in enumerate(vec) if c) for vec in rows.reducer.nullspace()]
         gdeg = src.conductor.degree()
@@ -521,7 +527,7 @@ def test_gr_symbols_of_the_cusp_identity_level():
     )
     assert len(syms) == 1
     assert str(syms[0]) == "x^2"
-    assert syms[0].min_x_exponent() == 2
+    assert min(a for (a, _), _ in syms[0].items()) == 2
 
 
 def test_gr_symbols_of_the_cusp_level_two():
@@ -560,7 +566,6 @@ def test_gr_symbols_are_homogeneous():
         )
         target = k + spec.conductor.degree()
         for sym in syms:
-            assert sym.is_homogeneous(W11)
             assert all(a + b == target for (a, b), _ in sym_terms(sym))
 
 
@@ -597,7 +602,7 @@ def test_gr_divisible_matches_symbol_reference():
                 pieces = [hom_piece(src, dst, weight, k) for k in range(-1, 6)]
                 for k in range(6):
                     symbols = gr_symbol_space(pieces[k + 1], pieces[k])
-                    expected = all(sym.divisible_by_x(gdeg) for sym in symbols)
+                    expected = all(a >= gdeg for sym in symbols for (a, _), _ in sym.items())
                     got = _tower_for(src, dst, weight, k).gr_divisible(k)
                     assert got == expected, (src.name, dst.name, weight, k)
                     verdicts.append(got)

@@ -17,8 +17,6 @@ from lmtool.linalg import (
 )
 from reference import parse_poly, poly_to_sympy
 
-X = sympy.Symbol("x")
-
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
 )
@@ -28,11 +26,6 @@ rationals = st.fractions(
 def polys(draw, max_degree=6):
     coeffs = draw(st.lists(rationals, min_size=0, max_size=max_degree + 1))
     return Poly({i: c for i, c in enumerate(coeffs) if c})
-
-
-def from_sympy(expr) -> Poly:
-    poly = sympy.Poly(sympy.expand(expr), X)
-    return Poly({m[0]: Fraction(int(c.p), int(c.q)) for m, c in zip(poly.monoms(), poly.coeffs())})
 
 
 # -- rationals ---------------------------------------------------------------
@@ -73,11 +66,6 @@ def test_poly_add_sub(p, q):
     assert (p - q) + q == p
 
 
-@given(polys(max_degree=4))
-def test_poly_derivative_matches_sympy(p):
-    assert poly_to_sympy(p.derivative()).equals(sympy.diff(poly_to_sympy(p), X))
-
-
 @given(polys(), polys())
 def test_poly_divmod_exact(p, q):
     if q.is_zero:
@@ -96,11 +84,6 @@ def test_poly_divmod_literals():
     quo, rem = poly_divmod(parse_poly("x^2 + 1"), parse_poly("x"))
     assert quo == parse_poly("x")
     assert rem == parse_poly("1")
-
-
-def test_poly_shift_x():
-    p = parse_poly("x^2 + 1")
-    assert p.shift_x(2) == parse_poly("x^4 + x^2")
 
 
 # -- row reduction -------------------------------------------------------------
