@@ -35,8 +35,6 @@ from .invariants import (
     hilbert_seq,
     lm_invariant,
     relative_invariant,
-    report_csv,
-    report_text,
     telescoping_check,
     verify_lm_chern,
     weight_independence,
@@ -85,8 +83,6 @@ __all__ = [
     "monomial_basis",
     "parse_spec",
     "relative_invariant",
-    "report_csv",
-    "report_text",
     "telescoping_check",
     "verify_lm_chern",
     "weight_independence",

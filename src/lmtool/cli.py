@@ -19,6 +19,11 @@ names a built-in spec means that spec even if a file of the same name
 exists; ./NAME reaches the file.  Reports go to stdout (or --out);
 diagnostics go to stderr.  Output is deterministic: timing appears only
 under --timing.
+
+This module alone knows the output format.  The verbs return frozen
+Reports; report_fields turns one into the ordered field table that JSON,
+CSV, text and the stderr diagnostics all read, and _describe is the same
+for a catalog entry.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .catalog import catalog, catalog_get, catalog_names
 from .invariants import (
     DEFAULT_WEIGHTS,
-    HILBERT_FIELDS,
     W11,
     NegativeChernError,
     NonPolynomialError,
@@ -44,13 +49,11 @@ from .invariants import (
     full_report,
     lm_invariant,
     relative_invariant,
-    report_csv,
-    report_text,
-    text_fields,
-    weight_independence,
+    weights_report,
 )
-from .subspace import SpecError, parse_spec
-from .weyl import Weight
+from .linalg import rat_to_str
+from .subspace import SpecError, SubspaceSpec, parse_spec
+from .weyl import Weight, dim_A
 
 _VERBS = ("invariant", "chern", "relative", "dual", "verify", "catalog")
 KMAX_LIMIT = 200  # cost grows steeply with kmax; larger values are refused
@@ -113,39 +116,123 @@ class _Usage(Exception):
     pass
 
 
-def _weights_report(spec, weights, kmax) -> Report:
-    """invariant at several weights: p_D at each, and whether they agree."""
-    res = weight_independence(spec, weights, kmax)
-    return Report(
-        name=spec.name, kmax=kmax, weight=weights[0], weights=weights,
-        p_by_weight=res.p_sequences,
-        p_D=res.values[0][1],
-        verdicts={"weights": res.ok}, warnings=spec.warnings,
-    )
+# -- output: one ordered field table per report, rendered as JSON, CSV or text
+
+HILBERT_FIELDS = ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom")
 
 
-def _timed(verb, *args) -> Report:
-    t0 = time.perf_counter()
-    report = verb(*args)
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+def _as_list(seq: tuple[int, ...] | None) -> list[int] | None:
+    return None if seq is None else list(seq)
 
 
-def _render(reports: list[Report], fmt: str, timing: bool) -> str:
+def report_fields(report: Report) -> dict:
+    """The ordered field table that every output format renders; fields
+    a verb did not compute, and elapsed_ms without --timing, are left out."""
+    n_1, n_2 = report.n_pair or (None, None)
+    out = {
+        "name": report.name,
+        "weight": list(report.weight.as_tuple()),
+        "kmax": report.kmax,
+        "weights": None if report.weights is None else [list(w.as_tuple()) for w in report.weights],
+        **{key: _as_list(getattr(report, key)) for key in HILBERT_FIELDS},
+        "p_by_weight": (None if report.p_by_weight is None
+                        else {str(w): list(p) for w, p in report.p_by_weight}),
+        "shift_a": report.shift_a,
+        "n": report.n,
+        "p_D": report.p_D,
+        "p_12": report.p_12,
+        "n_1": n_1,
+        "n_2": n_2,
+        "d_fit": None if report.d_fit is None else {"shift": report.d_fit[0], "constant": report.d_fit[1]},
+        "dual_constant": report.dual_constant,
+        "verdicts": dict(report.verdicts),
+        "ok": report.ok,
+        "warnings": list(report.warnings) or None,
+        "elapsed_ms": None if report.elapsed_ms is None else round(report.elapsed_ms, 3),
+    }
+    return {key: val for key, val in out.items() if val is not None}
+
+
+def report_csv(fields: dict) -> str:
+    """Hilbert table of a field table: k, dim_A, dim_M, dim_D, p_k.
+
+    Dual/hom sequences get their own column only when the standard module
+    and endomorphism columns are absent (dual and relative runs).  Without
+    an End sequence (multi-weight invariant runs) there is one "p(w1,w2)"
+    column per weight instead of p_k, quoted because the name has a comma.
+    """
+    kmax = fields["kmax"]
+    dims_A = [dim_A(Weight(*fields["weight"]), k) for k in range(kmax + 1)]
+    present = [key for key in HILBERT_FIELDS if key in fields]
+    shown = [key for key in present if key in HILBERT_FIELDS[:2]] or present
+    cols = [("dim_A", dims_A)] + [("dim_" + key.removeprefix("hilbert_"), fields[key]) for key in shown]
+    if "hilbert_D" in fields:
+        cols.append(("p_k", [a - d for a, d in zip(dims_A, fields["hilbert_D"])]))
+    elif "p_by_weight" in fields:
+        cols += [(f'"p{w}"', p) for w, p in fields["p_by_weight"].items()]
+    lines = [",".join(["k"] + [name for name, _ in cols])]
+    lines += [",".join([str(k)] + [str(vals[k]) for _, vals in cols]) for k in range(kmax + 1)]
+    return "\n".join(lines) + "\n"
+
+
+# fields the text header already shows, or that text output never showed
+_TEXT_HIDDEN = ("name", "weight", "kmax", "weights", "d_fit", "n_2")
+
+
+def text_fields(fields: dict) -> list[tuple[str, str]]:
+    """(label, value) lines of a field table, in its order, as text output
+    shows them: one line per weight for p_by_weight, n_2 on the n_1 line,
+    one line per warning, JSON for every other value."""
+    lines = []
+    for key, val in fields.items():
+        if key in _TEXT_HIDDEN:
+            continue
+        if key == "p_by_weight":
+            lines += [(f"p{w}", json.dumps(p)) for w, p in val.items()]
+        elif key == "n_1":
+            lines.append(("n_1", f"{val}  n_2: {fields['n_2']}"))
+        elif key == "verdicts":
+            if val:
+                lines.append(("verdicts", "  ".join(f"{k}={str(v).lower()}" for k, v in val.items())))
+        elif key == "warnings":
+            lines += [("warning", w) for w in val]
+        else:
+            lines.append((key, json.dumps(val)))
+    return lines
+
+
+def report_text(fields: dict) -> str:
+    lines = [f"spec: {fields['name']}", f"kmax: {fields['kmax']}  weight: {Weight(*fields['weight'])}"]
+    lines += [f"{label}: {value}" for label, value in text_fields(fields)]
+    return "\n".join(lines) + "\n"
+
+
+def _render(reports: list[Report], fmt: str) -> str:
+    tables = [report_fields(r) for r in reports]
     if fmt == "json":
-        if len(reports) == 1:
-            return json.dumps(reports[0].to_dict(timing=timing), indent=2) + "\n"
-        return json.dumps([r.to_dict(timing=timing) for r in reports], indent=2) + "\n"
-    if fmt == "csv":
-        if len(reports) == 1:
-            return report_csv(reports[0])
-        blocks = [f"# spec: {r.name}\n" + report_csv(r) for r in reports]
-        return "\n".join(blocks)
-    return "\n".join(report_text(r, timing) for r in reports)
+        return json.dumps(tables[0] if len(tables) == 1 else tables, indent=2) + "\n"
+    if fmt == "csv" and len(tables) > 1:
+        return "\n".join(f"# spec: {t['name']}\n" + report_csv(t) for t in tables)
+    return "\n".join((report_csv if fmt == "csv" else report_text)(t) for t in tables)
+
+
+def _describe(spec: SubspaceSpec) -> dict:
+    """The catalog listing's field table for one spec."""
+    monomial = spec.gaps is not None
+    out = {
+        "name": spec.name,
+        "kind": "monomial" if monomial else "conditions",
+        "gaps": list(spec.gaps) if monomial else None,
+        "points": None if monomial else [rat_to_str(p) for p in spec.points],
+        "num_functionals": len(spec.functionals),
+        "conductor": str(spec.conductor),
+        "warnings": list(spec.warnings) or None,
+    }
+    return {key: val for key, val in out.items() if val is not None}
 
 
 def _render_catalog(fmt: str) -> str:
-    entries = [spec.describe() for spec in catalog()]
+    entries = [_describe(spec) for spec in catalog()]
     if fmt == "json":
         return json.dumps(entries, indent=2) + "\n"
     if fmt == "csv":
@@ -197,7 +284,7 @@ def run(argv: Sequence[str]) -> int:
             raise _Usage(f"{args.verb} is pinned to weight 1,1")
 
         if args.verb == "invariant" and weights and len(weights) > 1:
-            jobs = [(_weights_report, spec, weights, args.kmax) for spec in specs]
+            jobs = [(weights_report, spec, weights, args.kmax) for spec in specs]
         elif args.verb == "invariant":
             jobs = [(lm_invariant, spec, (weights or (W11,))[0], args.kmax) for spec in specs]
         elif args.verb == "relative":
@@ -217,7 +304,13 @@ def run(argv: Sequence[str]) -> int:
         return 2
 
     try:
-        reports = [_timed(*job) for job in jobs]
+        reports = []
+        for verb, *inputs in jobs:
+            t0 = time.perf_counter()
+            report = verb(*inputs)
+            if args.timing:
+                report = replace(report, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+            reports.append(report)
     except (NotStabilizedError, NonPolynomialError, NegativeChernError) as exc:
         print(f"lmtool: not stabilized: {exc}", file=sys.stderr)
         print("lmtool: raise --kmax and rerun", file=sys.stderr)
@@ -227,17 +320,17 @@ def run(argv: Sequence[str]) -> int:
         return 4
 
     try:
-        _emit(_render(reports, args.format, args.timing), args.out)
+        _emit(_render(reports, args.format), args.out)
     except OSError as exc:
         print(f"lmtool: error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
-    failed = [r for r in reports if not r.ok]
-    for r in failed:
-        bad = [k for k, v in r.verdicts.items() if not v]
-        print(f"lmtool: verdict failure for {r.name}: {', '.join(bad)}", file=sys.stderr)
+    failed = [report_fields(r) for r in reports if not r.ok]
+    for fields in failed:
+        bad = [k for k, v in fields["verdicts"].items() if not v]
+        print(f"lmtool: verdict failure for {fields['name']}: {', '.join(bad)}", file=sys.stderr)
         sequences = {
-            key: val for key, val in r.to_dict().items()
+            key: val for key, val in fields.items()
             if key in HILBERT_FIELDS or key == "p_by_weight"
         }
         for label, value in text_fields(sequences):

@@ -294,7 +294,6 @@ class _Tower:
         )
 
 
-_MIN_BUILD_K = 12
 _tower_cache: dict[tuple[SubspaceSpec, SubspaceSpec, Weight], _Tower] = {}
 
 
@@ -302,7 +301,7 @@ def _tower_for(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> 
     key = (src, dst, weight)
     tower = _tower_cache.get(key)
     if tower is None or tower.kmax < k:
-        tower = _Tower(src, dst, weight, max(k, _MIN_BUILD_K))
+        tower = _Tower(src, dst, weight, k)
         _tower_cache[key] = tower
     return tower
 

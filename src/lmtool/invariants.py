@@ -15,11 +15,13 @@ All fits require a run of exactly matching tail entries before they are
 trusted: two entries pin (shift, constant) and at least three more must
 confirm them, so a fit needs a window of five.  Anything shorter raises
 NotStabilized, which callers surface as "raise kmax".
+
+Every verb returns a frozen Report; this module renders nothing, and
+lmtool.cli turns reports into JSON, CSV and text.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
@@ -223,6 +225,16 @@ def weight_independence(
     )
 
 
+def weights_report(spec: SubspaceSpec, weights: Sequence[Weight], kmax: int = 12) -> Report:
+    """p_D at each of several weights, and whether they agree."""
+    res = weight_independence(spec, weights, kmax)
+    return Report(
+        name=spec.name, kmax=kmax, weight=weights[0], weights=tuple(weights),
+        p_by_weight=res.p_sequences, p_D=res.values[0][1],
+        verdicts={"weights": res.ok}, warnings=spec.warnings,
+    )
+
+
 def telescoping_check(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> bool:
     """Partial sums of graded-piece dimensions must reproduce the filtered
     codimension at every level: sum_{i<=k} (gr A_i - gr End_i) = dim A_k - dim End_k
@@ -238,18 +250,12 @@ def telescoping_check(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) 
 # reports
 # ---------------------------------------------------------------------------
 
-HILBERT_FIELDS = ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom")
-
-
-def _as_list(seq: tuple[int, ...] | None) -> list[int] | None:
-    return None if seq is None else list(seq)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Report:
-    """What every verb returns and every output format renders; optional
-    fields stay None when a verb does not compute them.  Verdicts are
-    recomputable from the embedded sequences."""
+    """What every verb returns; optional fields stay None when a verb does not
+    compute them, and ``lmtool.cli`` renders the rest.  Verdicts are
+    recomputable from the embedded sequences.  ``elapsed_ms`` is set by the
+    CLI under --timing only."""
 
     name: str
     kmax: int
@@ -269,38 +275,11 @@ class Report:
     dual_constant: int | None = None
     verdicts: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
-    elapsed_ms: float = 0.0
+    elapsed_ms: float | None = None
 
     @property
     def ok(self) -> bool:
         return all(self.verdicts.values())
-
-    def to_dict(self, timing: bool = False) -> dict:
-        """The ordered field table that every output format renders; fields
-        a verb did not compute are left out."""
-        n_1, n_2 = self.n_pair or (None, None)
-        out = {
-            "name": self.name,
-            "weight": list(self.weight.as_tuple()),
-            "kmax": self.kmax,
-            "weights": None if self.weights is None else [list(w.as_tuple()) for w in self.weights],
-            **{key: _as_list(getattr(self, key)) for key in HILBERT_FIELDS},
-            "p_by_weight": (None if self.p_by_weight is None
-                            else {str(w): list(p) for w, p in self.p_by_weight}),
-            "shift_a": self.shift_a,
-            "n": self.n,
-            "p_D": self.p_D,
-            "p_12": self.p_12,
-            "n_1": n_1,
-            "n_2": n_2,
-            "d_fit": None if self.d_fit is None else {"shift": self.d_fit[0], "constant": self.d_fit[1]},
-            "dual_constant": self.dual_constant,
-            "verdicts": dict(self.verdicts),
-            "ok": self.ok,
-            "warnings": list(self.warnings) or None,
-            "elapsed_ms": round(self.elapsed_ms, 3) if timing else None,
-        }
-        return {key: val for key, val in out.items() if val is not None}
 
 
 def verify_lm_chern(spec: SubspaceSpec, kmax: int = 12) -> Report:
@@ -349,58 +328,3 @@ def full_report(
         },
     )
 
-
-# -- serialization helpers ----------------------------------------------------
-
-def report_csv(report: Report) -> str:
-    """Hilbert table: k, dim_A, dim_M, dim_D, p_k.
-
-    Dual/hom sequences get their own column only when the standard module
-    and endomorphism columns are absent (dual and relative runs).  Without
-    an End sequence (multi-weight invariant runs) there is one "p(w1,w2)"
-    column per weight instead of p_k, quoted because the name has a comma.
-    """
-    present = [key for key in HILBERT_FIELDS if getattr(report, key) is not None]
-    shown = [key for key in present if key in HILBERT_FIELDS[:2]] or present
-    cols = [("dim_A", [dim_A(report.weight, k) for k in range(report.kmax + 1)])]
-    cols += [("dim_" + key.removeprefix("hilbert_"), getattr(report, key)) for key in shown]
-    if report.hilbert_D is not None:
-        cols.append(("p_k", [dim_A(report.weight, k) - d for k, d in enumerate(report.hilbert_D)]))
-    elif report.p_by_weight is not None:
-        cols += [(f'"p{w}"', p) for w, p in report.p_by_weight]
-    lines = [",".join(["k"] + [name for name, _ in cols])]
-    for k in range(report.kmax + 1):
-        lines.append(",".join([str(k)] + [str(vals[k]) for _, vals in cols]))
-    return "\n".join(lines) + "\n"
-
-
-# fields the text header already shows, or that text output never showed
-_TEXT_HIDDEN = ("name", "weight", "kmax", "weights", "d_fit", "n_2")
-
-
-def text_fields(fields: dict) -> list[tuple[str, str]]:
-    """(label, value) lines of a ``Report.to_dict()`` table, in its order, as
-    text output shows them: one line per weight for p_by_weight, n_2 on the
-    n_1 line, one line per warning, JSON for every other value."""
-    lines = []
-    for key, val in fields.items():
-        if key in _TEXT_HIDDEN:
-            continue
-        if key == "p_by_weight":
-            lines += [(f"p{w}", json.dumps(p)) for w, p in val.items()]
-        elif key == "n_1":
-            lines.append(("n_1", f"{val}  n_2: {fields['n_2']}"))
-        elif key == "verdicts":
-            if val:
-                lines.append(("verdicts", "  ".join(f"{k}={str(v).lower()}" for k, v in val.items())))
-        elif key == "warnings":
-            lines += [("warning", w) for w in val]
-        else:
-            lines.append((key, json.dumps(val)))
-    return lines
-
-
-def report_text(report: Report, timing: bool = False) -> str:
-    lines = [f"spec: {report.name}", f"kmax: {report.kmax}  weight: {report.weight}"]
-    lines += [f"{label}: {value}" for label, value in text_fields(report.to_dict(timing))]
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import perm
 from typing import Iterable, Sequence
 
-from .linalg import Poly, RowReducer, rat_from_str, rat_to_str
+from .linalg import Poly, RowReducer, rat_from_str
 
 
 class SpecError(ValueError):
@@ -187,20 +187,6 @@ class SubspaceSpec:
 
     def __hash__(self) -> int:
         return hash(self.functionals)
-
-    def describe(self) -> dict:
-        out: dict = {"name": self.name}
-        if self.gaps is not None:
-            out["kind"] = "monomial"
-            out["gaps"] = list(self.gaps)
-        else:
-            out["kind"] = "conditions"
-            out["points"] = [rat_to_str(p) for p in self.points]
-        out["num_functionals"] = len(self.functionals)
-        out["conductor"] = str(self.conductor)
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
-        return out
 
 
 def _complement_closed(gaps: Sequence[int]) -> bool:

@@ -60,6 +60,13 @@ VERB_SHA256 = {
     ("verify", "text"): "54f4fb8978ef373e379095e091ed68eb9691f8fdce5b5d3565f7741535d47035",
 }
 
+# sha256 of stdout of `lmtool catalog --format FMT`
+CATALOG_SHA256 = {
+    "json": "3f29fec7d23da2caf0e02dabc54b5a5a7a5827cc6c71fe1815725fe9b41cb2eb",
+    "csv": "cf21fbcd300504a6eb688ae0e1aa0eda97e64481a0719536c824ab51a542f2c9",
+    "text": "a1585de3dd47899348908ea849baaeaf773fb3b1909685fb5729d03a909984ca",
+}
+
 # two conditions specs with no point at 0: f'(1/2) = 0 and
 # 2f(1/2) - f^(3)(1/2)/3 = 0, then the same with f'(-1/3) = 0 added
 OFF_ZERO_HALF = [{"c": "1/2", "functionals": [
@@ -166,6 +173,13 @@ def test_catalog_verb(capsys):
     assert cusp_entry["gaps"] == [1]
 
 
+@pytest.mark.parametrize("fmt", sorted(CATALOG_SHA256))
+def test_catalog_digest(capsys, fmt):
+    code, out, err = run(capsys, "catalog", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[fmt]
+
+
 def test_invariant_multi_weight(capsys):
     code, out, _ = run(capsys, "invariant", "--spec", "cusp",
                        "--weights", "1,1;2,1")
@@ -215,6 +229,33 @@ def test_timing_measures_every_verb(capsys, verb):
     assert code == 0
     reports = json.loads(out)
     assert all(r["elapsed_ms"] > 0 for r in (reports if isinstance(reports, list) else [reports]))
+
+
+@pytest.mark.parametrize("verb,fmt", sorted(VERB_SHA256))
+def test_timing_adds_only_elapsed(capsys, verb, fmt):
+    # --timing leaves CSV as it is and adds only each report's elapsed_ms
+    # field (JSON) or line (text): with those taken out, the output is the pinned one
+    code, out, err = run(capsys, *VERB_ARGS[verb], "--kmax", "8", "--format", fmt, "--timing")
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        reports = json.loads(out)
+        for report in reports if isinstance(reports, list) else [reports]:
+            del report["elapsed_ms"]
+        out = json.dumps(reports, indent=2) + "\n"
+    elif fmt == "text":
+        lines = out.splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("elapsed_ms: ")]
+        assert len(lines) - len(kept) == (1 if verb == "relative" else VERB_ARGS[verb].count("--spec"))
+        out = "".join(kept)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERB_SHA256[verb, fmt]
+
+
+def test_towers_built_at_the_kmax_asked(capsys):
+    graded.clear_cache()
+    code, _, _ = run(capsys, "chern", "--spec", "cusp", "--kmax", "8")
+    assert code == 0
+    assert graded._tower_cache
+    assert {tower.kmax for tower in graded._tower_cache.values()} == {8}
 
 
 def test_out_writes_file(capsys, tmp_path, cusp_file):

@@ -1,6 +1,7 @@
 """Hilbert sequences, quadratic fits, and the integer invariants."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmtool.catalog import catalog, catalog_get
+from lmtool.cli import report_csv, report_fields, report_text
 from lmtool.invariants import (
     DEFAULT_WEIGHTS,
     W11,
@@ -26,8 +28,6 @@ from lmtool.invariants import (
     hilbert_seq,
     lm_invariant,
     relative_invariant,
-    report_csv,
-    report_text,
     telescoping_check,
     verify_lm_chern,
     weight_independence,
@@ -327,20 +327,20 @@ def test_full_report_verdict_keys():
 
 def test_report_dict_shape():
     r = full_report(catalog_get("cusp"), kmax=12)
-    d = r.to_dict()
+    d = report_fields(r)
     assert d["name"] == "cusp"
     assert d["weight"] == [1, 1]
     assert d["hilbert_M"] == [0, 0, 2, 5, 9, 14, 20, 27, 35, 44, 54, 65, 77]
     assert d["n"] == 1 and d["p_D"] == 2 and d["shift_a"] == -1
     assert d["ok"] is True
     assert "elapsed_ms" not in d
-    assert "elapsed_ms" in r.to_dict(timing=True)
+    assert "elapsed_ms" in report_fields(replace(r, elapsed_ms=1.0))
     json.dumps(d)  # serializable
 
 
 def test_report_verdicts_recomputable_from_sequences():
     r = full_report(catalog_get("gaps-1-2"))
-    d = r.to_dict()
+    d = report_fields(r)
     module_fit = fit_euler(seq(d["hilbert_M"]))
     assert d["verdicts"]["t2"] == (
         d["p_D"] == 2 * module_fit.constant
@@ -354,7 +354,7 @@ def test_report_verdicts_recomputable_from_sequences():
 
 def test_report_csv_columns():
     r = full_report(catalog_get("cusp"), kmax=6)
-    table = report_csv(r)
+    table = report_csv(report_fields(r))
     lines = table.strip().split("\n")
     assert lines[0] == "k,dim_A,dim_M,dim_D,p_k"
     assert len(lines) == 8
@@ -367,7 +367,7 @@ def test_report_csv_columns():
 
 
 def test_report_text_mentions_verdicts():
-    text = report_text(full_report(catalog_get("cusp")))
+    text = report_text(report_fields(full_report(catalog_get("cusp"))))
     assert "p_D: 2" in text
     assert "n: 1" in text
     assert "t2=true" in text
