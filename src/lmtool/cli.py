@@ -112,10 +112,6 @@ def _load_spec(token: str):
     raise SpecError(f"{token}: no such file and no built-in spec of that name")
 
 
-class _Usage(Exception):
-    pass
-
-
 # -- output: one ordered field table per report, rendered as JSON, CSV or text
 
 HILBERT_FIELDS = ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom")
@@ -271,17 +267,17 @@ def run(argv: Sequence[str]) -> int:
             return 0
 
         if args.kmax < 4:
-            raise _Usage("--kmax must be at least 4")
+            raise ValueError("--kmax must be at least 4")
         if args.kmax > KMAX_LIMIT:
-            raise _Usage(f"--kmax must be at most {KMAX_LIMIT}")
+            raise ValueError(f"--kmax must be at most {KMAX_LIMIT}")
         weights = None if args.weights is None else _parse_weights(args.weights)
         specs = [_load_spec(token) for token in args.spec]
         if args.verb in ("invariant", "chern", "dual") and not specs:
-            raise _Usage(f"{args.verb} needs at least one --spec")
+            raise ValueError(f"{args.verb} needs at least one --spec")
         if args.verb == "relative" and len(specs) != 2:
-            raise _Usage("relative needs exactly two --spec arguments")
+            raise ValueError("relative needs exactly two --spec arguments")
         if args.verb in ("chern", "relative", "dual") and weights and weights != (W11,):
-            raise _Usage(f"{args.verb} is pinned to weight 1,1")
+            raise ValueError(f"{args.verb} is pinned to weight 1,1")
 
         if args.verb == "invariant" and weights and len(weights) > 1:
             jobs = [(weights_report, spec, weights, args.kmax) for spec in specs]
@@ -294,12 +290,12 @@ def run(argv: Sequence[str]) -> int:
             jobs = [(verb, spec, args.kmax) for spec in specs]
         else:  # verify
             if weights is not None and len(weights) < 2:
-                raise _Usage("verify needs at least two weights")
+                raise ValueError("verify needs at least two weights")
             jobs = [
                 (full_report, spec, args.kmax, weights or DEFAULT_WEIGHTS)
                 for spec in specs or catalog()
             ]
-    except (_Usage, SpecError, ValueError) as exc:
+    except ValueError as exc:  # SpecError is a ValueError
         print(f"lmtool: error: {exc}", file=sys.stderr)
         return 2
 

@@ -211,7 +211,7 @@ class _Rows:
         from lo to d, multiplying by q*(x-c0) = p + q*t keeps it integral,
         and scaling column a by q^(a_top - a) gives every entry of a row the
         common factor q^a_top.  Each row is written as ``{column: value}`` of
-        its nonzero entries, the sparse form ``RowReducer`` keeps.
+        its nonzero entries, the one row format ``RowReducer`` takes.
         """
         w1, w2 = self.weight.w1, self.weight.w2
         p, q = offset.numerator, offset.denominator
@@ -324,7 +324,8 @@ def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> G
     n = dim_A(weight, k + weight.w1 * rows.g.degree())
     basis = tuple(
         QFraction(WeylEl(((j, b), c * cj)
-                         for (a, b), c in zip(rows.cols, vec) if c
+                         for i, c in vec.items()
+                         for a, b in [rows.cols[i]]
                          for j, cj in powers[a]), rows.g)
         for vec in rows.reducer.nullspace(n))
     return GradedPiece((src, dst), weight, k, len(basis), basis)

@@ -13,10 +13,11 @@ so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
 plain Gaussian elimination on integer-scaled rows with the pivot taken as the
 first nonzero entry in column order, which makes the reduced echelon form --
 and hence nullspace bases -- canonical for a given row space and column order.
-It stores each row sparsely, as ``{column: int}`` of its nonzero entries, and
-each elimination step touches only those: the rows the towers build are
-mostly zeros.  The steps and the pivots are those of dense elimination, so
-the echelon rows and the canonical form do not change with the storage.
+It has one row format: a row goes in, and the ``rref`` rows and ``nullspace``
+vectors come out, as ``{column: value}`` of the nonzero entries.  Each
+elimination step touches only those: the rows the towers build are mostly
+zeros.  The steps and the pivots are those of dense elimination, so the
+echelon rows and the canonical form do not change with the storage.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Terms:
     multiplies only by a scalar here; ``Poly`` adds its own product.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
     _vars: tuple[str, ...]
 
     def __init__(self, terms: Mapping | Iterable[tuple[object, Fraction | int]] = ()):
@@ -77,7 +78,6 @@ class Terms:
             elif key in t:
                 del t[key]
         self._terms = t
-        self._hash: int | None = None
 
     def _key(self, key: tuple[int, ...]) -> tuple[int, ...]:
         try:
@@ -128,9 +128,7 @@ class Terms:
         return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        return hash(tuple(sorted(self._terms.items())))
 
     def __str__(self) -> str:
         terms = {k if isinstance(k, tuple) else (k,): v for k, v in self._terms.items()}
@@ -162,16 +160,8 @@ class Poly(Terms):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(value: Fraction | int) -> "Poly":
-        return Poly({0: Fraction(value)})
-
-    @staticmethod
     def one() -> "Poly":
         return Poly({0: 1})
-
-    @staticmethod
-    def x(power: int = 1) -> "Poly":
-        return Poly({power: 1})
 
     # -- degree -------------------------------------------------------------
 
@@ -255,16 +245,18 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], j: int) -> dict[int, i
 class RowReducer:
     """Incremental Gaussian elimination over Q with canonical output.
 
-    Rows are stored sparsely, as ``{column: int}`` holding only the nonzero
-    entries, and rescaled to integers.  Both are pure speed matters: each
-    step does the arithmetic dense elimination would do on the nonzero
-    entries and skips only the zeros, the pivot is still the first nonzero
-    column, and scaling a row changes neither the row space nor that column.
+    A row is given as a mapping ``{column: value}``; a zero value is
+    dropped.  It is stored as ``{column: int}`` of the nonzero entries,
+    rescaled to integers.  Both are pure speed matters: each step does the
+    arithmetic dense elimination would do on the nonzero entries and skips
+    only the zeros, the pivot is still the first nonzero column, and scaling
+    a row changes neither the row space nor that column.
     So the echelon rows, the pivot set and the reduced echelon form are
     exactly those of fraction-preserving dense elimination.
 
     A reducer has no finalized state: rows may be added at any time, and
     ``rref`` and ``nullspace`` reduce the current rows afresh on each call.
+    They return ``{column: Fraction}`` of the nonzero entries, like the rows.
     """
 
     def __init__(self, ncols: int):
@@ -274,17 +266,13 @@ class RowReducer:
 
     # -- building -----------------------------------------------------------
 
-    def _to_int_row(self, entries: Mapping[int, Fraction | int] | Iterable[Fraction | int]) -> dict[int, int]:
+    def _to_int_row(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
         """A fresh ``{column: int}`` of the nonzero entries, scaled to integers."""
-        if isinstance(entries, Mapping):
-            if entries and (min(entries) < 0 or max(entries) >= self.ncols):
-                raise ValueError("row column out of range")
-            row = {t: v for t, v in entries.items() if v}
-        else:
-            dense = list(entries)
-            if len(dense) != self.ncols:
-                raise ValueError("row length mismatch")
-            row = {t: v for t, v in enumerate(dense) if v}
+        if not isinstance(entries, Mapping):
+            raise TypeError(f"a row is a {{column: value}} mapping, not {type(entries).__name__}")
+        if entries and (min(entries) < 0 or max(entries) >= self.ncols):
+            raise ValueError("row column out of range")
+        row = {t: v for t, v in entries.items() if v}
         # isinstance(v, Fraction) costs an ABC lookup for every int entry
         if all(type(v) is int for v in row.values()):
             return row
@@ -294,9 +282,9 @@ class RowReducer:
             for t, v in row.items()
         }
 
-    def add_row(self, entries: Mapping[int, Fraction | int] | Iterable[Fraction | int]) -> bool:
-        """Reduce a row, given densely or as ``{column: value}``, against the
-        current basis; returns True if rank grew."""
+    def add_row(self, entries: Mapping[int, Fraction | int]) -> bool:
+        """Reduce a row ``{column: value}`` against the current basis;
+        returns True if rank grew."""
         row = self._to_int_row(entries)
         while row:
             j = min(row)
@@ -322,8 +310,9 @@ class RowReducer:
 
     # -- canonical form ------------------------------------------------------
 
-    def rref(self) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-        """Reduced row echelon form: (pivot columns, dense rows with unit pivots)."""
+    def rref(self) -> tuple[tuple[int, ...], tuple[dict[int, Fraction], ...]]:
+        """Reduced row echelon form: (pivot columns, rows with unit pivots),
+        each row ``{column: Fraction}`` of its nonzero entries."""
         pivots = sorted(self._pivot_of)
         rows = [dict(self._rows[self._pivot_of[c]]) for c in pivots]
         for i in range(len(pivots) - 1, -1, -1):
@@ -331,19 +320,14 @@ class RowReducer:
             for t in range(i):
                 if pc in rows[t]:
                     rows[t] = _eliminate(rows[t], rows[i], pc)
-        zero = Fraction(0)
-        frac_rows = []
-        for pc, row in zip(pivots, rows):
-            dense = [zero] * self.ncols
-            for s, v in row.items():
-                dense[s] = Fraction(v, row[pc])
-            frac_rows.append(tuple(dense))
-        return tuple(pivots), tuple(frac_rows)
+        return tuple(pivots), tuple(
+            {s: Fraction(v, row[pc]) for s, v in row.items()} for pc, row in zip(pivots, rows))
 
-    def nullspace(self, ncols_prefix: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
-        """Canonical nullspace basis, one vector per free column in increasing
-        column order; restricting to a column prefix solves the truncated
-        system because each vector is supported on columns <= its free column.
+    def nullspace(self, ncols_prefix: int | None = None) -> tuple[dict[int, Fraction], ...]:
+        """Canonical nullspace basis, one vector ``{column: Fraction}`` per
+        free column in increasing column order; restricting to a column
+        prefix solves the truncated system because each vector ends at its
+        free column.
         """
         n = self.ncols if ncols_prefix is None else ncols_prefix
         pivots, rows = self.rref()
@@ -352,12 +336,12 @@ class RowReducer:
         for j in range(n):
             if j in pivot_set:
                 continue
-            vec = [Fraction(0)] * n
-            vec[j] = Fraction(1)
+            vec: dict[int, Fraction] = {}
             for pc, row in zip(pivots, rows):
-                if pc < j and row[j]:
+                if pc < j and j in row:
                     vec[pc] = -row[j]
-            basis.append(tuple(vec))
+            vec[j] = Fraction(1)
+            basis.append(vec)
         return tuple(basis)
 
 

@@ -72,13 +72,10 @@ def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functiona
         width = max(fn.order for fn in fns) + 1
         red = RowReducer(width)
         for fn in fns:
-            row = [Fraction(0)] * width
-            for order, coeff in fn.terms:
-                row[order] += coeff
-            red.add_row(row)
+            red.add_row(dict(fn.terms))
         _, rows = red.rref()
         for row in rows:
-            out.append(Functional(point, tuple((o, c) for o, c in enumerate(row) if c)))
+            out.append(Functional(point, tuple(row.items())))
     return tuple(out)
 
 
@@ -124,7 +121,7 @@ class SubspaceSpec:
         object.__setattr__(self, "top_orders", by_point)
         g = Poly.one()
         for point in sorted(by_point):
-            g = g * (Poly.x() - Poly.const(point)) ** (by_point[point] + 1)
+            g = g * Poly({0: -point, 1: 1}) ** (by_point[point] + 1)
         object.__setattr__(self, "conductor", g)
         deg = g.degree()
         derivs = {c: _monomial_derivatives(c, deg, order + 1) for c, order in by_point.items()}
@@ -139,8 +136,8 @@ class SubspaceSpec:
         red = RowReducer(deg)
         for fn in self.functionals:
             d = derivs[fn.point]
-            red.add_row([sum(coeff * d[i][o] for o, coeff in fn.terms) for i in range(deg)])
-        return tuple(Poly(dict(enumerate(vec))) for vec in red.nullspace())
+            red.add_row({i: sum(coeff * d[i][o] for o, coeff in fn.terms) for i in range(deg)})
+        return tuple(Poly(vec) for vec in red.nullspace())
 
     def _compute_local_basis(self, d: list[list[int]], m: int) -> tuple[int, ...]:
         """Indices of the low-basis vectors whose derivatives 0..m-1 at the
@@ -149,7 +146,7 @@ class SubspaceSpec:
         red = RowReducer(m)
         return tuple(
             i for i, v in enumerate(self.low_basis)
-            if red.add_row([sum(y * d[e][k] for e, y in v.items()) for k in range(m)]))
+            if red.add_row({k: sum(y * d[e][k] for e, y in v.items()) for k in range(m)}))
 
     # -- constructors ----------------------------------------------------------
 
@@ -202,7 +199,9 @@ CONDUCTOR_DEGREE_LIMIT = 64  # tower columns grow with deg(g); larger specs are 
 
 def _check_conductor_degree(degree: int) -> None:
     if degree > CONDUCTOR_DEGREE_LIMIT:
-        raise SpecError(f"conductor degree {degree} is above the limit of {CONDUCTOR_DEGREE_LIMIT}")
+        # str() refuses an int of over 4300 digits (sys.get_int_max_str_digits)
+        shown = degree if degree.bit_length() < 1000 else f"of {degree.bit_length()} bits"
+        raise SpecError(f"conductor degree {shown} is above the limit of {CONDUCTOR_DEGREE_LIMIT}")
 
 
 _TOP_KEYS = {"name", "kind", "gaps", "points"}
@@ -226,7 +225,9 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
+        # ValueError: a JSONDecodeError, or an integer literal of over 4300
+        # digits; RecursionError: nested too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise SpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SpecError("spec document must be a JSON object")

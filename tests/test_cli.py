@@ -28,6 +28,14 @@ CUSP_DOC = '{"kind": "monomial", "name": "cusp", "gaps": [1]}'
 CATALOG_KMAX12_SHA256 = "c9e878d29fa842d3ead699fe18d44bff9d59fde7bad7546780baff02760b1d14"
 # ... and of `lmtool verify --kmax 20`, the output the benchmark checks
 CATALOG_KMAX20_SHA256 = "b473bf4471b2dcf1bf45eb3f2ef42921ed94ff268cd8f613603c91e9e4505e9e"
+# sha256 of the stdout of deeper verify runs, keyed by their arguments
+DEEP_SHA256 = {
+    ("verify", "--kmax", "60"): "576b5076514fdbe3cafff4dd162f5e5535a638c5c0d2fd419fb372f450d1c7df",
+    ("verify", "--spec", "mixed", "--kmax", "120"):
+        "242eb22772c4206f6cbae34e81f10b362fd99645a24c50cd4086cff8b8251cd7",
+    ("verify", "--spec", "two-point", "--kmax", "120"):
+        "8dcfaffab7a344c240bcac68abb56f03f02e1790c8cd07e37c3473ec8cd181c3",
+}
 
 # sha256 of stdout for each verb and format at --kmax 8; a rendering change
 # that moves a single byte shows up here
@@ -279,6 +287,13 @@ def test_catalog_verify_kmax20_digest(capsys):
     code, out, _ = run(capsys, "verify", "--kmax", "20")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX20_SHA256
+
+
+@pytest.mark.parametrize("argv", sorted(DEEP_SHA256), ids=" ".join)
+def test_deep_verify_digest(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_SHA256[argv]
 
 
 def test_cached_towers_hold_no_reducer(capsys):

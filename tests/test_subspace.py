@@ -222,9 +222,68 @@ def test_parse_rejects_malformed_documents():
         json.dumps({"kind": "conditions",
                     "points": [{"c": 0, "functionals": [[]]}]}),
         "[1, 2]",
+        # integers of over 4300 digits, which int() and str() refuse
+        '{"kind": "monomial", "gaps": [' + "9" * 5000 + "]}",
+        {"kind": "monomial", "gaps": [10 ** 5000]},
     ):
         with pytest.raises(SpecError):
             parse_spec(bad)
+
+
+# JSON-shaped documents for parse_spec: objects with the keys it reads, each
+# value either of the kind it accepts or of any JSON type (bools, floats,
+# huge integers, "1/0"), objects with stray keys, and arbitrary JSON
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([10 ** 30, "1/0", "x", "", " 2 ", "1e3", "nan"]),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+orders = st.integers(min_value=0, max_value=4) | st.integers(min_value=-2, max_value=70) | json_scalars
+coeffs = st.sampled_from(["0", "1", "-3", "1/2", 2, -1]) | json_scalars
+names = st.text(max_size=3) | json_scalars
+
+
+def mostly(strategy):
+    """``strategy`` three times in four, else any JSON value."""
+    return st.one_of(strategy, strategy, strategy, json_values)
+
+
+def objects(required, optional=None):
+    """Objects with the ``required`` keys, some ``optional`` ones and
+    perhaps a stray key."""
+    stray = st.one_of(st.just({}), st.just({}), st.just({}),
+                      st.dictionaries(st.sampled_from(["extra", "weight"]), json_values, min_size=1, max_size=1))
+    return st.builds(lambda known, more: {**known, **more},
+                     st.fixed_dictionaries(required, optional=optional or {}), stray)
+
+
+def lists_of(strategy):
+    return mostly(st.lists(strategy, min_size=1, max_size=3) | st.just([]))
+
+
+terms = mostly(objects({"order": orders, "coeff": coeffs}))
+points = mostly(objects({"c": coeffs, "functionals": lists_of(lists_of(terms))}))
+json_documents = st.one_of(
+    objects({"kind": st.just("monomial"), "gaps": lists_of(orders)}, {"name": names}),
+    objects({"kind": st.just("conditions"), "points": lists_of(points)}, {"name": names}),
+    objects({}, {"kind": json_values, "name": names, "gaps": json_values, "points": json_values}),
+    json_values,
+)
+
+
+@given(json_documents, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parse_spec_returns_a_spec_or_raises_spec_error(doc, as_text):
+    try:
+        spec = parse_spec(json.dumps(doc) if as_text else doc)
+    except SpecError:
+        return
+    assert isinstance(spec, SubspaceSpec)
 
 
 def test_parse_round_trips_catalog_documents():
