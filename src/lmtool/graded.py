@@ -26,11 +26,15 @@ Taylor expansions), column (x - c0)^a d^b gets the jet of (x - c0)^a d^b F
 by b differentiations and a multiplications by x - c0 = (c - c0) + t.  The
 jet is kept as its nonzero terms: every jet of t^s is a single term, and so
 is the jet of v/g at 0 for a monomial v and g = x^m.  So the walk over b
-costs the nonzero terms, not the jet length, and at c = c0, where
-multiplying by x - c0 only raises exponents, the walk over a stops once
-nothing is left up to t^d.  Centring there gives every tower at least one
-point on this sparse walk; the others multiply a dense window by the
-smaller offset c - c0 instead of c.
+costs the nonzero terms, not the jet length: an order b reads only the
+window of exponents <= d, and while the least exponent lo is above d the
+walk takes lo - d derivatives at once, by the falling factorial.  At
+c = c0, where multiplying by x - c0 only raises exponents, column
+(x - c0)^a d^b reads window term t^e at t^(e+a), so each pair of a window
+term and a functional term fills one column, and the walk over a costs
+those pairs.  Centring there gives every tower at least one point on this
+sparse walk; the others multiply a dense window by the smaller offset
+c - c0 instead of c.
 
 Pole rows come once per independent principal part.  At c write
 v/g = P + R, with P the principal part (t^-m .. t^-1) and R regular at c.
@@ -85,7 +89,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm
 
 from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
@@ -133,13 +137,19 @@ def _series_quotient(num: list[Fraction], den: list[Fraction], top: int) -> list
     return out
 
 
+def _falling(e: int, k: int) -> int:
+    """The falling factorial e (e-1) ... (e-k+1): d^k t^e = _falling(e, k) t^(e-k).
+    It is zero for 0 <= e < k, and (-1)^k (-e)(-e+1) ... (-e+k-1) for e < 0."""
+    return perm(e, k) if e >= 0 else (-1) ** k * perm(k - e - 1, k)
+
+
 class _Rows:
     """The linear system of one (source, target, weight) up to kmax: its
     columns (x - c0)^a d^b in order and one ``RowReducer`` holding its rows,
     built point by point from Laurent jets (see the module docstring).  The
     cached ``_Tower`` keeps only its pivots; ``hom_piece`` reads the reducer."""
 
-    __slots__ = ("src", "dst", "weight", "g", "c0", "cols", "col_index", "reducer")
+    __slots__ = ("src", "dst", "weight", "g", "c0", "cols", "col_of", "reducer")
 
     def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
         self.src = src
@@ -149,7 +159,9 @@ class _Rows:
         self.c0 = min(src.points + dst.points, default=Fraction(0))
         k_u = kmax + weight.w1 * self.g.degree()
         self.cols = monomial_basis(weight, k_u)
-        self.col_index = {ab: i for i, ab in enumerate(self.cols)}
+        self.col_of = [[0] * ((k_u - b * weight.w2) // weight.w1 + 1) for b in range(k_u // weight.w2 + 1)]
+        for i, (a, b) in enumerate(self.cols):
+            self.col_of[b][a] = i  # the column of (x - c0)^a d^b
         self.reducer = RowReducer(len(self.cols))
         self._add_rows(k_u)
 
@@ -201,60 +213,73 @@ class _Rows:
         t^-(m+b) .. t^d.  Each negative exponent is a principal-part row that
         must vanish.  Each dst functional sum_o coeff_o f^(o)(c), given in
         ``reads`` as the pairs (o, coeff_o * o!) scaled to integers, gives
-        the row sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, so
-        the walk over b costs its nonzero terms and ends when the jet
-        vanishes; a b whose window (exponents <= d) is empty gives no entry.
-        Multiplying by x - c0 never lowers the least exponent lo of the
-        window.  At c = c0 it only raises every exponent by one, so
-        (x-c0)^a d^b F reads the window at e + a, and every column with
-        a > d - lo is zero.  At offset p/q != 0 the window is a dense list
-        from lo to d, multiplying by q*(x-c0) = p + q*t keeps it integral,
-        and scaling column a by q^(a_top - a) gives every entry of a row the
-        common factor q^a_top.  Each row is written as ``{column: value}`` of
-        its nonzero entries, the one row format ``RowReducer`` takes.
+        the row sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, and
+        the walk over b visits only the orders whose window (exponents <= d)
+        is nonempty: while the least exponent lo of the jet is above d, the
+        next lo - d orders read nothing, so it takes lo - d derivatives in
+        one step (see ``_falling``).  It ends when the jet vanishes or b
+        passes b_max.  Multiplying by x - c0 never lowers lo.  At c = c0 it
+        only raises every exponent by one, so (x-c0)^a d^b F reads the window
+        at e + a: window term (e, y) and functional term (o, cf) give cf*y
+        to column a = o - e, and y to pole row t^-(e+a) for each a < -e.  So
+        the walk over a costs the terms, and every a > d - lo is zero.  At
+        offset p/q != 0 the window is a dense list from lo to d, multiplying
+        by q*(x-c0) = p + q*t keeps it integral, and scaling column a by
+        q^(a_top - a) gives every entry of a row the common factor q^a_top.
+        Each row is written as ``{column: value}`` of its nonzero entries,
+        the one row format ``RowReducer`` takes.
         """
         w1, w2 = self.weight.w1, self.weight.w2
         p, q = offset.numerator, offset.denominator
-        a_top, b_max = k_u // w1, k_u // w2
-        col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
+        b_max = k_u // w2
+        if p:
+            a_top = k_u // w1
+            col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
         poles: list[dict[int, int]] = [{} for _ in range(m + b_max if m else 0)]  # poles[i]: t^-(i+1)
         values: list[dict[int, int]] = [{} for _ in reads]
-        for b in range(b_max + 1):
-            if b:
-                jet = {e - 1: e * y for e, y in jet.items() if e}
-                if not jet:
-                    break
-            window = {e: y for e, y in jet.items() if e <= d}
-            if not window:
-                continue
-            lo = min(window)
-            a_end = (k_u - b * w2) // w1 + 1
-            if p:
-                w = [window.get(e, 0) for e in range(lo, d + 1)]
-            else:  # c = c0: (x-c0)^a d^b F is zero up to t^d once a > d - lo
-                a_end = min(a_end, d - lo + 1)
-            for a in range(a_end):
-                idx = self.col_index[(a, b)]
+        b = 0
+        while jet:
+            lo = min(jet)
+            if lo > d:  # the orders b .. b + lo - d - 1 read nothing up to t^d
+                step = lo - d
+            else:
+                step = 1
+                col = self.col_of[b]
+                window = {e: y for e, y in jet.items() if e <= d}
                 if p:
-                    if a:
-                        w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
-                    s = col_scale[a]
-                    for i in range(-lo if m else 0):
-                        if w[i]:
-                            poles[-lo - 1 - i][idx] = s * w[i]
-                    for row, terms in zip(values, reads):
-                        v = sum(cf * w[o - lo] for o, cf in terms if o >= lo)
-                        if v:
-                            row[idx] = s * v
-                else:
+                    w = [window.get(e, 0) for e in range(lo, d + 1)]
+                    for a, idx in enumerate(col):
+                        if a:
+                            w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
+                        s = col_scale[a]
+                        for i in range(-lo if m else 0):
+                            if w[i]:
+                                poles[-lo - 1 - i][idx] = s * w[i]
+                        for row, terms in zip(values, reads):
+                            v = sum(cf * w[o - lo] for o, cf in terms if o >= lo)
+                            if v:
+                                row[idx] = s * v
+                else:  # c = c0: (x-c0)^a d^b F reads t^(e+a) of each term t^e
+                    a_end = len(col)
                     if m:
                         for e, y in window.items():
-                            if e + a < 0:
-                                poles[-e - a - 1][idx] = y
+                            for a in range(min(-e, a_end)):
+                                poles[-e - a - 1][col[a]] = y
                     for row, terms in zip(values, reads):
-                        v = sum(cf * window.get(o - a, 0) for o, cf in terms)
-                        if v:
-                            row[idx] = v
+                        for e, y in window.items():
+                            for o, cf in terms:
+                                if 0 <= o - e < a_end:
+                                    idx = col[o - e]
+                                    row[idx] = row.get(idx, 0) + cf * y
+            b += step
+            if b > b_max:
+                break
+            if step == 1:
+                jet = {e - 1: e * y for e, y in jet.items() if e}
+            else:
+                jet = {e - step: f * y for e, y in jet.items() if (f := _falling(e, step))}
+        if not p:  # at c = c0 the terms that meet in one column may cancel
+            values = [{i: v for i, v in row.items() if v} for row in values]
         for row in poles + values:
             if row:
                 self.reducer.add_row(row)

@@ -23,20 +23,28 @@ echelon rows and the canonical form do not change with the storage.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def rat_from_str(text: str | int) -> Fraction:
-    """Parse a rational written as ``p`` or ``p/q``; a bool is not a number."""
+    """Parse a rational written as ``p`` or ``p/q``, integer literals with
+    optional surrounding whitespace; a bool is not a number.  Decimal and
+    exponent forms are refused: a few bytes of "1e10000000" would build a
+    ten-million-digit integer."""
     if type(text) is int:
         return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    try:
+        if match:
+            return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:  # over 4300 digits, or q = 0
+        raise ValueError(f"not a rational: {text!r}") from exc
     raise ValueError(f"not a rational: {text!r}")
 
 

@@ -209,6 +209,12 @@ _POINT_KEYS = {"c", "functionals"}
 _TERM_KEYS = {"order", "coeff"}
 
 
+def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+    unknown = set(obj) - allowed
+    if unknown:  # a dict passed in, not JSON text, may have keys that are not str
+        raise SpecError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+
+
 def parse_spec(document: str | dict) -> SubspaceSpec:
     """Parse and validate a subspace spec document (JSON text or dict).
 
@@ -231,9 +237,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
             raise SpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SpecError("spec document must be a JSON object")
-    unknown = set(document) - _TOP_KEYS
-    if unknown:
-        raise SpecError(f"unknown keys in spec: {sorted(unknown)}")
+    _check_keys(document, _TOP_KEYS, "spec")
     kind = document.get("kind")
     if kind not in ("monomial", "conditions"):
         raise SpecError("spec 'kind' must be 'monomial' or 'conditions'")
@@ -263,9 +267,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
     for entry in points:
         if not isinstance(entry, dict):
             raise SpecError("each point must be an object")
-        unknown = set(entry) - _POINT_KEYS
-        if unknown:
-            raise SpecError(f"unknown keys in point: {sorted(unknown)}")
+        _check_keys(entry, _POINT_KEYS, "point")
         if "c" not in entry or "functionals" not in entry:
             raise SpecError("point needs 'c' and 'functionals'")
         try:
@@ -282,9 +284,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
             for term in fn_terms:
                 if not isinstance(term, dict):
                     raise SpecError("each term must be an object")
-                unknown = set(term) - _TERM_KEYS
-                if unknown:
-                    raise SpecError(f"unknown keys in term: {sorted(unknown)}")
+                _check_keys(term, _TERM_KEYS, "term")
                 if "order" not in term or "coeff" not in term:
                     raise SpecError("term needs 'order' and 'coeff'")
                 order = term["order"]

@@ -4,6 +4,8 @@
 "x^2 - 1/2*x + 3" or "x^2*d^2 + 4*x*d + 2" into package objects; the package
 itself only prints such sums, and never imports sympy.  ``in_subspace_sympy``
 tests membership in a subspace spec by evaluating its functionals in sympy.
+``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
+that uses the standard library alone.
 """
 
 from fractions import Fraction
@@ -61,3 +63,36 @@ def in_subspace_sympy(spec: SubspaceSpec, expr) -> bool:
         return False
     poly = sympy.expand(expr)
     return all(functional_sympy(fn, poly) == 0 for fn in spec.functionals)
+
+
+def gap_hom_dims(gaps1, gaps2, w1: int, w2: int, kmax: int, kmin: int = -1) -> list[int]:
+    """dim Hom_k(V1, V2) for k = kmin..kmax, V_i = span{x^s : s not in gaps_i}.
+
+    Let m = max(gaps1) + 1 (0 if gaps1 is empty), so the conductor of V1 is
+    x^m, and let top = k + w1*m.  Hom_k is {u o x^-m : wdeg u <= top,
+    u.(x^(s-m)) in V2 for s in S1}, S1 the non-gaps of V1.  With
+    n = s - m and n^(b) the falling factorial, x^a d^b x^n = n^(b) x^(n+e),
+    e = a - b.  So the columns of one e act on x^n as phi(n) x^(n+e), and
+    phi runs over the span of n^(b), b0 <= b <= b1, with b0 = max(0, -e)
+    (a >= 0) and b1 = floor((top - w1*e) / (w1 + w2)) (w1*a + w2*b <= top).
+    That span is n^(b0) times every polynomial of degree <= b1 - b0, and
+    the coefficients of u map onto it one to one.
+    V2 is spanned by monomials, so the conditions split by e: phi(z) = 0
+    at each z = s - m, s in S1, with z + e a gap of V2 or negative.  The
+    roots 0..b0-1 of n^(b0) meet that for free; the other nodes are
+    distinct points, so each takes one dimension off, down to zero:
+    dim Hom_k = sum over e of max(0, b1 - b0 + 1 - |nodes|).
+    """
+    m = max(gaps1, default=-1) + 1
+    dims = []
+    for k in range(kmin, kmax + 1):
+        top = k + w1 * m
+        dim = 0
+        for e in range(-(top // w2), top // w1 + 1) if top >= 0 else ():
+            b0, b1 = max(0, -e), (top - w1 * e) // (w1 + w2)
+            # s - m + e is negative for s < m - e, or a gap j for s = j + m - e
+            sources = [*range(m - e), *(j + m - e for j in gaps2)]
+            nodes = {s - m for s in sources if s >= 0 and s not in gaps1} - set(range(b0))
+            dim += max(0, b1 - b0 + 1 - len(nodes))
+        dims.append(dim)
+    return dims

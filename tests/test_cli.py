@@ -446,7 +446,10 @@ def test_kmax_above_bound_exits_2(capsys, monkeypatch):
                           '[[{"order": 40, "coeff": 1}]]}, {"c": 2, "functionals": '
                           '[[{"order": 24, "coeff": 1}, {"order": 30, "coeff": 0}]]}]}',
      "{path}: conductor degree 66 is above the limit of 64"),
-], ids=["huge-weight", "weight-100", "gap-5000", "two-point-66"])
+    (["chern", "--spec"], '{"kind": "conditions", "points": [{"c": "1", "functionals": '
+                          '[[{"order": 1, "coeff": "1e10000000"}]]}]}',
+     "{path}: not a rational: '1e10000000'"),
+], ids=["huge-weight", "weight-100", "gap-5000", "two-point-66", "exponent-coeff"])
 def test_runaway_input_exits_2_at_parse(capsys, tmp_path, argv, doc, message):
     if doc is not None:
         path = tmp_path / "runaway.json"

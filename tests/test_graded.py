@@ -13,9 +13,12 @@ The frozen fixtures below were computed by hand first and cross-checked by
 both oracles before being pinned.
 """
 
+import hashlib
+import importlib
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 import sympy
@@ -37,7 +40,7 @@ from lmtool.invariants import DEFAULT_WEIGHTS
 from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import SubspaceSpec, parse_spec
 from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis
-from reference import frac, functional_sympy, in_subspace_sympy, parse_weyl, poly_to_sympy
+from reference import frac, functional_sympy, gap_hom_dims, in_subspace_sympy, parse_weyl, poly_to_sympy
 
 X = sympy.Symbol("x")
 W11 = Weight(1, 1)
@@ -256,6 +259,38 @@ def test_cross_hom_dims_match_oracle(src, dst):
     assert ours == theirs
 
 
+# gap sets at 0 are built at the centre alone, so these check the c = c0
+# walk against the closed form, at every level from -1 to kmax
+gap_sets = st.lists(st.integers(min_value=0, max_value=8), max_size=5).map(lambda g: tuple(sorted(set(g))))
+gap_weights = st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
+gap_kmax = st.integers(min_value=0, max_value=30)
+
+
+def assert_gap_hom_dims(gaps1, gaps2, w, kmax):
+    src, dst = SubspaceSpec.from_gaps("src", gaps1), SubspaceSpec.from_gaps("dst", gaps2)
+    assert hom_dims(src, dst, Weight(*w), kmax, kmin=-1) == gap_hom_dims(gaps1, gaps2, *w, kmax)
+
+
+@given(gap_sets, gap_sets, gap_weights, gap_kmax)
+@settings(max_examples=100, deadline=None)
+def test_gap_set_hom_dims_match_closed_form(gaps1, gaps2, w, kmax):
+    assert_gap_hom_dims(gaps1, gaps2, w, kmax)
+
+
+@given(gap_sets, st.sampled_from(["module", "End", "dual"]), gap_weights, gap_kmax)
+@settings(max_examples=100, deadline=None)
+def test_gap_set_module_end_dual_match_closed_form(gaps, kind, w, kmax):
+    gaps1, gaps2 = {"module": ((), gaps), "End": (gaps, gaps), "dual": (gaps, ())}[kind]
+    assert_gap_hom_dims(gaps1, gaps2, w, kmax)
+
+
+def test_gap_set_closed_form_literals():
+    # the cusp C[x^2, x^3]: module, End and dual at (1,1), as pinned above
+    assert gap_hom_dims((), (1,), 1, 1, 5) == [0, 0, 0, 2, 5, 9, 14]
+    assert gap_hom_dims((1,), (1,), 1, 1, 5) == [0, 1, 1, 4, 8, 13, 19]
+    assert gap_hom_dims((1,), (), 1, 1, 5) == [0, 2, 5, 9, 14, 20, 27]
+
+
 # ---------------------------------------------------------------------------
 # action verification
 # ---------------------------------------------------------------------------
@@ -458,6 +493,49 @@ def test_pole_rows_once_per_principal_part(name, offered, full_offered, poles, f
     assert (n, jets) == (offered, poles)
     assert (full_n, full_jets) == (full_offered, full_poles)
     assert rows.reducer._rows == full_rows.reducer._rows
+
+
+# The rows offered to the reducer by the End, module and dual towers of the
+# catalog and of both benchmark sweep batches at seeds 1-3, at the four
+# default weights and kmax 12: their number and the sha256 of the sequence,
+# each row written as repr(sorted(row.items())).  Recorded from the builder
+# that differentiated once per order b and probed every column at c0; a
+# faster builder must offer exactly these rows, in this order.
+OFFERED_ROWS = 32018
+OFFERED_ROWS_SHA256 = "909d9bcca681caad8d8b0c6e189ccbf9f4eb6a28a3a425b8f95c1dc29f3e6ae7"
+
+
+def test_offered_rows_are_pinned(monkeypatch):
+    digest, offered = hashlib.sha256(), []
+
+    class RecordingReducer(RowReducer):
+        """Hashes the rows offered to it and reduces none of them."""
+
+        def add_row(self, entries):
+            offered.append(len(entries))
+            digest.update(repr(sorted(entries.items())).encode())
+            return True
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    specs = list(catalog()) + [spec for seed in (1, 2, 3)
+                               for sweep in (workloads.ConditionsSweep, workloads.MonomialDeep)
+                               for spec in sweep(seed).specs]
+    monkeypatch.setattr(graded, "RowReducer", RecordingReducer)
+    for spec in specs:
+        for weight in DEFAULT_WEIGHTS:
+            for src, dst in [(spec, spec), (TRIVIAL, spec), (spec, TRIVIAL)]:
+                graded._Rows(src, dst, weight, 12)
+    assert len(specs) == 67
+    assert (len(offered), digest.hexdigest()) == (OFFERED_ROWS, OFFERED_ROWS_SHA256)
+
+
+def test_falling_is_repeated_differentiation():
+    for e in range(-12, 13):
+        term = {e: 1}  # t^e as {exponent: coefficient}
+        for k in range(13):
+            assert graded._falling(e, k) == term.get(e - k, 0), (e, k)
+            term = {f - 1: f * y for f, y in term.items() if f}
 
 
 @given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))

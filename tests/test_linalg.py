@@ -1,5 +1,6 @@
 """Exact polynomial and row-reduction layer, checked against sympy."""
 
+import time
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -43,6 +44,21 @@ def test_rat_rejects_garbage():
         rat_from_str("1/0")
     with pytest.raises(ValueError):
         rat_from_str("x")
+
+
+def test_rat_accepts_only_integer_literals():
+    assert rat_from_str(" +12/8\n") == Fraction(3, 2)
+    assert rat_from_str("\t-0 ") == 0
+    assert rat_from_str(-4) == -4
+    t0 = time.perf_counter()
+    for text in ("2.5", "1e3", "1E3", "1e10000000", "1/2e3", ".5", "1_000", "3 / 4", "1/-2",
+                 "nan", "inf", "0x10", "", " ", "1/", "/2", "\u0661", "9" * 5000):
+        with pytest.raises(ValueError, match="not a rational"):
+            rat_from_str(text)
+    for value in (True, 2.5, None, Fraction(1, 2), b"1"):
+        with pytest.raises(ValueError, match="not a rational"):
+            rat_from_str(value)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- polynomials --------------------------------------------------------------

@@ -210,6 +210,19 @@ def test_parse_rejects_unknown_keys():
         }))
 
 
+def test_parse_rejects_keys_that_are_not_strings():
+    # a dict passed in, unlike JSON text, may carry keys of any type
+    term = {"order": 1, "coeff": "1"}
+    for bad, where in (
+        ({"kind": "monomial", "gaps": [], 1: 2, "x": 3}, "spec"),
+        ({"kind": "conditions", "points": [{"c": "0", "functionals": [[term]], None: 1}]}, "point"),
+        ({"kind": "conditions", "points": [{"c": "0", "functionals": [[{**term, (1,): 0, "y": 0}]]}]},
+         "term"),
+    ):
+        with pytest.raises(SpecError, match=f"unknown keys in {where}"):
+            parse_spec(bad)
+
+
 def test_parse_rejects_malformed_documents():
     for bad in (
         "not json",
