@@ -6,26 +6,40 @@ rank-one right ideals is modeled by operators with rational coefficients:
     Hom(V1, V2) = {p : p . V1 contained in V2},  p = u o g^{-1},
 
 where g is the conductor of V1, u runs over A, and p acts by p.f = u.(f/g).
-Writing V1 = span(low_basis) + g*C[x], membership is linear in the normal
-form coefficients of u, and every condition is local at a point c of V1 or
-V2 (below t = x - c):
+Membership is linear in the normal form coefficients of u, and every
+condition is local at a point c of V1 or V2 (below t = x - c):
 
   * u . C[x] in V2 -- a functional of order d at c reads the d-jet of u.f at
     c, and it is enough to check u.t^s for s <= d + b_max (b_max the largest
     d-order available): beyond that every term of u.t^s is divisible by
     t^(d+1);
-  * u . (v/g) is a polynomial lying in V2 for each low-basis v -- it has no
+  * u . (f/g) is a polynomial lying in V2 for each f in V1 -- it has no
     principal part at any root of g, and each functional of V2 at c reads
     its jet there.
 
+The second kind is read one root of g at a time.  Let c have order m in g
+and h = g/t^m, and write f/g = P + R, with P the principal part
+(t^-m .. t^-1) at c and R regular there.  P = t^-m (f/h mod t^m) depends
+only on the Taylor digits 0..m-1 of f at c, linearly; they lie in the local
+kernel K_c (``SubspaceSpec.local_kernel``), and P is P_w for w those
+digits, P_w = t^-m (w/h mod t^m).  Every column maps R to a function
+regular at c, so R gives no pole row, and its value rows at c read its
+digits up to t^(d + b_max) only: they are combinations of the rows of the
+t^s.  At any other point f/g is regular and the same holds.  Conversely,
+by the Chinese remainder theorem and Hermite interpolation, every w in K_c
+is the digits at c of some f in V1 of degree below deg g.  So the
+conditions at a root c are exactly the t^s rows and the rows of the m-term
+jet P_w for w in a basis of K_c, its pole rows and its value rows alike; a
+point that only V2 reads gives the t^s rows alone.
+
 Each tower writes u in the columns (x - c0)^a d^b, centred at c0, the
 least point of V1 and V2 (0 when there is none).  One routine writes both
-kinds of rows.  Given the Laurent jet at c of F = t^s or F = v/g
-(v/g = t^-m * v/h with m the order of g at c, by power-series division of
-Taylor expansions), column (x - c0)^a d^b gets the jet of (x - c0)^a d^b F
-by b differentiations and a multiplications by x - c0 = (c - c0) + t.  The
-jet is kept as its nonzero terms: every jet of t^s is a single term, and so
-is the jet of v/g at 0 for a monomial v and g = x^m.  So the walk over b
+kinds of rows.  Given the Laurent jet at c of F = t^s or F = P_w (by
+power-series division of w by the Taylor digits of h), column
+(x - c0)^a d^b gets the jet of (x - c0)^a d^b F by b differentiations and a
+multiplications by x - c0 = (c - c0) + t.  The jet is kept as its nonzero
+terms: every jet of t^s is a single term, and so is P_w at 0 for g = x^m
+and a w with one nonzero digit, as at a gap set.  So the walk over b
 costs the nonzero terms, not the jet length: an order b reads only the
 window of exponents <= d, and while the least exponent lo is above d the
 walk takes lo - d derivatives at once, by the falling factorial.  At
@@ -36,25 +50,12 @@ those pairs.  Centring there gives every tower at least one point on this
 sparse walk; the others multiply a dense window by the smaller offset
 c - c0 instead of c.
 
-Pole rows come once per independent principal part.  At c write
-v/g = P + R, with P the principal part (t^-m .. t^-1) and R regular at c.
-Every column maps R to a function regular at c, so the pole rows of v/g
-are those of P, and they are linear in P.  P is t^-m times the digits
-0..m-1 of v/h, h = g/t^m, and multiplying by 1/h is invertible mod t^m,
-so P is a linear, injective image of the Taylor digits 0..m-1 of v at c.
-``SubspaceSpec.local_basis`` lists the low-basis vectors whose digits are
-independent of those before them, and only these get pole rows; every v
-still gets its value rows, which read past the principal part.  The pole
-rows of any other v are combinations of pole rows offered before them, so
-the reducer would reduce each to zero and leave its state untouched: the
-echelon rows kept, hence the pivots, every dimension, ``gr_divisible`` and
-the canonical RREF, are exactly those of offering every row.
-
-The rows themselves are not canonical: a functional row reads the whole
-Laurent jet, which agrees with the functional applied to the polynomial
-u.(v/g) only where the pole rows hold.  What the conditions fix is the
-solution set, and the row space is its annihilator, so the canonical RREF
--- every dimension and basis -- does not depend on which rows encode them.
+The rows themselves are not canonical: a value row of P_w is a functional
+of the jet of u.P_w, not of a polynomial u.(f/g), and it is that only
+together with the t^s rows and where the pole rows hold.  What the
+conditions fix is the solution set, and the row space is its annihilator,
+so the pivots and the canonical RREF -- every dimension and basis -- do not
+depend on which rows encode them.
 
 Columns (monomials of u) are sorted by weighted degree, so the system for
 degree k is a column prefix of the system for k_max: one reduction yields
@@ -87,6 +88,7 @@ builds and reduces the rows of its level afresh on each call.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, perm
@@ -126,7 +128,7 @@ def _taylor(p: Poly, c: Fraction) -> list[Fraction]:
     return digits
 
 
-def _series_quotient(num: list[Fraction], den: list[Fraction], top: int) -> list[Fraction]:
+def _series_quotient(num: Sequence[Fraction], den: Sequence[Fraction], top: int) -> list[Fraction]:
     """Coefficients 0..top of the power series num/den, den[0] != 0."""
     out: list[Fraction] = []
     for n in range(top + 1):
@@ -169,11 +171,12 @@ class _Rows:
 
     def _add_rows(self, k_u: int) -> None:
         """At each point c of src or dst: the rows of F = (x-c)^s for
-        s <= d + b_max, then those of F = v/g for each low-basis v.  m is the
-        order of g at c and d the top order of a dst functional there (-1 if
-        none).  Only the v in ``src.local_basis`` at c get pole rows (see the
-        module docstring); every v gets value rows.  The jets are taken at c;
-        the columns multiply them by x - c0 = (c - c0) + t."""
+        s <= d + b_max, d the top order of a dst functional at c (-1, and
+        no such rows, if there is none), then, if c is a root of g, those of
+        F = P_w for each w in ``src.local_kernel[c]``: P_w = t^-m (w/h mod
+        t^m), m the order of g at c and h = g/t^m (see the module
+        docstring).  The jets are taken at c; the columns multiply them by
+        x - c0 = (c - c0) + t."""
         b_max = k_u // self.weight.w2
         src_order, dst_order = self.src.top_orders, self.dst.top_orders
         reads: dict[Fraction, list[list[tuple[int, int]]]] = {}
@@ -182,38 +185,32 @@ class _Rows:
             reads.setdefault(fn.point, []).append(
                 [(o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms])
         for c in sorted(src_order.keys() | dst_order.keys()):
-            m = src_order.get(c, -1) + 1
             d = dst_order.get(c, -1)
             fn_reads = reads.get(c, [])
             offset = c - self.c0
-            top = d + b_max  # highest jet exponent any column reads
-            for s in range(top + 1 if d >= 0 else 0):
-                self._add_jet_rows(offset, {s: 1}, 0, d, fn_reads, k_u)
-            if self.src.low_basis:
+            for s in range(d + b_max + 1 if d >= 0 else 0):
+                self._add_jet_rows(offset, {s: 1}, d, fn_reads, k_u)
+            if c in src_order:
+                m = src_order[c] + 1
                 h = _taylor(self.g, c)[m:]
-                carriers = self.src.local_basis.get(c, ())
-                for i, v in enumerate(self.src.low_basis):
-                    new = i in carriers  # a new principal part at c
-                    if not new and d < 0:
-                        continue  # neither pole nor value rows to write
-                    jet = _series_quotient(_taylor(v, c), h, top + m)
-                    den = lcm(*(y.denominator for y in jet))
-                    self._add_jet_rows(offset, {e - m: int(y * den) for e, y in enumerate(jet) if y},
-                                       m if new else 0, d, fn_reads, k_u)
+                for w in self.src.local_kernel[c]:
+                    part = _series_quotient(w, h, m - 1)
+                    den = lcm(*(y.denominator for y in part))
+                    self._add_jet_rows(offset, {e - m: int(y * den) for e, y in enumerate(part) if y},
+                                       d, fn_reads, k_u)
 
-    def _add_jet_rows(self, offset: Fraction, jet: dict[int, int], m: int, d: int,
+    def _add_jet_rows(self, offset: Fraction, jet: dict[int, int], d: int,
                       reads: list[list[tuple[int, int]]], k_u: int) -> None:
-        """Rows for one F given by its Laurent jet at a point c: the nonzero
-        coefficients of t^-m .. t^(d + b_max), t = x - c, as
-        ``{exponent: value}`` scaled to integers (a row is only defined up to
-        scale).  ``offset`` is c - c0, so x - c0 = offset + t.  m = 0 writes
-        no principal-part rows, even if the jet has a pole.
+        """Rows for one F given by its Laurent jet at a point c, t = x - c:
+        either t^s or a principal part P_w, as ``{exponent: value}`` of its
+        nonzero coefficients scaled to integers (a row is only defined up to
+        scale).  ``offset`` is c - c0, so x - c0 = offset + t.
 
-        Column (x-c0)^a d^b reads the jet w of (x-c0)^a d^b F on
-        t^-(m+b) .. t^d.  Each negative exponent is a principal-part row that
-        must vanish.  Each dst functional sum_o coeff_o f^(o)(c), given in
-        ``reads`` as the pairs (o, coeff_o * o!) scaled to integers, gives
-        the row sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, and
+        Column (x-c0)^a d^b reads the jet w of (x-c0)^a d^b F up to t^d.
+        Each negative exponent is a principal-part row that must vanish.
+        Each dst functional sum_o coeff_o f^(o)(c), given in ``reads`` as
+        the pairs (o, coeff_o * o!) scaled to integers, gives the row
+        sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, and
         the walk over b visits only the orders whose window (exponents <= d)
         is nonempty: while the least exponent lo of the jet is above d, the
         next lo - d orders read nothing, so it takes lo - d derivatives in
@@ -235,7 +232,9 @@ class _Rows:
         if p:
             a_top = k_u // w1
             col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
-        poles: list[dict[int, int]] = [{} for _ in range(m + b_max if m else 0)]  # poles[i]: t^-(i+1)
+        # poles[i] is the row of t^-(i+1); F has a pole of order depth if it is positive
+        depth = -min(jet)
+        poles: list[dict[int, int]] = [{} for _ in range(depth + b_max if depth > 0 else 0)]
         values: list[dict[int, int]] = [{} for _ in reads]
         b = 0
         while jet:
@@ -252,7 +251,7 @@ class _Rows:
                         if a:
                             w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
                         s = col_scale[a]
-                        for i in range(-lo if m else 0):
+                        for i in range(-lo):
                             if w[i]:
                                 poles[-lo - 1 - i][idx] = s * w[i]
                         for row, terms in zip(values, reads):
@@ -261,10 +260,9 @@ class _Rows:
                                 row[idx] = s * v
                 else:  # c = c0: (x-c0)^a d^b F reads t^(e+a) of each term t^e
                     a_end = len(col)
-                    if m:
-                        for e, y in window.items():
-                            for a in range(min(-e, a_end)):
-                                poles[-e - a - 1][col[a]] = y
+                    for e, y in window.items():
+                        for a in range(min(-e, a_end)):
+                            poles[-e - a - 1][col[a]] = y
                     for row, terms in zip(values, reads):
                         for e, y in window.items():
                             for o, cf in terms:

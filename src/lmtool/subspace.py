@@ -3,15 +3,15 @@
 A subspace spec describes V = {f in C[x] : l_1(f) = ... = l_m(f) = 0} where
 each functional has the shape l(f) = sum_e coeff_e * f^(e)(c) for a single
 rational point c.  Such V contain g*C[x] for the conductor polynomial
-g = prod_j (x - c_j)^(d_j + 1) (d_j the maximal derivative order used at c_j),
-so V = span(low_basis) + g*C[x] with low_basis a basis of the part of V of
-degree below deg g.  This finite data is everything the graded solvers need.
+g = prod_j (x - c_j)^(d_j + 1) (d_j the maximal derivative order used at c_j).
 
-Near a point c with m = d + 1 (d the top order there), the image of V in
-C[t]/t^m, t = x - c, is the kernel of the r functionals at c, of dimension
-m - r.  ``local_basis`` records, at each c, which low-basis vectors have
-Taylor digits 0..m-1 at c independent of those before them: exactly m - r
-of them, and every other vector's digits are a combination of theirs.
+Near a point c with m = d + 1 (d the top order there), the functionals at c
+read only the Taylor digits 0..m-1 of f in t = x - c, and the image of V in
+C[t]/t^m is their kernel K_c, of dimension m - r for r functionals at c.
+``local_kernel[c]`` is a basis of K_c, written as digits 0..m-1.  By the
+Chinese remainder theorem C[x]/g is the sum of the C[t]/t^m over the points,
+so V is exactly the f whose digits at every c lie in K_c, and the graded
+solvers read a source V through its conductor and these kernels alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import perm
+from math import factorial
 from typing import Iterable, Sequence
 
 from .linalg import Poly, RowReducer, rat_from_str
@@ -60,13 +60,17 @@ class Functional:
         return self.terms[-1][0]
 
 
-def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functional, ...]:
+def _normalize_functionals(
+        functionals: Iterable[Functional]) -> tuple[tuple[Functional, ...], dict[Fraction, tuple]]:
     """Canonical form: group by point, row-reduce each point's coefficient
-    matrix (deduplicates and drops dependent functionals), sort points."""
+    matrix (deduplicates and drops dependent functionals), sort points.
+    Also the local kernel at each point: the nullspace of the same matrix,
+    whose column o is f^(o)(c) = o! times Taylor digit o."""
     by_point: dict[Fraction, list[Functional]] = {}
     for fn in functionals:
         by_point.setdefault(fn.point, []).append(fn)
     out: list[Functional] = []
+    kernels: dict[Fraction, tuple] = {}
     for point in sorted(by_point):
         fns = by_point[point]
         width = max(fn.order for fn in fns) + 1
@@ -76,16 +80,9 @@ def _normalize_functionals(functionals: Iterable[Functional]) -> tuple[Functiona
         _, rows = red.rref()
         for row in rows:
             out.append(Functional(point, tuple(row.items())))
-    return tuple(out)
-
-
-def _monomial_derivatives(c: Fraction, deg: int, m: int) -> list[list[int]]:
-    """q^deg times the o-th derivative of x^i at c = p/q, for i < deg and
-    o < m: i!/(i-o)! p^(i-o) q^(deg-i+o), an integer.  Each row built from
-    these carries the common factor q^deg, which moves no rank or nullspace."""
-    p, q = c.numerator, c.denominator
-    return [[perm(i, o) * p ** (i - o) * q ** (deg - i + o) if o <= i else 0 for o in range(m)]
-            for i in range(deg)]
+        kernels[point] = tuple(tuple(Fraction(vec.get(o, 0), factorial(o)) for o in range(width))
+                               for vec in red.nullspace())
+    return tuple(out), kernels
 
 
 def _top_orders(functionals: Iterable[Functional]) -> dict[Fraction, int]:
@@ -99,7 +96,7 @@ def _top_orders(functionals: Iterable[Functional]) -> dict[Fraction, int]:
 
 @dataclass(frozen=True)
 class SubspaceSpec:
-    """Validated subspace description with derived conductor and low basis.
+    """Validated subspace description with derived conductor and local kernels.
 
     Equality and hashing use the normalized functionals only, so two specs
     defining the same subspace through different presentations compare equal.
@@ -110,43 +107,20 @@ class SubspaceSpec:
     gaps: tuple[int, ...] | None = None
     warnings: tuple[str, ...] = ()
     conductor: Poly = field(init=False)
-    low_basis: tuple[Poly, ...] = field(init=False)
     top_orders: dict[Fraction, int] = field(init=False)  # point -> top derivative order there
-    local_basis: dict[Fraction, tuple[int, ...]] = field(init=False)  # point -> low_basis indices
+    # point c -> a basis of K_c, each vector the Taylor digits 0..m-1 at c
+    local_kernel: dict[Fraction, tuple[tuple[Fraction, ...], ...]] = field(init=False)
 
     def __post_init__(self) -> None:
-        normalized = _normalize_functionals(self.functionals)
+        normalized, kernels = _normalize_functionals(self.functionals)
         object.__setattr__(self, "functionals", normalized)
+        object.__setattr__(self, "local_kernel", kernels)
         by_point = _top_orders(normalized)
         object.__setattr__(self, "top_orders", by_point)
         g = Poly.one()
         for point in sorted(by_point):
             g = g * Poly({0: -point, 1: 1}) ** (by_point[point] + 1)
         object.__setattr__(self, "conductor", g)
-        deg = g.degree()
-        derivs = {c: _monomial_derivatives(c, deg, order + 1) for c, order in by_point.items()}
-        object.__setattr__(self, "low_basis", self._compute_low_basis(derivs))
-        object.__setattr__(self, "local_basis", {
-            c: self._compute_local_basis(d, by_point[c] + 1) for c, d in derivs.items()})
-
-    def _compute_low_basis(self, derivs: dict[Fraction, list[list[int]]]) -> tuple[Poly, ...]:
-        deg = self.conductor.degree()
-        if deg == 0:
-            return ()
-        red = RowReducer(deg)
-        for fn in self.functionals:
-            d = derivs[fn.point]
-            red.add_row({i: sum(coeff * d[i][o] for o, coeff in fn.terms) for i in range(deg)})
-        return tuple(Poly(vec) for vec in red.nullspace())
-
-    def _compute_local_basis(self, d: list[list[int]], m: int) -> tuple[int, ...]:
-        """Indices of the low-basis vectors whose derivatives 0..m-1 at the
-        point of ``d`` -- their Taylor digits times k! -- are independent of
-        those of the vectors before them."""
-        red = RowReducer(m)
-        return tuple(
-            i for i, v in enumerate(self.low_basis)
-            if red.add_row({k: sum(y * d[e][k] for e, y in v.items()) for k in range(m)}))
 
     # -- constructors ----------------------------------------------------------
 

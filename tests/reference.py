@@ -3,7 +3,9 @@
 ``parse_poly`` and ``parse_weyl`` turn written literals such as
 "x^2 - 1/2*x + 3" or "x^2*d^2 + 4*x*d + 2" into package objects; the package
 itself only prints such sums, and never imports sympy.  ``in_subspace_sympy``
-tests membership in a subspace spec by evaluating its functionals in sympy.
+tests membership in a subspace spec by evaluating its functionals in sympy,
+and ``low_basis_sympy`` is a basis of the part of a spec below its conductor's
+degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
 that uses the standard library alone.
 """
@@ -63,6 +65,17 @@ def in_subspace_sympy(spec: SubspaceSpec, expr) -> bool:
         return False
     poly = sympy.expand(expr)
     return all(functional_sympy(fn, poly) == 0 for fn in spec.functionals)
+
+
+def low_basis_sympy(spec: SubspaceSpec) -> tuple:
+    """A basis of {f in V : deg f < deg g}, g the conductor of V, as sympy
+    expressions in x: the nullspace of the functionals on 1, x, ..., x^(deg g - 1).
+    With g*C[x] it spans V."""
+    deg = spec.conductor.degree()
+    if not spec.functionals or not deg:
+        return ()
+    mat = sympy.Matrix([[functional_sympy(fn, X ** i) for i in range(deg)] for fn in spec.functionals])
+    return tuple(sympy.expand(sum(y * X ** i for i, y in enumerate(vec))) for vec in mat.nullspace())
 
 
 def gap_hom_dims(gaps1, gaps2, w1: int, w2: int, kmax: int, kmin: int = -1) -> list[int]:

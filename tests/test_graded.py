@@ -6,8 +6,9 @@ Two independent oracles guard this layer:
     rational-function arithmetic and must genuinely map the source subspace
     into the target;
   * a dimension oracle -- the same linear system is rebuilt from scratch with
-    sympy (symbolic differentiation, polynomial division by g^(b_max+1),
-    sympy's own rank), and the nullity must match the package's dimension.
+    sympy (a low basis of V1 from sympy's nullspace, symbolic
+    differentiation, polynomial division by g^(b_max+1), sympy's own rank),
+    and the nullity must match the package's dimension.
 
 The frozen fixtures below were computed by hand first and cross-checked by
 both oracles before being pinned.
@@ -15,7 +16,6 @@ both oracles before being pinned.
 
 import hashlib
 import importlib
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -24,6 +24,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from lmtool import graded
 from lmtool.catalog import catalog, catalog_get
@@ -37,10 +39,18 @@ from lmtool.graded import (
     module_dims,
 )
 from lmtool.invariants import DEFAULT_WEIGHTS
-from lmtool.linalg import Poly, RowReducer
+from lmtool.linalg import RowReducer
 from lmtool.subspace import SubspaceSpec, parse_spec
 from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis
-from reference import frac, functional_sympy, gap_hom_dims, in_subspace_sympy, parse_weyl, poly_to_sympy
+from reference import (
+    frac,
+    functional_sympy,
+    gap_hom_dims,
+    in_subspace_sympy,
+    low_basis_sympy,
+    parse_weyl,
+    poly_to_sympy,
+)
 
 X = sympy.Symbol("x")
 W11 = Weight(1, 1)
@@ -61,62 +71,62 @@ def apply_u_sympy(u, fexpr):
 # independent dimension oracle
 # ---------------------------------------------------------------------------
 
+def _functional_poly(fn, p: sympy.Poly):
+    """The functional applied to a sympy Poly in x."""
+    return sum((frac(coeff) * p.diff((X, o)).eval(frac(fn.point)) for o, coeff in fn.terms),
+               sympy.Integer(0))
+
+
 @cache
-def _cleared_derivative(src: SubspaceSpec, v: Poly, b: int) -> sympy.Poly:
-    """g^(b+1) d^b(v/g) for the conductor g of src: a polynomial, since
-    d^b(v/g) has denominator g^(b+1).  Cached because every k asks again;
-    each b differentiates d^(b-1)(v/g) once more."""
+def _cleared_derivative(src: SubspaceSpec, v, b: int) -> sympy.Poly:
+    """N_b = g^(b+1) d^b(v/g) for the conductor g of src and a sympy
+    polynomial v: a polynomial, since d^b(v/g) has denominator g^(b+1), and
+    differentiating N_b / g^(b+1) gives N_(b+1) = N_b' g - (b+1) N_b g'.
+    Cached because every k asks again."""
     if b == 0:
-        return sympy.Poly(poly_to_sympy(v), X)
-    g = poly_to_sympy(src.conductor)
-    prev = _cleared_derivative(src, v, b - 1).as_expr() / g ** b  # d^(b-1)(v/g)
-    return sympy.Poly(sympy.expand(sympy.cancel(sympy.diff(prev, X) * g ** (b + 1))), X)
+        return sympy.Poly(v, X)
+    g = sympy.Poly(poly_to_sympy(src.conductor), X)
+    prev = _cleared_derivative(src, v, b - 1)
+    return prev.diff(X) * g - b * prev * g.diff(X)
 
 
 def oracle_hom_dim(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> int:
     """dim of {u o g^-1 : wdeg <= k, u.(V1/g) in V2} rebuilt with sympy only."""
-    g = poly_to_sympy(src.conductor)
+    g = sympy.Poly(poly_to_sympy(src.conductor), X)
     gdeg = src.conductor.degree()
     cols = monomial_basis(weight, k + weight.w1 * gdeg)
     if not cols:
         return 0
     b_max = max(b for _, b in cols)
-    modulus = sympy.Poly(g ** (b_max + 1), X)
+    modulus = g ** (b_max + 1)
     rows = []
 
     # u . C[x] in V2, tested on (x-c)^s per functional
     for fn in dst.functionals:
         for s in range(fn.order + b_max + 1):
-            f = (X - frac(fn.point)) ** s
-            row = [functional_sympy(fn, sympy.expand(X ** a * sympy.diff(f, X, b)))
-                   for a, b in cols]
-            rows.append(row)
+            f = sympy.Poly((X - frac(fn.point)) ** s, X)
+            rows.append([_functional_poly(fn, sympy.Poly(X ** a, X) * f.diff((X, b))) for a, b in cols])
 
     # u . (v/g) polynomial and in V2, for each low-basis v
-    for v in src.low_basis:
+    for v in low_basis_sympy(src):
         # g^(b_max+1) d^b(v/g) is a polynomial; x^a times it is the numerator
         # of x^a d^b (v/g)
-        cleared = {
-            b: _cleared_derivative(src, v, b) * sympy.Poly(g ** (b_max - b), X)
-            for b in {b for _, b in cols}
-        }
+        cleared = {b: _cleared_derivative(src, v, b) * g ** (b_max - b) for b in {b for _, b in cols}}
         rem_rows = [[] for _ in range(modulus.degree())]
         fn_rows = [[] for _ in dst.functionals]
         for a, b in cols:
-            numerator = sympy.Poly(X ** a, X) * cleared[b]
-            quo, rem = sympy.div(numerator, modulus)
+            quo, rem = sympy.div(sympy.Poly(X ** a, X) * cleared[b], modulus)
             rem_coeffs = rem.all_coeffs()[::-1] if not rem.is_zero else []
             for e in range(modulus.degree()):
                 rem_rows[e].append(rem_coeffs[e] if e < len(rem_coeffs) else sympy.Integer(0))
             for i, fn in enumerate(dst.functionals):
-                fn_rows[i].append(functional_sympy(fn, quo.as_expr()))
+                fn_rows[i].append(_functional_poly(fn, quo))
         rows.extend(rem_rows)
         rows.extend(fn_rows)
 
     if not rows:
         return len(cols)
-    mat = sympy.Matrix(rows)
-    return len(cols) - mat.rank()
+    return len(cols) - DomainMatrix.from_list_sympy(len(rows), len(cols), rows).convert_to(QQ).rank()
 
 
 def oracle_module_dim(spec: SubspaceSpec, weight: Weight, k: int) -> int:
@@ -346,8 +356,8 @@ def test_hom_basis_maps_source_into_target(src, dst, weight, k):
         for j in range(b_top + d_top + 2):
             assert in_subspace_sympy(d, apply_u_sympy(q.u, X ** j)), (str(q.u), "tail", j)
         # on the low basis the pole must genuinely cancel
-        for v in s.low_basis:
-            image = apply_u_sympy(q.u, poly_to_sympy(v) / g)
+        for v in low_basis_sympy(s):
+            image = apply_u_sympy(q.u, v / g)
             assert in_subspace_sympy(d, image), (str(q.u), str(v))
 
 
@@ -383,18 +393,19 @@ TRANSLATION_POINTS = ["1", "-1", "1/2", "-2/3", "2"]
 
 
 @st.composite
-def condition_points(draw):
+def condition_points(draw, max_off_zero: int = 2, max_order: int = 2):
     """The points of a conditions spec, as (c, functionals) with each
-    functional a list of (order, coeff): 1-3 points, 0 among them at least
-    half the time, one or two functionals of order <= 2 at each."""
-    points = draw(st.lists(st.sampled_from(TRANSLATION_POINTS), max_size=2, unique=True))
+    functional a list of (order, coeff): up to max_off_zero points other
+    than 0, and 0 too at least half the time (always if there is no other),
+    one or two functionals of order <= max_order at each."""
+    points = draw(st.lists(st.sampled_from(TRANSLATION_POINTS), max_size=max_off_zero, unique=True))
     if not points or draw(st.booleans()):
         points.append("0")
     out = []
     for c in points:
         fns = []
         for _ in range(draw(st.integers(min_value=1, max_value=2))):
-            coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3))
+            coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=max_order + 1))
             if not any(coeffs):
                 coeffs[-1] = 1
             fns.append([(o, v) for o, v in enumerate(coeffs) if v])
@@ -440,69 +451,61 @@ def test_dimensions_are_translation_invariant(points1, points2, t, s):
                 [t2.gr_divisible(k) for k in range(kmax + 1)], weight
 
 
-class CountingReducer(RowReducer):
-    """A RowReducer that counts the rows offered to it."""
-
-    def __init__(self, ncols):
-        super().__init__(ncols)
-        self.offered = 0
-
-    def add_row(self, entries):
-        self.offered += 1
-        return super().add_row(entries)
-
-
-def with_every_pole(spec: SubspaceSpec) -> SubspaceSpec:
-    """A copy of spec whose every low-basis vector gets pole rows at every point."""
-    full = SubspaceSpec.from_functionals(spec.name, spec.functionals)
-    object.__setattr__(full, "local_basis", {c: tuple(range(len(full.low_basis))) for c in full.points})
-    return full
+@given(condition_points(max_off_zero=1, max_order=1), condition_points(max_off_zero=1, max_order=1),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_off_zero_hom_dims_match_oracle(points1, points2, k):
+    # End and cross hom of conditions specs, most with a point off 0,
+    # against the sympy rebuild, which reads V1 through a low basis of the
+    # whole of it rather than one root of g at a time; conductors of degree
+    # <= 4 keep the oracle within about a second for all examples
+    v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
+    for src, dst in [(v1, v1), (v1, v2)]:
+        assert hom_dims(src, dst, W11, k, kmin=k) == [oracle_hom_dim(src, dst, W11, k)], (src, dst)
 
 
-def build_counted(src, dst, weight, kmax):
-    """A fresh tower's rows, the number offered, and its pole-carrying jets
-    per point."""
-    poles = Counter()
-    add_jet_rows = graded._Rows._add_jet_rows
-
-    def spy(rows, offset, jet, m, *rest):
-        if m:
-            poles[rows.c0 + offset] += 1
-        return add_jet_rows(rows, offset, jet, m, *rest)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graded, "RowReducer", CountingReducer)
-        mp.setattr(graded._Rows, "_add_jet_rows", spy)
-        rows = graded._Rows(src, dst, weight, kmax)
-    return rows, rows.reducer.offered, dict(poles)
+def pinned_specs(monkeypatch) -> list[SubspaceSpec]:
+    """The catalog and both benchmark sweep batches at seeds 1-3: 67 specs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    specs = list(catalog()) + [spec for seed in (1, 2, 3)
+                               for sweep in (workloads.ConditionsSweep, workloads.MonomialDeep)
+                               for spec in sweep(seed).specs]
+    assert len(specs) == 67
+    return specs
 
 
-@pytest.mark.parametrize("name,offered,full_offered,poles,full_poles", [
-    ("two-point", 76, 94, {0: 1, 1: 1}, {0: 2, 1: 2}),
-    ("mixed", 103, 160, {0: 2, 1: 1}, {0: 3, 1: 3}),
-])
-def test_pole_rows_once_per_principal_part(name, offered, full_offered, poles, full_poles):
-    # End at weight (1,1), kmax 12: only the low-basis vectors of
-    # spec.local_basis get pole rows, m_c - r_c of them at each point c, and
-    # the tower keeps exactly the echelon rows it keeps when every vector
-    # gets them
-    spec = catalog_get(name)
-    full = with_every_pole(spec)
-    rows, n, jets = build_counted(spec, spec, W11, 12)
-    full_rows, full_n, full_jets = build_counted(full, full, W11, 12)
-    assert (n, jets) == (offered, poles)
-    assert (full_n, full_jets) == (full_offered, full_poles)
-    assert rows.reducer._rows == full_rows.reducer._rows
+def pinned_towers(specs):
+    """The (src, dst, weight) of every End, module and dual tower of specs at
+    the four default weights."""
+    return [(src, dst, weight) for spec in specs for weight in DEFAULT_WEIGHTS
+            for src, dst in [(spec, spec), (TRIVIAL, spec), (spec, TRIVIAL)]]
 
 
-# The rows offered to the reducer by the End, module and dual towers of the
-# catalog and of both benchmark sweep batches at seeds 1-3, at the four
-# default weights and kmax 12: their number and the sha256 of the sequence,
-# each row written as repr(sorted(row.items())).  Recorded from the builder
-# that differentiated once per order b and probed every column at c0; a
-# faster builder must offer exactly these rows, in this order.
-OFFERED_ROWS = 32018
-OFFERED_ROWS_SHA256 = "909d9bcca681caad8d8b0c6e189ccbf9f4eb6a28a3a425b8f95c1dc29f3e6ae7"
+# What the engine reads of each pinned tower at kmax 12: the sha256 of its
+# pivot columns and canonical RREF, written as repr((pivot_cols(), rref
+# pivots, rref rows as sorted items)).  Neither depends on which rows encode
+# the conditions or in what order they are offered, so any change to the
+# row builder must keep this digest.
+ECHELON_SHA256 = "54e49cdd7fdf9d91e43df3c1aac53253f78ce9c27def8517969e22fb198fe48a"
+
+
+def test_pivots_and_rref_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    for src, dst, weight in pinned_towers(pinned_specs(monkeypatch)):
+        reducer = graded._Rows(src, dst, weight, 12).reducer
+        pivots, rows = reducer.rref()
+        digest.update(repr((reducer.pivot_cols(), pivots, [sorted(r.items()) for r in rows])).encode())
+    assert digest.hexdigest() == ECHELON_SHA256
+
+
+# The rows offered to the reducer by the pinned towers at kmax 12: their
+# number and the sha256 of the sequence, each row written as
+# repr(sorted(row.items())).  Recorded from the builder that writes, at each
+# root of g, the rows of the principal parts P_w of a basis of the local
+# kernel; a faster builder must offer exactly these rows, in this order.
+OFFERED_ROWS = 31522
+OFFERED_ROWS_SHA256 = "5e75e3571e50081ce6d41596c72adc520cc180727c3614fde6df9469786ca17d"
 
 
 def test_offered_rows_are_pinned(monkeypatch):
@@ -516,17 +519,10 @@ def test_offered_rows_are_pinned(monkeypatch):
             digest.update(repr(sorted(entries.items())).encode())
             return True
 
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    workloads = importlib.import_module("workloads")
-    specs = list(catalog()) + [spec for seed in (1, 2, 3)
-                               for sweep in (workloads.ConditionsSweep, workloads.MonomialDeep)
-                               for spec in sweep(seed).specs]
+    towers = pinned_towers(pinned_specs(monkeypatch))
     monkeypatch.setattr(graded, "RowReducer", RecordingReducer)
-    for spec in specs:
-        for weight in DEFAULT_WEIGHTS:
-            for src, dst in [(spec, spec), (TRIVIAL, spec), (spec, TRIVIAL)]:
-                graded._Rows(src, dst, weight, 12)
-    assert len(specs) == 67
+    for src, dst, weight in towers:
+        graded._Rows(src, dst, weight, 12)
     assert (len(offered), digest.hexdigest()) == (OFFERED_ROWS, OFFERED_ROWS_SHA256)
 
 
@@ -536,18 +532,6 @@ def test_falling_is_repeated_differentiation():
         for k in range(13):
             assert graded._falling(e, k) == term.get(e - k, 0), (e, k)
             term = {f - 1: f * y for f, y in term.items() if f}
-
-
-@given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))
-@settings(max_examples=25, deadline=None)
-def test_pole_rows_of_old_principal_parts_reduce_to_zero(points1, points2, weight):
-    # rows, not just the row space: each skipped pole row is a combination
-    # of pole rows offered before it, so the reducer never kept it
-    v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
-    for src, dst in [(v1, v1), (v1, v2)]:
-        rows = graded._Rows(src, dst, weight, 8)
-        full = graded._Rows(with_every_pole(src), dst, weight, 8)
-        assert rows.reducer._rows == full.reducer._rows
 
 
 @given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))

@@ -1,4 +1,4 @@
-"""Condition subspaces: functionals, conductors, low bases, and the JSON parser."""
+"""Condition subspaces: functionals, conductors, local kernels, and the JSON parser."""
 
 import json
 import re
@@ -17,7 +17,7 @@ from lmtool.subspace import (
     SubspaceSpec,
     parse_spec,
 )
-from reference import in_subspace_sympy, parse_poly, poly_to_sympy
+from reference import functional_sympy, in_subspace_sympy, parse_poly, poly_to_sympy
 
 X = sympy.Symbol("x")
 
@@ -58,14 +58,14 @@ def test_functional_rejects_empty_and_negative():
 def test_trivial_spec():
     triv = SubspaceSpec.trivial()
     assert triv.conductor == Poly.one()
-    assert triv.low_basis == ()
+    assert triv.local_kernel == {}
     assert in_subspace_sympy(triv, poly_to_sympy(parse_poly("x^5 - 3")))
 
 
 def test_cusp_spec_structure():
     cusp = SubspaceSpec.from_gaps("cusp", [1])
     assert cusp.conductor == parse_poly("x^2")
-    assert [str(p) for p in cusp.low_basis] == ["1"]
+    assert cusp.local_kernel == {0: ((1, 0),)}  # f'(0) = 0: digit 0 free, digit 1 zero
     assert in_subspace_sympy(cusp, poly_to_sympy(parse_poly("x^2 + 7")))
     assert not in_subspace_sympy(cusp, poly_to_sympy(parse_poly("x")))
     assert cusp.warnings == ()
@@ -78,51 +78,43 @@ def test_two_point_spec_structure():
          Functional(Fraction(1), ((1, Fraction(1)),))],
     )
     assert spec.conductor == parse_poly("x^2") * parse_poly("x^2 - 2*x + 1")
-    assert len(spec.low_basis) == 2
-    for p in spec.low_basis:
-        assert in_subspace_sympy(spec, poly_to_sympy(p))
+    # f'(0) = f'(1) = 0: at each point digit 0 is free and digit 1 is zero
+    assert spec.local_kernel == {0: ((1, 0),), 1: ((1, 0),)}
 
 
-def test_low_basis_spans_the_low_part():
-    # dim of V among polynomials of degree < deg g is deg g - #conditions
-    spec = SubspaceSpec.from_gaps("g13", [1, 3])
-    assert spec.conductor == parse_poly("x^4")
-    assert len(spec.low_basis) == 2
-    assert {str(p) for p in spec.low_basis} == {"1", "x^2"}
-
-
-def assert_local_basis(spec: SubspaceSpec) -> None:
+def assert_local_kernel(spec: SubspaceSpec) -> None:
     """At each point c, with m = top order + 1 and r functionals there,
-    ``local_basis`` holds exactly m - r low-basis indices: those whose Taylor
-    digits 0..m-1 at c (here by sympy) raise the rank of the digits of the
-    vectors before them."""
-    assert set(spec.local_basis) == set(spec.points)
+    ``local_kernel[c]``, a local basis of V at c, holds m - r vectors of m
+    Taylor digits at c, each killed by every functional at c (applied by
+    sympy to the polynomial sum_k w_k (x - c)^k), and independent."""
+    assert set(spec.local_kernel) == set(spec.points)
     for c in spec.points:
         at_c = [fn for fn in spec.functionals if fn.point == c]
         m = max(fn.order for fn in at_c) + 1
+        kernel = spec.local_kernel[c]
+        assert len(kernel) == m - len(at_c), c
+        digits = [[sympy.Rational(y.numerator, y.denominator) for y in w] for w in kernel]
         t = sympy.Rational(c.numerator, c.denominator)
-        digits = [[sympy.diff(poly_to_sympy(v), X, k).subs(X, t) / sympy.factorial(k) for k in range(m)]
-                  for v in spec.low_basis]
-        ranks = [0] + [sympy.Matrix(digits[:i + 1]).rank() for i in range(len(digits))]
-        assert spec.local_basis[c] == tuple(i for i in range(len(digits)) if ranks[i + 1] > ranks[i])
-        assert len(spec.local_basis[c]) == m - len(at_c), c
+        for w in digits:
+            assert len(w) == m, c
+            f = sum((y * (X - t) ** k for k, y in enumerate(w)), sympy.Integer(0))
+            assert all(functional_sympy(fn, f) == 0 for fn in at_c), (c, w)
+        assert sympy.Matrix(digits).rank() == len(kernel), c
 
 
 def test_local_basis_on_catalog():
     from lmtool.catalog import catalog, catalog_get
 
     for spec in catalog():
-        assert_local_basis(spec)
-    # mixed: f''(0) = f'(1) = 0, low basis 1, x^3 - 3x, x^4 - 4x, with
-    # Taylor digits (1, 0, 0), (0, -3, 0), (0, -4, 0) at 0 and (1, 0),
-    # (-2, 0), (-3, 0) at 1
-    assert catalog_get("mixed").local_basis == {Fraction(0): (0, 1), Fraction(1): (0,)}
+        assert_local_kernel(spec)
+    # mixed: f''(0) = f'(1) = 0: digits 0 and 1 are free at 0, digit 0 at 1
+    assert catalog_get("mixed").local_kernel == {0: ((1, 0, 0), (0, 1, 0)), 1: ((1, 0),)}
 
 
 @given(st.lists(functionals(), min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_local_basis_on_random_specs(fns):
-    assert_local_basis(SubspaceSpec.from_functionals("random", fns))
+    assert_local_kernel(SubspaceSpec.from_functionals("random", fns))
 
 
 def test_gap_warning_for_non_semigroup():
