@@ -10,8 +10,6 @@ identities p_D = 2n and p_12 = n_1 + n_2.
 
 from .catalog import catalog, catalog_get, catalog_names
 from .graded import (
-    GradedPiece,
-    QFraction,
     clear_cache,
     gr_inclusion_check,
     gr_symbol_space,
@@ -49,13 +47,11 @@ __all__ = [
     "DEFAULT_WEIGHTS",
     "FitResult",
     "Functional",
-    "GradedPiece",
     "HilbertSeq",
     "NegativeChernError",
     "NonPolynomialError",
     "NotStabilizedError",
     "Poly",
-    "QFraction",
     "Report",
     "RowReducer",
     "SpecError",

@@ -243,11 +243,18 @@ def _render_catalog(fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(out).write_text(payload)
+def _emit(payload: str, out: str | None) -> int:
+    """Write the payload to stdout, or to the file ``out``: 0, or 2 if it
+    cannot be written."""
+    try:
+        if out is None:
+            sys.stdout.write(payload)
+        else:
+            Path(out).write_text(payload)
+    except OSError as exc:
+        print(f"lmtool: error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def run(argv: Sequence[str]) -> int:
@@ -259,12 +266,7 @@ def run(argv: Sequence[str]) -> int:
 
     try:
         if args.verb == "catalog":
-            try:
-                _emit(_render_catalog(args.format), args.out)
-            except OSError as exc:
-                print(f"lmtool: error: cannot write output: {exc}", file=sys.stderr)
-                return 2
-            return 0
+            return _emit(_render_catalog(args.format), args.out)
 
         if args.kmax < 4:
             raise ValueError("--kmax must be at least 4")
@@ -315,10 +317,7 @@ def run(argv: Sequence[str]) -> int:
         print(f"lmtool: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
-    try:
-        _emit(_render(reports, args.format), args.out)
-    except OSError as exc:
-        print(f"lmtool: error: cannot write output: {exc}", file=sys.stderr)
+    if _emit(_render(reports, args.format), args.out):
         return 2
 
     failed = [report_fields(r) for r in reports if not r.ok]

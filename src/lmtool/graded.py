@@ -81,41 +81,21 @@ no basis, symbol or RREF is built.
 So the cache keeps, per tower, only the weight, deg g, kmax, the
 x-exponent of each column and the sorted pivot columns; the echelon rows
 go once the build is done.  dim(k) is the column count at level k less
-the pivots below it.  ``hom_piece``, which needs the canonical nullspace,
-builds and reduces the rows of its level afresh on each call.
+the pivots below it.  ``hom_piece`` and ``gr_symbol_space``, the reference
+readings that need the canonical nullspace, build and reduce the rows of
+their level afresh on each call.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, perm
 
 from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
 from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
-
-
-@dataclass(frozen=True)
-class QFraction:
-    """Operator u o g^{-1} in the quotient skew field, acting by f -> u.(f/g)."""
-
-    u: WeylEl
-    g: Poly
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    """Basis of a filtered piece (weighted degree <= k) of a hom space; the
-    module of V is the hom space from the trivial subspace."""
-
-    sources: tuple[SubspaceSpec, SubspaceSpec]
-    weight: Weight
-    k: int
-    dim: int
-    basis: tuple[QFraction, ...]
 
 
 def _taylor(p: Poly, c: Fraction) -> list[Fraction]:
@@ -139,17 +119,12 @@ def _series_quotient(num: Sequence[Fraction], den: Sequence[Fraction], top: int)
     return out
 
 
-def _falling(e: int, k: int) -> int:
-    """The falling factorial e (e-1) ... (e-k+1): d^k t^e = _falling(e, k) t^(e-k).
-    It is zero for 0 <= e < k, and (-1)^k (-e)(-e+1) ... (-e+k-1) for e < 0."""
-    return perm(e, k) if e >= 0 else (-1) ** k * perm(k - e - 1, k)
-
-
 class _Rows:
     """The linear system of one (source, target, weight) up to kmax: its
     columns (x - c0)^a d^b in order and one ``RowReducer`` holding its rows,
     built point by point from Laurent jets (see the module docstring).  The
-    cached ``_Tower`` keeps only its pivots; ``hom_piece`` reads the reducer."""
+    cached ``_Tower`` keeps only its pivots; ``hom_piece`` and
+    ``gr_symbol_space`` read the reducer."""
 
     __slots__ = ("src", "dst", "weight", "g", "c0", "cols", "col_of", "reducer")
 
@@ -214,7 +189,9 @@ class _Rows:
         the walk over b visits only the orders whose window (exponents <= d)
         is nonempty: while the least exponent lo of the jet is above d, the
         next lo - d orders read nothing, so it takes lo - d derivatives in
-        one step (see ``_falling``).  It ends when the jet vanishes or b
+        one step.  Then d >= -1 gives lo >= 0, so every exponent e is
+        non-negative and d^step t^e = perm(e, step) t^(e - step), which is
+        zero for e < step.  It ends when the jet vanishes or b
         passes b_max.  Multiplying by x - c0 never lowers lo.  At c = c0 it
         only raises every exponent by one, so (x-c0)^a d^b F reads the window
         at e + a: window term (e, y) and functional term (o, cf) give cf*y
@@ -275,7 +252,7 @@ class _Rows:
             if step == 1:
                 jet = {e - 1: e * y for e, y in jet.items() if e}
             else:
-                jet = {e - step: f * y for e, y in jet.items() if (f := _falling(e, step))}
+                jet = {e - step: f * y for e, y in jet.items() if (f := perm(e, step))}
         if not p:  # at c = c0 the terms that meet in one column may cancel
             values = [{i: v for i, v in row.items() if v} for row in values]
         for row in poles + values:
@@ -337,21 +314,30 @@ def clear_cache() -> None:
 _TRIVIAL = SubspaceSpec.trivial()
 
 
-def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> GradedPiece:
-    """Basis of {p : wdeg(p) <= k, p . V1 in V2} as operators u o g^{-1}: the
-    canonical nullspace at level k of a system built for it alone, each
-    column (x-c0)^a d^b written out as sum_j C(a, j) (-c0)^(a-j) x^j d^b."""
+def _numerators(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int,
+                new_only: bool) -> tuple[WeylEl, ...]:
+    """The canonical nullspace at level k of a system built for it alone, or,
+    if ``new_only``, its vectors new at level k (free column at least
+    ncols(k-1)), each as the numerator u of u o g^{-1}: column (x-c0)^a d^b
+    is written out as sum_j C(a, j) (-c0)^(a-j) x^j d^b."""
     rows = _Rows(src, dst, weight, max(k, 0))
+    top = k + weight.w1 * rows.g.degree()
+    lo = dim_A(weight, top - 1) if new_only else 0
     shift = Poly({0: -rows.c0, 1: 1})
     powers = [(shift ** a).items() for a in range(max(a for a, _ in rows.cols) + 1)]
-    n = dim_A(weight, k + weight.w1 * rows.g.degree())
-    basis = tuple(
-        QFraction(WeylEl(((j, b), c * cj)
-                         for i, c in vec.items()
-                         for a, b in [rows.cols[i]]
-                         for j, cj in powers[a]), rows.g)
-        for vec in rows.reducer.nullspace(n))
-    return GradedPiece((src, dst), weight, k, len(basis), basis)
+    return tuple(
+        WeylEl(((j, b), c * cj)
+               for i, c in vec.items()
+               for a, b in [rows.cols[i]]
+               for j, cj in powers[a])
+        for vec in rows.reducer.nullspace(dim_A(weight, top)) if max(vec) >= lo)
+
+
+def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[WeylEl, ...]:
+    """Basis of {p : wdeg(p) <= k, p . V1 in V2}, each p = u o g^{-1} given
+    by its numerator u (g is ``src.conductor``).  The bases are nested: the
+    basis at level k-1 is a prefix of the one at level k."""
+    return _numerators(src, dst, weight, k, new_only=False)
 
 
 def module_dims(spec: SubspaceSpec, weight: Weight, kmax: int, kmin: int = 0) -> list[int]:
@@ -364,33 +350,23 @@ def hom_dims(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int, km
     return [tower.dim(k) for k in range(kmin, kmax + 1)]
 
 
-def gr_symbol_space(piece_k: GradedPiece, piece_prev: GradedPiece) -> tuple[SymbolPoly, ...]:
+def gr_symbol_space(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[SymbolPoly, ...]:
     """Basis of the degree-k graded piece as principal symbols.
 
-    Because bases are nested, the symbols of the vectors new at level k are
-    automatically independent and span the graded piece; its dimension is
-    dim_k - dim_{k-1}.  The symbols are numerator forms, of weighted degree
-    k + w1*deg(g).
+    Because bases are nested, the basis vectors new at level k are those
+    whose free column is of top degree; their symbols are independent and
+    span the graded piece, of dimension dim_k - dim_{k-1}.  The symbols are
+    numerator forms, of weighted degree k + w1*deg(g).
     """
-    if piece_k.sources != piece_prev.sources:
-        raise ValueError("graded pieces of different sources")
-    if piece_k.weight != piece_prev.weight:
-        raise ValueError("graded pieces of different weights")
-    if piece_prev.k != piece_k.k - 1:
-        raise ValueError("pieces must sit at consecutive degrees")
-    weight = piece_k.weight
-    new = piece_k.basis[piece_prev.dim:]
-    gdeg = piece_k.sources[0].conductor.degree()
-    target = piece_k.k + weight.w1 * gdeg
-    return tuple(q.u.top_component(weight, target) for q in new)
+    top = k + weight.w1 * src.conductor.degree()
+    return tuple(u.top_component(weight, top) for u in _numerators(src, dst, weight, k, new_only=True))
 
 
 def gr_inclusion_check(spec: SubspaceSpec, weight: Weight, k: int) -> bool:
     """Does the degree-k graded piece of End sit inside gr A?
 
     In numerator form this is divisibility of every symbol by x^deg(g).  The
-    answer is the one ``gr_symbol_space`` of the ``hom_piece``s at k and k-1
-    gives, read from the End tower's pivot columns without building either
-    piece (see the module docstring).
+    answer is the one ``gr_symbol_space`` gives, read from the End tower's
+    pivot columns without building any basis (see the module docstring).
     """
     return _tower_for(spec, spec, weight, max(k, 0)).gr_divisible(k)

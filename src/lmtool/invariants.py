@@ -47,7 +47,7 @@ class NegativeChernError(RuntimeError):
     """A fit produced a negative constant term; reported, never swallowed."""
 
 
-HilbertSource = Union[str, SubspaceSpec, tuple[SubspaceSpec, SubspaceSpec]]
+HilbertSource = Union[SubspaceSpec, tuple[SubspaceSpec, SubspaceSpec]]
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,10 @@ class FitResult:
 
 
 def hilbert_seq(source: HilbertSource, weight: Weight, k_min: int = 0, k_max: int = 12) -> HilbertSeq:
-    """Hilbert sequence of "A", of a spec's ideal, or of a hom space (pair)."""
+    """Hilbert sequence of a spec's ideal or of a hom space (pair)."""
     if k_max < k_min:
         raise ValueError("k_max below k_min")
-    if source == "A":
-        values = tuple(dim_A(weight, k) for k in range(k_min, k_max + 1))
-        label = "A"
-    elif isinstance(source, SubspaceSpec):
+    if isinstance(source, SubspaceSpec):
         values = tuple(module_dims(source, weight, k_max, k_min))
         label = f"module({source.name})"
     elif isinstance(source, tuple) and len(source) == 2:

@@ -2,11 +2,11 @@
 reduction.
 
 ``Terms`` is the one container for finite sums of monomials with rational
-coefficients.  It owns normalisation, addition, scalar multiplication,
-equality, hashing and the text form; ``Poly`` here and ``weyl.WeylEl`` and
-``weyl.SymbolPoly`` subclass it and add their variables and queries.  Only
-``Poly`` multiplies two of its elements: the conductor is a product of
-powers, and ``graded.hom_piece`` expands powers of x - c0.
+coefficients.  It owns normalisation, equality, hashing and the text form;
+it neither adds nor scales.  ``Poly`` here and ``weyl.WeylEl`` and
+``weyl.SymbolPoly`` subclass it and add their variables and queries.  The
+one arithmetic is ``Poly``'s product of two polynomials: the conductor is a
+product of powers, and ``graded.hom_piece`` expands powers of x - c0.
 
 Values are ``fractions.Fraction`` or ``int``; there are no floats anywhere,
 so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
@@ -67,7 +67,8 @@ class Terms:
 
     A key holds one exponent per name in ``_vars`` (a tuple; a subclass with
     one variable may key by the bare exponent and override ``_key``).  A sum
-    multiplies only by a scalar here; ``Poly`` adds its own product.
+    is built whole from its terms: it has no sum, difference or scalar
+    multiple, and only ``Poly`` adds a product.
     """
 
     __slots__ = ("_terms",)
@@ -108,27 +109,6 @@ class Terms:
 
     def __getitem__(self, key) -> Fraction:
         return self._terms.get(key, Fraction(0))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)([*self._terms.items(), *other._terms.items()])
-
-    def __neg__(self):
-        return type(self)({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return type(self)({k: v * other for k, v in self._terms.items()})
-
-    def __rmul__(self, other):
-        return self * other if isinstance(other, (int, Fraction)) else NotImplemented
 
     # -- identity -----------------------------------------------------------
 
@@ -184,7 +164,7 @@ class Poly(Terms):
 
     def __mul__(self, other):
         if type(other) is not Poly:
-            return super().__mul__(other)
+            return NotImplemented
         return Poly((e1 + e2, v1 * v2) for e1, v1 in self._terms.items() for e2, v2 in other._terms.items())
 
     def __pow__(self, n: int) -> "Poly":

@@ -17,6 +17,7 @@ solvers read a source V through its conductor and these kernels alone.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -27,6 +28,26 @@ from .linalg import Poly, RowReducer, rat_from_str
 
 class SpecError(ValueError):
     """Raised for malformed subspace spec documents."""
+
+
+def _natural(value: object, what: str) -> int:
+    """A non-negative integer, through ``operator.index``: a float is
+    rejected, not truncated, and a bool is not a number."""
+    try:
+        n = -1 if type(value) is bool else operator.index(value)
+    except TypeError:
+        n = -1
+    if n < 0:
+        raise SpecError(f"{what} must be a non-negative integer, got {value!r}")
+    return n
+
+
+def _rational(value: object, what: str) -> Fraction:
+    """An int or a Fraction as a Fraction; a float is rejected, not rounded
+    to its binary value, and a bool is not a number."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise SpecError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -43,15 +64,14 @@ class Functional:
     def __post_init__(self) -> None:
         seen: dict[int, Fraction] = {}
         for order, coeff in self.terms:
-            if order < 0:
-                raise SpecError("derivative order must be >= 0")
-            coeff = Fraction(coeff)
+            order = _natural(order, "derivative order")
+            coeff = _rational(coeff, "coefficient")
             if coeff:
                 seen[order] = seen.get(order, Fraction(0)) + coeff
         cleaned = tuple(sorted((o, c) for o, c in seen.items() if c))
         if not cleaned:
             raise SpecError("functional has no nonzero term")
-        object.__setattr__(self, "point", Fraction(self.point))
+        object.__setattr__(self, "point", _rational(self.point, "point"))
         object.__setattr__(self, "terms", cleaned)
 
     @property
@@ -131,9 +151,7 @@ class SubspaceSpec:
     @staticmethod
     def from_gaps(name: str, gaps: Sequence[int]) -> "SubspaceSpec":
         """Monomial spec: V = span{x^i : i not in gaps} via f^(gamma)(0) = 0."""
-        gap_set = sorted(set(int(g) for g in gaps))
-        if any(g < 0 for g in gap_set):
-            raise SpecError("gaps must be non-negative integers")
+        gap_set = sorted({_natural(g, "gap") for g in gaps})
         fns = tuple(Functional(Fraction(0), ((g, Fraction(1)),)) for g in gap_set)
         warnings = ()
         if gap_set and not _complement_closed(gap_set):

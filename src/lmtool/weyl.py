@@ -8,7 +8,7 @@ polynomial ring in the principal symbols of x and d, represented here by
 
 The engine never multiplies two operators: every invariant is a dimension
 read from a row-reduced system whose columns are the monomials listed by
-``monomial_basis``.  So ``WeylEl`` has no product: it holds the operators
+``monomial_basis``.  So ``WeylEl`` has no product: it holds the numerators
 ``graded.hom_piece`` returns and reads off their weighted degree and
 principal symbol.  Both element classes subclass ``linalg.Terms``, which
 holds the sparse {(a, b): coeff} dict.

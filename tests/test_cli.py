@@ -366,6 +366,25 @@ def test_package_imports_only_stdlib():
     assert outside == []
 
 
+def test_package_modules_use_every_import():
+    """No module but ``__init__`` imports a name it never reads: nothing is
+    kept importable only for callers outside the package."""
+    unused = []
+    for path in sorted(Path(lmtool.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
 def test_emitted_report_revalidates(capsys):
     _, out, _ = run(capsys, "verify", "--spec", "gaps-1-3")
     report = json.loads(out)
@@ -565,6 +584,7 @@ def test_engine_fault_exits_4(capsys, monkeypatch, argv):
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):
-    code, _, err = run(capsys, "catalog", "--out", str(tmp_path / "nope" / "x.json"))
-    assert code == 2
-    assert "cannot write" in err
+    # the catalog verb and the report verbs write through one path
+    for argv in (["catalog"], ["verify", "--spec", "cusp"]):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "nope" / "x.json"))
+        assert (code, "cannot write" in err) == (2, True), argv

@@ -42,12 +42,6 @@ def seq(values, k_min=0, label="test"):
 
 # -- hilbert_seq ----------------------------------------------------------------
 
-def test_hilbert_seq_of_A():
-    h = hilbert_seq("A", W11, 0, 4)
-    assert h.values == (1, 3, 6, 10, 15)
-    assert h.value_at(3) == 10
-
-
 def test_hilbert_seq_of_module_and_hom():
     cusp = catalog_get("cusp")
     assert hilbert_seq(cusp, W11, 0, 3).values == (0, 0, 2, 5)
@@ -56,9 +50,10 @@ def test_hilbert_seq_of_module_and_hom():
 
 def test_hilbert_seq_validation():
     with pytest.raises(ValueError):
-        hilbert_seq("A", W11, 3, 2)
-    with pytest.raises(ValueError):
-        hilbert_seq("nonsense", W11, 0, 4)
+        hilbert_seq(catalog_get("cusp"), W11, 3, 2)
+    for source in ("nonsense", "A"):  # A is dim_A, not a Hilbert source
+        with pytest.raises(ValueError):
+            hilbert_seq(source, W11, 0, 4)
     with pytest.raises(ValueError):
         HilbertSeq("x", W11, 0, 3, (1, 2))
 

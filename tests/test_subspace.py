@@ -42,6 +42,7 @@ def test_functional_merges_terms():
     fn = Functional(Fraction(0), ((1, Fraction(2)), (1, Fraction(-1)), (0, Fraction(3))))
     assert fn.terms == ((0, Fraction(3)), (1, Fraction(1)))
     assert fn.order == 1
+    assert Functional(1, ((2, 3),)) == Functional(Fraction(1), ((2, Fraction(3)),))
 
 
 def test_functional_rejects_empty_and_negative():
@@ -51,6 +52,24 @@ def test_functional_rejects_empty_and_negative():
         Functional(Fraction(0), ((1, Fraction(1)), (1, Fraction(-1))))
     with pytest.raises(ValueError):
         Functional(Fraction(0), ((-1, Fraction(1)),))
+
+
+@pytest.mark.parametrize("make,args", [
+    (SubspaceSpec.from_gaps, ("x", [1.7, 3.2])),
+    (SubspaceSpec.from_gaps, ("x", [True])),
+    (Functional, (Fraction(0), ((1.5, 1),))),
+    (Functional, (Fraction(0), ((True, 1),))),
+    (Functional, (Fraction(0), ((1, 0.1),))),
+    (Functional, (Fraction(0), ((1, True),))),
+    (Functional, (0.5, ((1, 1),))),
+    (Functional, (False, ((1, 1),))),
+], ids=["float-gap", "bool-gap", "float-order", "bool-order",
+        "float-coeff", "bool-coeff", "float-point", "bool-point"])
+def test_constructors_reject_non_integers(make, args):
+    # rejected, not truncated or rounded: int(1.7) would make gap 1, and
+    # Fraction(0.1) is 3602879701896397/36028797018963968
+    with pytest.raises(SpecError):
+        make(*args)
 
 
 # -- spec construction ----------------------------------------------------------------
