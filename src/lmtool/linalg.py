@@ -10,14 +10,27 @@ product of powers, and ``graded.hom_piece`` expands powers of x - c0.
 
 Values are ``fractions.Fraction`` or ``int``; there are no floats anywhere,
 so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
-plain Gaussian elimination on integer-scaled rows with the pivot taken as the
-first nonzero entry in column order, which makes the reduced echelon form --
-and hence nullspace bases -- canonical for a given row space and column order.
-It has one row format: a row goes in, and the ``rref`` rows and ``nullspace``
-vectors come out, as ``{column: value}`` of the nonzero entries.  Each
-elimination step touches only those: the rows the towers build are mostly
-zeros.  The steps and the pivots are those of dense elimination, so the
-echelon rows and the canonical form do not change with the storage.
+fraction-free Gaussian elimination on integer-scaled rows with the pivot
+taken as the first nonzero entry in column order, which makes the reduced
+echelon form -- and hence nullspace bases -- canonical for a given row space
+and column order.  It has one row format: a row goes in, and the ``rref``
+rows and ``nullspace`` vectors come out, as ``{column: value}`` of the
+nonzero entries.  Each elimination step touches only those: the rows the
+towers build are mostly zeros.  The steps and the pivots are those of dense
+elimination, so the echelon rows and the canonical form do not change with
+the storage.
+
+A step only scales the row and subtracts (``_eliminate``).  The row's
+content, the gcd of its entries, is divided out once per row and only when
+the row is final: when ``add_row`` keeps it as a pivot row, and when
+``rref`` is about to clear its pivot from the rows above it.  A row that
+reduces to zero is never divided at all.  Each step puts a positive factor
+on the row, so the row at either place is a positive multiple of the row
+that a division after every step would give, and dividing by the content
+(signed so the leading entry is positive) gives that same primitive row:
+the stored rows, the pivots and the RREF are those of keeping every row
+primitive throughout (Bareiss, Math. Comp. 1968, on integer-preserving
+elimination).
 """
 
 from __future__ import annotations
@@ -210,10 +223,12 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 # row reduction
 # ---------------------------------------------------------------------------
 
-def _eliminate(row: dict[int, int], prow: dict[int, int], j: int) -> dict[int, int]:
+def _eliminate(row: dict[int, int], prow: dict[int, int], j: int) -> None:
     """Clear column j of ``row`` with ``prow`` (whose entry there is
-    positive), in place and over prow's support only, then divide out the
-    gcd of what is left."""
+    positive), in place and over prow's support only: row becomes
+    (b*row - a*prow)/g, with a and b the two entries at j and g = gcd(a, b).
+    The factor b/g on row is positive, and the content is left in: it is
+    divided out once the row is final (see the module docstring)."""
     a, b = row[j], prow[j]
     g = gcd(a, b)
     fa, fb = b // g, a // g  # fa > 0 keeps the sign of row's leading entry
@@ -226,21 +241,38 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], j: int) -> dict[int, i
             row[t] = w
         else:
             del row[t]
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """``row`` divided by its content, signed so its entry at ``lead`` is positive."""
     g = gcd(*row.values())
-    return {t: v // g for t, v in row.items()} if g > 1 else row
+    if row[lead] < 0:
+        g = -g
+    return {t: v // g for t, v in row.items()} if g != 1 else row
+
+
+def _refused(kinds: set[type], allowed: type | tuple[type, ...]) -> type | None:
+    """A type among ``kinds`` that is bool or not a subclass of ``allowed``;
+    None if there is none."""
+    return next((kind for kind in kinds if kind is bool or not issubclass(kind, allowed)), None)
 
 
 class RowReducer:
     """Incremental Gaussian elimination over Q with canonical output.
 
-    A row is given as a mapping ``{column: value}``; a zero value is
-    dropped.  It is stored as ``{column: int}`` of the nonzero entries,
-    rescaled to integers.  Both are pure speed matters: each step does the
-    arithmetic dense elimination would do on the nonzero entries and skips
-    only the zeros, the pivot is still the first nonzero column, and scaling
-    a row changes neither the row space nor that column.
-    So the echelon rows, the pivot set and the reduced echelon form are
-    exactly those of fraction-preserving dense elimination.
+    A row is given as a mapping ``{column: value}`` with integer columns in
+    0..ncols-1 and ``int`` or ``Fraction`` values; anything else raises
+    ``TypeError`` or ``ValueError``, and a zero value is dropped.  It is
+    stored as ``{column: int}`` of the nonzero entries, rescaled to
+    integers.  Both are pure speed matters: each step does the arithmetic
+    dense elimination would do on the nonzero entries and skips only the
+    zeros, the pivot is still the first nonzero column, and scaling a row
+    changes neither the row space nor that column.  So the echelon rows, the
+    pivot set and the reduced echelon form are exactly those of
+    fraction-preserving dense elimination.
+
+    A stored row is primitive with a positive leading entry; the module
+    docstring says where its content is divided out.
 
     A reducer has no finalized state: rows may be added at any time, and
     ``rref`` and ``nullspace`` reduce the current rows afresh on each call.
@@ -255,18 +287,26 @@ class RowReducer:
     # -- building -----------------------------------------------------------
 
     def _to_int_row(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
-        """A fresh ``{column: int}`` of the nonzero entries, scaled to integers."""
+        """A fresh ``{column: int}`` of the nonzero entries, scaled to
+        integers.  A float would be truncated and a bool is not a number, so
+        either raises ``TypeError``; the checks read the set of types."""
         if not isinstance(entries, Mapping):
             raise TypeError(f"a row is a {{column: value}} mapping, not {type(entries).__name__}")
+        bad = _refused(set(map(type, entries)), int)
+        if bad is not None:
+            raise TypeError(f"a row column is an int, not {bad.__name__}")
         if entries and (min(entries) < 0 or max(entries) >= self.ncols):
             raise ValueError("row column out of range")
+        kinds = set(map(type, entries.values()))
         row = {t: v for t, v in entries.items() if v}
-        # isinstance(v, Fraction) costs an ABC lookup for every int entry
-        if all(type(v) is int for v in row.values()):
+        if kinds <= {int}:
             return row
+        bad = _refused(kinds, (int, Fraction))
+        if bad is not None:
+            raise TypeError(f"a row value is an int or a Fraction, not {bad.__name__}")
         scale = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
         return {
-            t: v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else int(v) * scale
+            t: v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else v * scale
             for t, v in row.items()
         }
 
@@ -278,15 +318,10 @@ class RowReducer:
             j = min(row)
             pivot_idx = self._pivot_of.get(j)
             if pivot_idx is None:
-                g = gcd(*row.values())
-                if row[j] < 0:
-                    g = -g
-                if g != 1:
-                    row = {t: v // g for t, v in row.items()}
                 self._pivot_of[j] = len(self._rows)
-                self._rows.append(row)
+                self._rows.append(_primitive(row, j))
                 return True
-            row = _eliminate(row, self._rows[pivot_idx], j)
+            _eliminate(row, self._rows[pivot_idx], j)
         return False
 
     @property
@@ -305,9 +340,10 @@ class RowReducer:
         rows = [dict(self._rows[self._pivot_of[c]]) for c in pivots]
         for i in range(len(pivots) - 1, -1, -1):
             pc = pivots[i]
+            rows[i] = prow = _primitive(rows[i], pc)  # rows[i] is final: no later pivot is left in it
             for t in range(i):
                 if pc in rows[t]:
-                    rows[t] = _eliminate(rows[t], rows[i], pc)
+                    _eliminate(rows[t], prow, pc)
         return tuple(pivots), tuple(
             {s: Fraction(v, row[pc]) for s, v in row.items()} for pc, row in zip(pivots, rows))
 
@@ -318,6 +354,8 @@ class RowReducer:
         free column.
         """
         n = self.ncols if ncols_prefix is None else ncols_prefix
+        if not 0 <= n <= self.ncols:
+            raise ValueError(f"column prefix {n} is outside 0..{self.ncols}")
         pivots, rows = self.rref()
         pivot_set = set(pivots)
         basis = []

@@ -7,10 +7,13 @@ tests membership in a subspace spec by evaluating its functionals in sympy,
 and ``low_basis_sympy`` is a basis of the part of a spec below its conductor's
 degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
-that uses the standard library alone.
+that uses the standard library alone.  ``StepwiseReducer`` is fraction-free
+elimination that keeps every row primitive after every step, which
+``lmtool.linalg.RowReducer`` must match row for row.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import sympy
 
@@ -109,3 +112,43 @@ def gap_hom_dims(gaps1, gaps2, w1: int, w2: int, kmax: int, kmin: int = -1) -> l
             dim += max(0, b1 - b0 + 1 - len(nodes))
         dims.append(dim)
     return dims
+
+
+class StepwiseReducer:
+    """Fraction-free Gaussian elimination, pivot the first nonzero column,
+    that divides a row by its content after every elimination step.
+    ``rows`` and ``pivot_of`` mirror ``RowReducer._rows`` and ``_pivot_of``."""
+
+    def __init__(self):
+        self.rows: list[dict[int, int]] = []
+        self.pivot_of: dict[int, int] = {}
+
+    @staticmethod
+    def _step(row: dict, prow: dict, j: int) -> dict:
+        """Clear column j of row with prow, then divide by the content."""
+        a, b = row[j], prow[j]
+        g = gcd(a, b)
+        new = {t: v * (b // g) for t, v in row.items()}
+        for t, v in prow.items():
+            new[t] = new.get(t, 0) - v * (a // g)
+        content = gcd(*new.values()) or 1
+        return {t: v // content for t, v in new.items() if v}
+
+    def add_row(self, entries: dict) -> bool:
+        scale = lcm(*(Fraction(v).denominator for v in entries.values()))
+        row = {t: int(v * scale) for t, v in entries.items() if v}
+        while row and min(row) in self.pivot_of:
+            row = self._step(row, self.rows[self.pivot_of[min(row)]], min(row))
+        if row:
+            lead = min(row)
+            content = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+            self.pivot_of[lead] = len(self.rows)
+            self.rows.append({t: v // content for t, v in row.items()})
+        return bool(row)
+
+    def rref(self) -> tuple[tuple[int, ...], tuple[dict[int, Fraction], ...]]:
+        pivots = sorted(self.pivot_of)
+        rows = [self.rows[self.pivot_of[c]] for c in pivots]
+        for i in reversed(range(len(pivots))):
+            rows[:i] = [self._step(r, rows[i], pivots[i]) if pivots[i] in r else r for r in rows[:i]]
+        return tuple(pivots), tuple({t: Fraction(v, r[c]) for t, v in r.items()} for c, r in zip(pivots, rows))

@@ -9,6 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmtool import graded
+from lmtool.catalog import catalog_get
 from lmtool.linalg import (
     Poly,
     RowReducer,
@@ -16,7 +18,8 @@ from lmtool.linalg import (
     rat_from_str,
     rat_to_str,
 )
-from reference import parse_poly, poly_to_sympy
+from lmtool.weyl import Weight
+from reference import StepwiseReducer, parse_poly, poly_to_sympy
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -225,6 +228,36 @@ def test_add_row_rejects_column_out_of_range():
     assert red.rank == 0
 
 
+@pytest.mark.parametrize("entries", [
+    {0: 1.7, 1: 2},  # was truncated to {0: 1, 1: 2}
+    {0: 0.5},  # was a ZeroDivisionError
+    {0: Fraction(1, 2), 1: 0.5},  # was stored with an explicit zero, {0: 1, 1: 0}
+    {0: True, 1: 2},  # a bool is not a number
+    {0: 0.0, 1: 2},  # a float is refused even where it is zero
+], ids=["float", "float-below-one", "float-beside-fraction", "bool", "float-zero"])
+def test_add_row_refuses_a_value_not_int_or_fraction(entries):
+    red = RowReducer(3)
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        red.add_row(entries)
+    assert red.rank == 0
+
+
+@pytest.mark.parametrize("column", [1.0, True], ids=["float", "bool"])
+def test_add_row_refuses_a_column_not_an_integer(column):
+    red = RowReducer(3)
+    with pytest.raises(TypeError, match="column is an int"):
+        red.add_row({column: 3})
+    assert red.rank == 0
+
+
+def test_nullspace_refuses_a_prefix_out_of_range():
+    red = reduce_rows([[1, 2, 3]])
+    for prefix in (4, 5, -1):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            red.nullspace(prefix)
+    assert [len(red.nullspace(n)) for n in range(4)] == [0, 0, 1, 2]
+
+
 def test_all_zero_mapping_is_not_kept():
     red = RowReducer(3)
     assert not red.add_row({})
@@ -283,3 +316,61 @@ def test_add_row_reports_rank_growth():
     assert red.add_row({1: 1, 2: 1})
     assert red.rank == 2
 
+
+# -- the content is taken out once per finished row -----------------------------
+
+# zero is drawn twice as often as each other kind, so rows have gaps
+wide_entries = st.one_of(st.just(0), st.just(0), st.integers(min_value=-9, max_value=9),
+                         st.integers(min_value=-10**40, max_value=10**40),
+                         st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9))
+
+
+@st.composite
+def chained_matrices(draw):
+    """Up to 10 rows of up to 12 columns of big integers and Fractions.  Some
+    rows are small combinations of earlier ones, so a row meets a chain of
+    pivots and may reduce to zero."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    rows: list[list] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(wide_entries, min_size=ncols, max_size=ncols)))
+    return ncols, rows
+
+
+@given(chained_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rows_equal_those_of_division_after_every_step(case):
+    # each step only puts a positive factor on the row, so dividing its
+    # content out once, when it is final, leaves the same primitive rows
+    ncols, rows = case
+    red, ref = RowReducer(ncols), StepwiseReducer()
+    for r in rows:
+        entries = {j: v for j, v in enumerate(r) if v}
+        assert red.add_row(entries) == ref.add_row(entries)
+    assert red._rows == ref.rows
+    assert red._pivot_of == ref.pivot_of
+    assert red.rref() == ref.rref()
+
+
+def test_mixed_end_tower_rows_equal_those_of_division_after_every_step(monkeypatch):
+    ref = StepwiseReducer()
+
+    class Mirrored(RowReducer):
+        """Offers every row to the reference reducer as well."""
+
+        def add_row(self, entries):
+            kept = super().add_row(entries)
+            assert ref.add_row(entries) == kept
+            return kept
+
+    monkeypatch.setattr(graded, "RowReducer", Mirrored)
+    mixed = catalog_get("mixed")
+    reducer = graded._Rows(mixed, mixed, Weight(1, 1), 30).reducer
+    assert reducer.rank == 176
+    assert reducer._rows == ref.rows
+    assert reducer._pivot_of == ref.pivot_of
+    assert reducer.rref() == ref.rref()
