@@ -84,6 +84,19 @@ go once the build is done.  dim(k) is the column count at level k less
 the pivots below it.  ``hom_piece`` and ``gr_symbol_space``, the reference
 readings that need the canonical nullspace, build and reduce the rows of
 their level afresh on each call.
+
+One build also yields the module tower of dst, (TRIVIAL, dst), whose
+conductor is 1.  A build offers the t^s rows of every point first and the
+principal-part rows after them.  At level k of (src, dst) the columns are
+those of A up to K = k + w1*deg(g), and the t^s rows are read at the
+points of dst for s <= d + K // w2: exactly the rows of the module at level
+K.  The module at a level below K reads a column prefix, and its rows are
+among these, since a t^s row of larger s vanishes on that prefix (every
+term of u.t^s is divisible by t^(d+1) there).  Only the centre can differ,
+when src has a point below those of dst, and the centre moves no pivot (see
+above).  So the pivots reached when the t^s rows are in are the module's,
+and ``_tower_for`` caches them as the module tower at level K.  A dual
+tower (dst trivial) has no t^s rows, and its module, all of A, no pivots.
 """
 
 from __future__ import annotations
@@ -122,11 +135,12 @@ def _series_quotient(num: Sequence[Fraction], den: Sequence[Fraction], top: int)
 class _Rows:
     """The linear system of one (source, target, weight) up to kmax: its
     columns (x - c0)^a d^b in order and one ``RowReducer`` holding its rows,
-    built point by point from Laurent jets (see the module docstring).  The
-    cached ``_Tower`` keeps only its pivots; ``hom_piece`` and
-    ``gr_symbol_space`` read the reducer."""
+    built point by point from Laurent jets (see the module docstring), and
+    ``module_pivots``, the pivots its t^s rows reach before any
+    principal-part row.  The cached ``_Tower``s keep only pivots;
+    ``hom_piece`` and ``gr_symbol_space`` read the reducer."""
 
-    __slots__ = ("src", "dst", "weight", "g", "c0", "cols", "col_of", "reducer")
+    __slots__ = ("src", "dst", "weight", "g", "c0", "cols", "col_of", "reducer", "module_pivots")
 
     def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
         self.src = src
@@ -145,13 +159,14 @@ class _Rows:
     # rows ---------------------------------------------------------------------
 
     def _add_rows(self, k_u: int) -> None:
-        """At each point c of src or dst: the rows of F = (x-c)^s for
-        s <= d + b_max, d the top order of a dst functional at c (-1, and
-        no such rows, if there is none), then, if c is a root of g, those of
-        F = P_w for each w in ``src.local_kernel[c]``: P_w = t^-m (w/h mod
-        t^m), m the order of g at c and h = g/t^m (see the module
-        docstring).  The jets are taken at c; the columns multiply them by
-        x - c0 = (c - c0) + t."""
+        """Two passes.  First, at each point c of dst, the rows of
+        F = (x-c)^s for s <= d + b_max, d the top order of a dst functional
+        at c; the pivots they reach are kept as ``module_pivots``.  Then, at
+        each root c of g, those of F = P_w for each w in
+        ``src.local_kernel[c]``: P_w = t^-m (w/h mod t^m), m the order of g
+        at c and h = g/t^m, with d = -1 where dst reads nothing (see the
+        module docstring).  The jets are taken at c; the columns multiply
+        them by x - c0 = (c - c0) + t."""
         b_max = k_u // self.weight.w2
         src_order, dst_order = self.src.top_orders, self.dst.top_orders
         reads: dict[Fraction, list[list[tuple[int, int]]]] = {}
@@ -159,20 +174,18 @@ class _Rows:
             scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
             reads.setdefault(fn.point, []).append(
                 [(o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms])
-        for c in sorted(src_order.keys() | dst_order.keys()):
-            d = dst_order.get(c, -1)
-            fn_reads = reads.get(c, [])
-            offset = c - self.c0
-            for s in range(d + b_max + 1 if d >= 0 else 0):
-                self._add_jet_rows(offset, {s: 1}, d, fn_reads, k_u)
-            if c in src_order:
-                m = src_order[c] + 1
-                h = _taylor(self.g, c)[m:]
-                for w in self.src.local_kernel[c]:
-                    part = _series_quotient(w, h, m - 1)
-                    den = lcm(*(y.denominator for y in part))
-                    self._add_jet_rows(offset, {e - m: int(y * den) for e, y in enumerate(part) if y},
-                                       d, fn_reads, k_u)
+        for c, d in sorted(dst_order.items()):
+            for s in range(d + b_max + 1):
+                self._add_jet_rows(c - self.c0, {s: 1}, d, reads[c], k_u)
+        self.module_pivots = self.reducer.pivot_cols()
+        for c, top in sorted(src_order.items()):
+            m = top + 1
+            h = _taylor(self.g, c)[m:]
+            for w in self.src.local_kernel[c]:
+                part = _series_quotient(w, h, m - 1)
+                den = lcm(*(y.denominator for y in part))
+                self._add_jet_rows(c - self.c0, {e - m: int(y * den) for e, y in enumerate(part) if y},
+                                   dst_order.get(c, -1), reads.get(c, []), k_u)
 
     def _add_jet_rows(self, offset: Fraction, jet: dict[int, int], d: int,
                       reads: list[list[tuple[int, int]]], k_u: int) -> None:
@@ -267,13 +280,12 @@ class _Tower:
 
     __slots__ = ("weight", "gdeg", "kmax", "xexp", "pivots", "pivot_set")
 
-    def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
-        rows = _Rows(src, dst, weight, kmax)
+    def __init__(self, weight: Weight, gdeg: int, kmax: int, xexp: tuple[int, ...], pivots: Sequence[int]):
         self.weight = weight
-        self.gdeg = rows.g.degree()
+        self.gdeg = gdeg
         self.kmax = kmax
-        self.xexp = tuple(a for a, _ in rows.cols)
-        self.pivots = tuple(rows.reducer.pivot_cols())
+        self.xexp = xexp
+        self.pivots = tuple(pivots)
         self.pivot_set = frozenset(self.pivots)
 
     def ncols_at(self, k: int) -> int:
@@ -294,24 +306,36 @@ class _Tower:
         )
 
 
+_TRIVIAL = SubspaceSpec.trivial()
+
 _tower_cache: dict[tuple[SubspaceSpec, SubspaceSpec, Weight], _Tower] = {}
 
 
 def _tower_for(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> _Tower:
+    """The cached tower of (src, dst, weight), built at level k on a miss or
+    when the cached one stops below k.  One build yields two towers: this
+    one, from all the pivots of its ``_Rows``, and the module tower
+    (TRIVIAL, dst, weight) at level k + w1*deg(g), from the pivots its t^s
+    rows reach (see the module docstring).  The second is cached unless the
+    cache holds that tower at its level or above already; for a module the
+    two are one tower."""
     key = (src, dst, weight)
     tower = _tower_cache.get(key)
     if tower is None or tower.kmax < k:
-        tower = _Tower(src, dst, weight, k)
-        _tower_cache[key] = tower
+        rows = _Rows(src, dst, weight, k)
+        gdeg = rows.g.degree()
+        xexp = tuple(a for a, _ in rows.cols)
+        tower = _tower_cache[key] = _Tower(weight, gdeg, k, xexp, rows.reducer.pivot_cols())
+        k_module = k + weight.w1 * gdeg
+        module = _tower_cache.get((_TRIVIAL, dst, weight))
+        if module is None or module.kmax < k_module:
+            _tower_cache[_TRIVIAL, dst, weight] = _Tower(weight, 0, k_module, xexp, rows.module_pivots)
     return tower
 
 
 def clear_cache() -> None:
     """Drop all memoized towers (mainly for honest timing in tests)."""
     _tower_cache.clear()
-
-
-_TRIVIAL = SubspaceSpec.trivial()
 
 
 def _numerators(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int,

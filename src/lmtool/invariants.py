@@ -281,7 +281,9 @@ class Report:
 
 def verify_lm_chern(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """The headline check: p_D = 2n at weight (1,1), with the End-sequence fit
-    cross-checked to have shift 0 and constant p_D."""
+    cross-checked to have shift 0 and constant p_D.  The End tower is built
+    first: its build also caches the module tower that chern_number reads."""
+    hom_dims(spec, spec, W11, kmax)
     ch = chern_number(spec, kmax)
     lm = lm_invariant(spec, W11, kmax)
     d_fit = fit_euler(HilbertSeq(f"hom({spec.name},{spec.name})", W11, 0, kmax, lm.hilbert_D))

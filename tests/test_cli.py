@@ -37,6 +37,25 @@ DEEP_SHA256 = {
         "8dcfaffab7a344c240bcac68abb56f03f02e1790c8cd07e37c3473ec8cd181c3",
 }
 
+# the exact stderr of verify runs below their onset, keyed by their
+# arguments; each exits 3 with nothing on stdout.  The Euler fit of the
+# module runs first and refuses the first three; the p-sequence of gaps-1-3
+# at (1,2) is still moving at kmax 7
+FAILURE_STDERR = {
+    ("verify", "--spec", "cusp", "--kmax", "4"):
+        "lmtool: not stabilized: module(cusp): fit window [1,4] has only 4 entries; raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("verify", "--spec", "two-point", "--kmax", "5"):
+        "lmtool: not stabilized: module(two-point): fit window [3,5] has only 3 entries; raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("verify", "--spec", "mixed", "--kmax", "6"):
+        "lmtool: not stabilized: module(mixed): fit window [3,6] has only 4 entries; raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("verify", "--spec", "gaps-1-3", "--kmax", "7"):
+        "lmtool: not stabilized: p-sequence for gaps-1-3 at (1,2) still moving: tail (5, 6, 6); raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+}
+
 # sha256 of stdout for each verb and format at --kmax 8; a rendering change
 # that moves a single byte shows up here
 VERB_ARGS = {
@@ -132,6 +151,11 @@ def test_verify_small_kmax_exits_3(capsys, cusp_file):
     assert code == 3
     assert out == ""
     assert "kmax" in err
+
+
+@pytest.mark.parametrize("argv", sorted(FAILURE_STDERR), ids=" ".join)
+def test_failure_stderr_is_pinned(capsys, argv):
+    assert run(capsys, *argv) == (3, "", FAILURE_STDERR[argv])
 
 
 # -- verbs --------------------------------------------------------------------------

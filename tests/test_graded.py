@@ -16,6 +16,7 @@ both oracles before being pinned.
 
 import hashlib
 import importlib
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -494,30 +495,130 @@ def test_pivots_and_rref_are_pinned(monkeypatch):
 
 
 # The rows offered to the reducer by the pinned towers at kmax 12: their
-# number and the sha256 of the sequence, each row written as
-# repr(sorted(row.items())).  Recorded from the builder that writes, at each
-# root of g, the rows of the principal parts P_w of a basis of the local
-# kernel; a faster builder must offer exactly these rows, in this order.
+# number, the sha256 of the sequence, each row written as
+# repr(sorted(row.items())), and the sha256 of those reprs sorted.  The
+# builder offers the t^s rows of every point first and then, at each root
+# of g, the rows of the principal parts P_w of a basis of the local kernel.
+# The sorted digest was recorded from the builder that offered both kinds
+# point by point, so it pins the rows whatever their order; the sequence
+# digest pins this order.
 OFFERED_ROWS = 31522
-OFFERED_ROWS_SHA256 = "5e75e3571e50081ce6d41596c72adc520cc180727c3614fde6df9469786ca17d"
+OFFERED_ROWS_SHA256 = "3e7d4f6b568cbf4eaf6cedd90c8139fe1559ee18bd3ccbf56243a8b6ae3f4be9"
+OFFERED_ROWS_SORTED_SHA256 = "f9a56f012ec04464ddee317751ef3a6fd70dce52c7a12eff35a5a664b8d18ce4"
 
 
 def test_offered_rows_are_pinned(monkeypatch):
-    digest, offered = hashlib.sha256(), []
+    offered = []
 
     class RecordingReducer(RowReducer):
-        """Hashes the rows offered to it and reduces none of them."""
+        """Records the rows offered to it and reduces none of them."""
 
         def add_row(self, entries):
-            offered.append(len(entries))
-            digest.update(repr(sorted(entries.items())).encode())
+            offered.append(repr(sorted(entries.items())))
             return True
 
     towers = pinned_towers(pinned_specs(monkeypatch))
     monkeypatch.setattr(graded, "RowReducer", RecordingReducer)
     for src, dst, weight in towers:
         graded._Rows(src, dst, weight, 12)
-    assert (len(offered), digest.hexdigest()) == (OFFERED_ROWS, OFFERED_ROWS_SHA256)
+    digests = [hashlib.sha256("".join(rows).encode()).hexdigest() for rows in (offered, sorted(offered))]
+    assert (len(offered), *digests) == (OFFERED_ROWS, OFFERED_ROWS_SHA256, OFFERED_ROWS_SORTED_SHA256)
+
+
+# ---------------------------------------------------------------------------
+# the module tower a build caches on the side
+# ---------------------------------------------------------------------------
+
+def fresh_module_dims(dst: SubspaceSpec, weight: Weight, kmax: int) -> list[int]:
+    """Module dims for k = -1..kmax from the pivots of a build of its own."""
+    pivots = graded._Rows(TRIVIAL, dst, weight, kmax).reducer.pivot_cols()
+    return [dim_A(weight, k) - bisect_left(pivots, dim_A(weight, k)) for k in range(-1, kmax + 1)]
+
+
+def assert_side_module_is_fresh(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int) -> None:
+    # a cold build of (src, dst) caches (TRIVIAL, dst) at kmax + w1*deg(g)
+    # from the pivots of its t^s rows; every level must read as a build of
+    # the module itself, whose centre is dst's least point, not the least
+    # point of src and dst
+    clear_cache()
+    _tower_for(src, dst, weight, kmax)
+    module = graded._tower_cache[TRIVIAL, dst, weight]
+    top = kmax + weight.w1 * src.conductor.degree()
+    assert module.kmax == top, (src, dst, weight)
+    assert [module.dim(k) for k in range(-1, top + 1)] == fresh_module_dims(dst, weight, top), (src, dst, weight)
+
+
+def test_side_module_tower_of_pinned_specs(monkeypatch):
+    # End and dual of the catalog and both sweeps at seeds 1-3, and cross
+    # towers between specs with no point at 0, whose centre is src's point
+    specs = pinned_specs(monkeypatch)
+    cross = [(EXTRA_SPECS["third-mixed"], EXTRA_SPECS["half-cusp"]),
+             (EXTRA_SPECS["off-zero-pair"], EXTRA_SPECS["half-cusp"]),
+             (catalog_get("mixed"), EXTRA_SPECS["half-cusp"])]
+    assert all(min(src.points) < min(dst.points) for src, dst in cross)
+    for weight in DEFAULT_WEIGHTS:
+        for src, dst in [(spec, other) for spec in specs for other in (spec, TRIVIAL)] + cross:
+            assert_side_module_is_fresh(src, dst, weight, 12)
+
+
+@given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS), st.integers(min_value=0, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_side_module_tower_of_condition_specs(points1, points2, weight, kmax):
+    v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
+    for src, dst in [(v1, v1), (v1, v2), (v2, v1), (v1, TRIVIAL)]:
+        assert_side_module_is_fresh(src, dst, weight, kmax)
+
+
+def counted_builds(monkeypatch) -> list:
+    """Patch graded._Rows to record the arguments of every build."""
+    built = []
+
+    class CountingRows(graded._Rows):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(graded, "_Rows", CountingRows)
+    return built
+
+
+@given(gap_sets, gap_weights, st.integers(min_value=0, max_value=20))
+@settings(max_examples=50, deadline=None)
+def test_module_after_end_builds_nothing(gaps, w, kmax):
+    spec, weight = SubspaceSpec.from_gaps("spec", gaps), Weight(*w)
+    top = kmax + weight.w1 * spec.conductor.degree()
+    clear_cache()
+    with pytest.MonkeyPatch.context() as mp:
+        built = counted_builds(mp)
+        hom_dims(spec, spec, weight, kmax)
+        assert len(built) == 1
+        assert module_dims(spec, weight, top, kmin=-1) == gap_hom_dims((), gaps, *w, top)
+        assert len(built) == 1
+
+
+def test_builds_per_benchmark_input(monkeypatch):
+    # the towers each benchmark workload builds at seed 1, from a cold
+    # cache: the End build of a spec at (1,1) serves its module read, so
+    # catalog-verify builds End at four weights and dual (the trivial spec
+    # has one tower at each weight), conditions-sweep End, and monomial-deep
+    # End at four weights; with a module build of its own for each spec
+    # they were 40, 30 and 25
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    built = counted_builds(monkeypatch)
+    counts = {}
+    clear_cache()
+    code, _ = workloads.run_catalog_in_process()
+    assert code == 0
+    counts["catalog-verify"] = len(built)
+    for sweep in (workloads.ConditionsSweep(1), workloads.MonomialDeep(1)):
+        clear_cache()
+        built.clear()
+        assert not any(sweep.check(spec) for spec in sweep.specs)
+        counts[sweep.name] = len(built)
+    assert counts == {"catalog-verify": 34, "conditions-sweep": 15, "monomial-deep": 20}
 
 
 @given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))
