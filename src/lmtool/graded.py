@@ -33,22 +33,34 @@ jet P_w for w in a basis of K_c, its pole rows and its value rows alike; a
 point that only V2 reads gives the t^s rows alone.
 
 Each tower writes u in the columns (x - c0)^a d^b, centred at c0, the
-least point of V1 and V2 (0 when there is none).  One routine writes both
-kinds of rows.  Given the Laurent jet at c of F = t^s or F = P_w (by
-power-series division of w by the Taylor digits of h), column
-(x - c0)^a d^b gets the jet of (x - c0)^a d^b F by b differentiations and a
-multiplications by x - c0 = (c - c0) + t.  The jet is kept as its nonzero
-terms: every jet of t^s is a single term, and so is P_w at 0 for g = x^m
-and a w with one nonzero digit, as at a gap set.  So the walk over b
-costs the nonzero terms, not the jet length: an order b reads only the
-window of exponents <= d, and while the least exponent lo is above d the
-walk takes lo - d derivatives at once, by the falling factorial.  At
-c = c0, where multiplying by x - c0 only raises exponents, column
-(x - c0)^a d^b reads window term t^e at t^(e+a), so each pair of a window
-term and a functional term fills one column, and the walk over a costs
-those pairs.  Centring there gives every tower at least one point on this
-sparse walk; the others multiply a dense window by the smaller offset
-c - c0 instead of c.
+least point of V1 and V2 (0 when there is none); the rows at a point c are
+written first in its own columns t^a d^b, t = x - c.  One routine writes
+both kinds of rows.  Given the Laurent jet at c of F = t^s or F = P_w (by
+power-series division of w by the Taylor digits of h), column t^a d^b gets
+the jet of t^a d^b F by b differentiations and a multiplications by t.
+The jet is kept as its nonzero terms: every jet of t^s is a single term,
+and so is P_w at 0 for g = x^m and a w with one nonzero digit, as at a gap
+set.  So the walk over b costs the nonzero terms, not the jet length: an
+order b reads only the window of exponents <= d, and while the least
+exponent lo is above d the walk takes lo - d derivatives at once, by the
+falling factorial.  Multiplying by t only raises exponents, so column
+t^a d^b reads window term t^e at t^(e+a): each pair of a window term and a
+functional term fills one column, and the walk over a costs those pairs.
+
+At c0 the rows go to the tower's reducer.  At any other point they go to a
+reducer of that point's own, and the rows it keeps are carried to the
+centre.  With c - c0 = p/q, (x - c0)^a = sum_i C(a, i) (p/q)^(a-i) t^i, so
+a row r read on t^i d^b reads on (x - c0)^a d^b as
+sum_{i <= a} C(a, i) (p/q)^(a-i) r(i, b), scaled by a power of q to
+integers.  The carry is an invertible change of columns, unitriangular in
+column order: t^i d^b goes into the columns (x - c0)^a d^b with a >= i,
+each of them the same column or a later one.  So the kept rows span the
+rows written at c, their carries span those rows written in the columns
+at c0, the tower's row space is unchanged, and each carried row keeps its
+leading column.  The points still meet in one reducer (their ranks are not
+additive); only the elimination within one point runs on its own sparse
+rows of small integers.  A point's t^s rows are carried before
+``module_pivots`` is read, and its P_w rows, reduced against them, after.
 
 The rows themselves are not canonical: a value row of P_w is a functional
 of the jet of u.P_w, not of a polynomial u.(f/g), and it is that only
@@ -102,9 +114,9 @@ tower (dst trivial) has no t^s rows, and its module, all of A, no pivots.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import comb, factorial, lcm, perm
 
 from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
@@ -135,7 +147,8 @@ def _series_quotient(num: Sequence[Fraction], den: Sequence[Fraction], top: int)
 class _Rows:
     """The linear system of one (source, target, weight) up to kmax: its
     columns (x - c0)^a d^b in order and one ``RowReducer`` holding its rows,
-    built point by point from Laurent jets (see the module docstring), and
+    built point by point from Laurent jets, each point's rows reduced in its
+    own columns and carried to c0 (see the module docstring), and
     ``module_pivots``, the pivots its t^s rows reach before any
     principal-part row.  The cached ``_Tower``s keep only pivots;
     ``hom_piece`` and ``gr_symbol_space`` read the reducer."""
@@ -159,14 +172,16 @@ class _Rows:
     # rows ---------------------------------------------------------------------
 
     def _add_rows(self, k_u: int) -> None:
-        """Two passes.  First, at each point c of dst, the rows of
+        """Two rounds.  First, at each point c of dst, the rows of
         F = (x-c)^s for s <= d + b_max, d the top order of a dst functional
         at c; the pivots they reach are kept as ``module_pivots``.  Then, at
         each root c of g, those of F = P_w for each w in
         ``src.local_kernel[c]``: P_w = t^-m (w/h mod t^m), m the order of g
         at c and h = g/t^m, with d = -1 where dst reads nothing (see the
-        module docstring).  The jets are taken at c; the columns multiply
-        them by x - c0 = (c - c0) + t."""
+        module docstring).  The jets are taken at c.  At c0 the rows go to
+        the tower's reducer; at any other point to a reducer of that point,
+        in the columns (x - c)^a d^b, whose kept rows of each round are then
+        carried to the tower's (``_carried``)."""
         b_max = k_u // self.weight.w2
         src_order, dst_order = self.src.top_orders, self.dst.top_orders
         reads: dict[Fraction, list[list[tuple[int, int]]]] = {}
@@ -174,54 +189,91 @@ class _Rows:
             scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
             reads.setdefault(fn.point, []).append(
                 [(o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms])
+        local: dict[Fraction, RowReducer] = {}  # the reducers round two adds to
         for c, d in sorted(dst_order.items()):
+            reducer = self._reducer_at(c)
             for s in range(d + b_max + 1):
-                self._add_jet_rows(c - self.c0, {s: 1}, d, reads[c], k_u)
+                self._add_jet_rows(reducer, {s: 1}, d, reads[c], k_u)
+            self._carry(c, reducer, 0)
+            if c in src_order:
+                local[c] = reducer
         self.module_pivots = self.reducer.pivot_cols()
         for c, top in sorted(src_order.items()):
+            reducer = local.pop(c) if c in local else self._reducer_at(c)
+            kept = reducer.rank
             m = top + 1
             h = _taylor(self.g, c)[m:]
             for w in self.src.local_kernel[c]:
                 part = _series_quotient(w, h, m - 1)
                 den = lcm(*(y.denominator for y in part))
-                self._add_jet_rows(c - self.c0, {e - m: int(y * den) for e, y in enumerate(part) if y},
+                self._add_jet_rows(reducer, {e - m: int(y * den) for e, y in enumerate(part) if y},
                                    dst_order.get(c, -1), reads.get(c, []), k_u)
+            self._carry(c, reducer, kept)
 
-    def _add_jet_rows(self, offset: Fraction, jet: dict[int, int], d: int,
-                      reads: list[list[tuple[int, int]]], k_u: int) -> None:
-        """Rows for one F given by its Laurent jet at a point c, t = x - c:
-        either t^s or a principal part P_w, as ``{exponent: value}`` of its
-        nonzero coefficients scaled to integers (a row is only defined up to
-        scale).  ``offset`` is c - c0, so x - c0 = offset + t.
+    def _reducer_at(self, c: Fraction) -> RowReducer:
+        """The tower's reducer at c0; a fresh one of its class elsewhere.
+        A tower calls the name ``RowReducer`` once, for its own reducer, so
+        whatever replaces that name (to record rows, or to count towers
+        built) sees every reducer of the tower and counts the tower once."""
+        return self.reducer if c == self.c0 else type(self.reducer)(len(self.cols))
 
-        Column (x-c0)^a d^b reads the jet w of (x-c0)^a d^b F up to t^d.
-        Each negative exponent is a principal-part row that must vanish.
-        Each dst functional sum_o coeff_o f^(o)(c), given in ``reads`` as
-        the pairs (o, coeff_o * o!) scaled to integers, gives the row
-        sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, and
-        the walk over b visits only the orders whose window (exponents <= d)
-        is nonempty: while the least exponent lo of the jet is above d, the
-        next lo - d orders read nothing, so it takes lo - d derivatives in
-        one step.  Then d >= -1 gives lo >= 0, so every exponent e is
-        non-negative and d^step t^e = perm(e, step) t^(e - step), which is
-        zero for e < step.  It ends when the jet vanishes or b
-        passes b_max.  Multiplying by x - c0 never lowers lo.  At c = c0 it
-        only raises every exponent by one, so (x-c0)^a d^b F reads the window
-        at e + a: window term (e, y) and functional term (o, cf) give cf*y
-        to column a = o - e, and y to pole row t^-(e+a) for each a < -e.  So
-        the walk over a costs the terms, and every a > d - lo is zero.  At
-        offset p/q != 0 the window is a dense list from lo to d, multiplying
-        by q*(x-c0) = p + q*t keeps it integral, and scaling column a by
-        q^(a_top - a) gives every entry of a row the common factor q^a_top.
-        Each row is written as ``{column: value}`` of its nonzero entries,
-        the one row format ``RowReducer`` takes.
-        """
-        w1, w2 = self.weight.w1, self.weight.w2
+    def _carry(self, c: Fraction, reducer: RowReducer, start: int) -> None:
+        """Offer the tower's reducer the rows ``reducer`` kept at c from
+        index ``start`` on, carried to the columns (x - c0)^a d^b."""
+        if reducer is not self.reducer:
+            for row in self._carried(reducer.rows[start:], c - self.c0):
+                self.reducer.add_row(row)
+
+    def _carried(self, rows: Sequence[dict[int, int]], offset: Fraction) -> Iterator[dict[int, int]]:
+        """``rows``, written in the columns (x - c)^i d^b, rewritten in the
+        columns (x - c0)^a d^b, c - c0 = offset = p/q.  Since
+        (x - c0)^a = sum_i C(a, i) (p/q)^(a-i) (x - c)^i, entry (a, b) is
+        sum_{i <= a} C(a, i) p^(a-i) q^(a_top-a+i) r(i, b), the common factor
+        q^a_top keeping it integral (a_top the largest a of any column).
+        Column (a, b) with a >= i is (i, b) or a later one, so each row
+        keeps its leading column."""
         p, q = offset.numerator, offset.denominator
-        b_max = k_u // w2
-        if p:
-            a_top = k_u // w1
-            col_scale = [q ** (a_top - a) for a in range(a_top + 1)]
+        a_top = len(self.col_of[0]) - 1
+        power = [p ** n * q ** (a_top - n) for n in range(a_top + 1)]
+        factors: dict[int, list[int]] = {}  # i -> [C(a, i) p^(a-i) q^(a_top-a+i) for a >= i]
+        for row in rows:
+            carried: dict[int, int] = {}
+            for idx, v in row.items():
+                i, b = self.cols[idx]
+                f = factors.get(i)
+                if f is None:
+                    f = factors[i] = [comb(a, i) * power[a - i] for a in range(i, a_top + 1)]
+                for j, x in zip(self.col_of[b][i:], f):
+                    carried[j] = carried.get(j, 0) + x * v
+            yield carried
+
+    def _add_jet_rows(self, reducer: RowReducer, jet: dict[int, int], d: int,
+                      reads: list[list[tuple[int, int]]], k_u: int) -> None:
+        """Offer ``reducer`` the rows for one F given by its Laurent jet at
+        a point c, t = x - c, in the columns (x - c)^a d^b: F is either t^s
+        or a principal part P_w, given as ``{exponent: value}`` of its
+        nonzero coefficients scaled to integers (a row is only defined up to
+        scale).
+
+        Column t^a d^b reads the jet w of t^a d^b F up to t^d.  Each
+        negative exponent is a principal-part row that must vanish.  Each
+        dst functional sum_o coeff_o f^(o)(c), given in ``reads`` as the
+        pairs (o, coeff_o * o!) scaled to integers, gives the row
+        sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, and the walk
+        over b visits only the orders whose window (exponents <= d) is
+        nonempty: while the least exponent lo of the jet is above d, the next
+        lo - d orders read nothing, so it takes lo - d derivatives in one
+        step.  Then d >= -1 gives lo >= 0, so every exponent e is
+        non-negative and d^step t^e = perm(e, step) t^(e - step), which is
+        zero for e < step.  It ends when the jet vanishes or b passes b_max.
+        Multiplying by t raises every exponent by one, so t^a d^b F reads
+        the window at e + a: window term (e, y) and functional term (o, cf)
+        give cf*y to column a = o - e, and y to pole row t^-(e+a) for each
+        a < -e.  So the walk over a costs the terms, and every a > d - lo is
+        zero.  Each row is written as ``{column: value}`` of its nonzero
+        entries, the one row format ``RowReducer`` takes.
+        """
+        b_max = k_u // self.weight.w2
         # poles[i] is the row of t^-(i+1); F has a pole of order depth if it is positive
         depth = -min(jet)
         poles: list[dict[int, int]] = [{} for _ in range(depth + b_max if depth > 0 else 0)]
@@ -234,31 +286,17 @@ class _Rows:
             else:
                 step = 1
                 col = self.col_of[b]
+                a_end = len(col)
                 window = {e: y for e, y in jet.items() if e <= d}
-                if p:
-                    w = [window.get(e, 0) for e in range(lo, d + 1)]
-                    for a, idx in enumerate(col):
-                        if a:
-                            w = [p * w[0]] + [p * y + q * z for y, z in zip(w[1:], w)]
-                        s = col_scale[a]
-                        for i in range(-lo):
-                            if w[i]:
-                                poles[-lo - 1 - i][idx] = s * w[i]
-                        for row, terms in zip(values, reads):
-                            v = sum(cf * w[o - lo] for o, cf in terms if o >= lo)
-                            if v:
-                                row[idx] = s * v
-                else:  # c = c0: (x-c0)^a d^b F reads t^(e+a) of each term t^e
-                    a_end = len(col)
+                for e, y in window.items():
+                    for a in range(min(-e, a_end)):
+                        poles[-e - a - 1][col[a]] = y
+                for row, terms in zip(values, reads):
                     for e, y in window.items():
-                        for a in range(min(-e, a_end)):
-                            poles[-e - a - 1][col[a]] = y
-                    for row, terms in zip(values, reads):
-                        for e, y in window.items():
-                            for o, cf in terms:
-                                if 0 <= o - e < a_end:
-                                    idx = col[o - e]
-                                    row[idx] = row.get(idx, 0) + cf * y
+                        for o, cf in terms:
+                            if 0 <= o - e < a_end:
+                                idx = col[o - e]
+                                row[idx] = row.get(idx, 0) + cf * y
             b += step
             if b > b_max:
                 break
@@ -266,11 +304,10 @@ class _Rows:
                 jet = {e - 1: e * y for e, y in jet.items() if e}
             else:
                 jet = {e - step: f * y for e, y in jet.items() if (f := perm(e, step))}
-        if not p:  # at c = c0 the terms that meet in one column may cancel
-            values = [{i: v for i, v in row.items() if v} for row in values]
-        for row in poles + values:
+        # the terms that meet in one column may cancel
+        for row in poles + [{i: v for i, v in row.items() if v} for row in values]:
             if row:
-                self.reducer.add_row(row)
+                reducer.add_row(row)
 
 
 class _Tower:
@@ -278,7 +315,7 @@ class _Tower:
     to kmax is a column prefix of it, and both queries need only its pivot
     columns and the x-exponents of its columns (see the module docstring)."""
 
-    __slots__ = ("weight", "gdeg", "kmax", "xexp", "pivots", "pivot_set")
+    __slots__ = ("weight", "gdeg", "kmax", "xexp", "pivots", "pivot_set", "_ncols")
 
     def __init__(self, weight: Weight, gdeg: int, kmax: int, xexp: tuple[int, ...], pivots: Sequence[int]):
         self.weight = weight
@@ -287,9 +324,12 @@ class _Tower:
         self.xexp = xexp
         self.pivots = tuple(pivots)
         self.pivot_set = frozenset(self.pivots)
+        # _ncols[K + 1] is dim A_K, for K = k + w1*deg(g) from -1 up to kmax's
+        self._ncols = [dim_A(weight, top) for top in range(-1, kmax + weight.w1 * gdeg + 1)]
 
     def ncols_at(self, k: int) -> int:
-        return dim_A(self.weight, k + self.weight.w1 * self.gdeg)
+        """The column count at level k: dim A_K, K = k + w1*deg(g), and 0 for K < 0."""
+        return self._ncols[max(k + self.weight.w1 * self.gdeg + 1, 0)]
 
     def dim(self, k: int) -> int:
         n = self.ncols_at(k)

@@ -290,7 +290,7 @@ class RowReducer:
         """A fresh ``{column: int}`` of the nonzero entries, scaled to
         integers.  A float would be truncated and a bool is not a number, so
         either raises ``TypeError``; the checks read the set of types."""
-        if not isinstance(entries, Mapping):
+        if type(entries) is not dict and not isinstance(entries, Mapping):
             raise TypeError(f"a row is a {{column: value}} mapping, not {type(entries).__name__}")
         bad = _refused(set(map(type, entries)), int)
         if bad is not None:
@@ -298,12 +298,13 @@ class RowReducer:
         if entries and (min(entries) < 0 or max(entries) >= self.ncols):
             raise ValueError("row column out of range")
         kinds = set(map(type, entries.values()))
-        row = {t: v for t, v in entries.items() if v}
         if kinds <= {int}:
-            return row
+            row = dict(entries)
+            return {t: v for t, v in row.items() if v} if 0 in row.values() else row
         bad = _refused(kinds, (int, Fraction))
         if bad is not None:
             raise TypeError(f"a row value is an int or a Fraction, not {bad.__name__}")
+        row = {t: v for t, v in entries.items() if v}
         scale = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
         return {
             t: v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else v * scale
@@ -327,6 +328,12 @@ class RowReducer:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def rows(self) -> list[dict[int, int]]:
+        """The echelon rows in the order they were kept, each primitive
+        with a positive leading entry; read them, do not change them."""
+        return self._rows
 
     def pivot_cols(self) -> list[int]:
         return sorted(self._pivot_of)

@@ -9,7 +9,9 @@ degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
 that uses the standard library alone.  ``StepwiseReducer`` is fraction-free
 elimination that keeps every row primitive after every step, which
-``lmtool.linalg.RowReducer`` must match row for row.
+``lmtool.linalg.RowReducer`` must match row for row.  ``recentred_row``
+rewrites a row read on (x - c)^i d^b as a row read on (x - c0)^a d^b,
+with binomials taken as products of Fractions.
 """
 
 from fractions import Fraction
@@ -152,3 +154,28 @@ class StepwiseReducer:
         for i in reversed(range(len(pivots))):
             rows[:i] = [self._step(r, rows[i], pivots[i]) if pivots[i] in r else r for r in rows[:i]]
         return tuple(pivots), tuple({t: Fraction(v, r[c]) for t, v in r.items()} for c, r in zip(pivots, rows))
+
+
+def binomial(a: int, i: int) -> Fraction:
+    """C(a, i) as the product of (a - j)/(j + 1) for j < i."""
+    out = Fraction(1)
+    for j in range(i):
+        out *= Fraction(a - j, j + 1)
+    return out
+
+
+def recentred_row(row: dict[tuple[int, int], int], delta: Fraction, w1: int, w2: int,
+                  top: int) -> dict[tuple[int, int], Fraction]:
+    """A row given by its values r(i, b) on the operators (x - c)^i d^b,
+    read on every (x - c0)^a d^b with w1*a + w2*b <= top, where
+    c - c0 = delta: (x - c0)^a = sum_i C(a, i) delta^(a-i) (x - c)^i, so
+    the value there is sum_i C(a, i) delta^(a-i) r(i, b).  Nonzero values
+    only, keyed (a, b)."""
+    out = {}
+    for b in range(top // w2 + 1):
+        for a in range((top - w2 * b) // w1 + 1):
+            value = sum((binomial(a, i) * delta ** (a - i) * row.get((i, b), 0) for i in range(a + 1)),
+                        Fraction(0))
+            if value:
+                out[a, b] = value
+    return out

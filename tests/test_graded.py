@@ -51,6 +51,7 @@ from reference import (
     low_basis_sympy,
     parse_weyl,
     poly_to_sympy,
+    recentred_row,
 )
 
 X = sympy.Symbol("x")
@@ -427,8 +428,8 @@ def test_dimensions_are_translation_invariant(points1, points2, t, s):
     # +-x^a d^b plus earlier columns, for any centre c, so every
     # column-prefix span is the same; the graded-inclusion reading follows
     # from the pivots.  A tower is centred at its least point, so s = -1
-    # moves the sparse c = c0 walk to another point's conditions and the
-    # test cross-checks it against the dense walk
+    # moves a point's conditions between the centre, whose rows go to the
+    # tower's reducer, and a point whose kept rows are carried to it
     kmax = 10
     v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
     u1, u2 = translated(points1, t, s), translated(points2, t, s)
@@ -457,6 +458,73 @@ def test_off_zero_hom_dims_match_oracle(points1, points2, k):
     v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
     for src, dst in [(v1, v1), (v1, v2)]:
         assert hom_dims(src, dst, W11, k, kmin=k) == [oracle_hom_dim(src, dst, W11, k)], (src, dst)
+
+
+# ---------------------------------------------------------------------------
+# rows reduced at their own point and carried to the centre
+# ---------------------------------------------------------------------------
+
+CARRY_OFFSETS = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2), Fraction(2)]
+
+
+@st.composite
+def local_rows(draw):
+    """A weight, a top degree and a sparse integer row on the columns
+    (x - c)^i d^b of weighted degree <= top, keyed (i, b)."""
+    weight = draw(st.sampled_from(DEFAULT_WEIGHTS))
+    top = draw(st.integers(min_value=0, max_value=12))
+    monomials = [(i, b) for b in range(top // weight.w2 + 1) for i in range((top - weight.w2 * b) // weight.w1 + 1)]
+    keys = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    values = draw(st.lists(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+                           min_size=len(keys), max_size=len(keys)))
+    return weight, top, dict(zip(keys, values))
+
+
+@given(local_rows(), st.sampled_from(CARRY_OFFSETS))
+@settings(max_examples=200, deadline=None)
+def test_carried_row_is_the_change_of_centre(case, offset):
+    # a row kept at c in the columns (x - c)^i d^b, carried to c0 = c -
+    # offset, must read on (x - c0)^a d^b as the binomial change of basis
+    # does, up to a nonzero scale, and keep its leading column
+    weight, top, row = case
+    rows = graded._Rows(TRIVIAL, TRIVIAL, weight, top)  # no points: columns only
+    index = {m: j for j, m in enumerate(rows.cols)}
+    [carried] = rows._carried([{index[m]: v for m, v in row.items()}], offset)
+    carried = {rows.cols[j]: v for j, v in carried.items() if v}
+    want = recentred_row(row, offset, weight.w1, weight.w2, top)
+    lead = min(row, key=index.get)
+    assert min(carried, key=index.get) == min(want, key=index.get) == lead
+    scale = carried[lead] / want[lead]
+    assert {m: v / scale for m, v in carried.items()} == want
+
+
+@st.composite
+def three_points(draw):
+    """Three distinct points, 0 among the choices, with one functional of
+    order <= 1 at each: the least is the centre and the other two carry."""
+    points = draw(st.lists(st.sampled_from(["0", *TRANSLATION_POINTS]), min_size=3, max_size=3, unique=True))
+    out = []
+    for c in points:
+        coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=2))
+        if not any(coeffs):
+            coeffs[-1] = 1
+        out.append((Fraction(c), [[(o, v) for o, v in enumerate(coeffs) if v]]))
+    return out
+
+
+@given(three_points(), three_points(), st.integers(min_value=0, max_value=1))
+@settings(max_examples=15, deadline=None)
+def test_three_point_hom_dims_match_oracle(points1, points2, k):
+    # two points of each spec reduce their rows on their own and carry them
+    # to one reducer; End and cross hom against the sympy rebuild, and the
+    # module tower the build caches from its t^s rows against the module's
+    v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
+    for src, dst in [(v1, v1), (v1, v2)]:
+        clear_cache()
+        assert hom_dims(src, dst, W11, k, kmin=k) == [oracle_hom_dim(src, dst, W11, k)], (src, dst)
+        top = k + src.conductor.degree()
+        assert graded._tower_cache[TRIVIAL, dst, W11].kmax == top
+        assert module_dims(dst, W11, top, kmin=top) == [oracle_module_dim(dst, W11, top)], (src, dst)
 
 
 def pinned_specs(monkeypatch) -> list[SubspaceSpec]:
@@ -494,17 +562,18 @@ def test_pivots_and_rref_are_pinned(monkeypatch):
     assert digest.hexdigest() == ECHELON_SHA256
 
 
-# The rows offered to the reducer by the pinned towers at kmax 12: their
+# The rows offered to a reducer by the pinned towers at kmax 12: their
 # number, the sha256 of the sequence, each row written as
 # repr(sorted(row.items())), and the sha256 of those reprs sorted.  The
 # builder offers the t^s rows of every point first and then, at each root
 # of g, the rows of the principal parts P_w of a basis of the local kernel.
-# The sorted digest was recorded from the builder that offered both kinds
-# point by point, so it pins the rows whatever their order; the sequence
-# digest pins this order.
+# Rows at c0 go to the tower's reducer and rows at any other point c to a
+# reducer of c's own, written in the columns (x - c)^a d^b.  The recording
+# reducer keeps no row, so no row is carried to c0 here.  The sorted digest
+# pins the rows whatever their order; the sequence digest pins this order.
 OFFERED_ROWS = 31522
-OFFERED_ROWS_SHA256 = "3e7d4f6b568cbf4eaf6cedd90c8139fe1559ee18bd3ccbf56243a8b6ae3f4be9"
-OFFERED_ROWS_SORTED_SHA256 = "f9a56f012ec04464ddee317751ef3a6fd70dce52c7a12eff35a5a664b8d18ce4"
+OFFERED_ROWS_SHA256 = "0394b6586026f79110a69756cb68c6ca42bb22f018129d55f395442f6203357b"
+OFFERED_ROWS_SORTED_SHA256 = "2d6cd59e310d7a9f7177ed01f0e6f94218515e498a8f4158032b953aeaca9003"
 
 
 def test_offered_rows_are_pinned(monkeypatch):

@@ -357,20 +357,28 @@ def test_rows_equal_those_of_division_after_every_step(case):
 
 
 def test_mixed_end_tower_rows_equal_those_of_division_after_every_step(monkeypatch):
-    ref = StepwiseReducer()
+    # the tower's reducer and each point's own reducer get a reference each
+    mirrored = []
 
     class Mirrored(RowReducer):
-        """Offers every row to the reference reducer as well."""
+        """Offers every row to a reference reducer of its own as well."""
+
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            self.ref = StepwiseReducer()
+            mirrored.append(self)
 
         def add_row(self, entries):
             kept = super().add_row(entries)
-            assert ref.add_row(entries) == kept
+            assert self.ref.add_row(entries) == kept
             return kept
 
     monkeypatch.setattr(graded, "RowReducer", Mirrored)
     mixed = catalog_get("mixed")
     reducer = graded._Rows(mixed, mixed, Weight(1, 1), 30).reducer
     assert reducer.rank == 176
-    assert reducer._rows == ref.rows
-    assert reducer._pivot_of == ref.pivot_of
-    assert reducer.rref() == ref.rref()
+    assert len(mirrored) == len(mixed.points)
+    for red in mirrored:
+        assert red._rows == red.ref.rows
+        assert red._pivot_of == red.ref.pivot_of
+        assert red.rref() == red.ref.rref()

@@ -9,8 +9,9 @@ reach far past the catalog.
     sum of its single-point parts;
   * scaling -- x -> L x, d -> d / L keeps every weighted filtration, so the
     hom dimensions do not move.  With L the lcm of the point denominators
-    every point becomes an integer, and the pole rows at a point c != c0
-    take the branch of the offset p/q = c - c0 with q = 1 instead of q != 1.
+    every point becomes an integer, and the rows kept at a point c != c0
+    are carried to c0 by the offset p/q = c - c0 with q = 1 instead of
+    q != 1.
 """
 
 from fractions import Fraction
