@@ -90,12 +90,19 @@ x-exponent of its symbol.  Every symbol is therefore divisible by x^deg(g)
 exactly when every free column in [lo, hi) has x-exponent >= deg(g), and
 no basis, symbol or RREF is built.
 
-So the cache keeps, per tower, only the weight, deg g, kmax, the
-x-exponent of each column and the sorted pivot columns; the echelon rows
-go once the build is done.  dim(k) is the column count at level k less
-the pivots below it.  ``hom_piece`` and ``gr_symbol_space``, the reference
-readings that need the canonical nullspace, build and reduce the rows of
-their level afresh on each call.
+So the cache keeps, per tower, only the weight, deg g, kmax and the
+sorted pivot columns; the echelon rows go once the build is done.  Every
+tower of one weight reads a prefix of the same columns, so these live in
+one table per weight (``_Columns``): the (a, b) and the x-exponent of each
+column, the column of (x - c0)^a d^b for each b, and the column count of
+every degree K.  It grows by degree bands when a build asks for a larger
+K, and a tower keeps references to its x-exponents and counts, which only
+ever grow.  dim(k) is the column count at level k less the pivots below
+it.  The cache also keeps the Taylor digits of a conductor at each of its
+roots, and ``clear_cache`` drops towers, tables and digits together.
+``hom_piece`` and ``gr_symbol_space``, the reference readings that need
+the canonical nullspace, build and reduce the rows of their level afresh
+on each call.
 
 One build also yields the module tower of dst, (TRIVIAL, dst), whose
 conductor is 1.  A build offers the t^s rows of every point first and the
@@ -114,6 +121,7 @@ tower (dst trivial) has no t^s rows, and its module, all of A, no pivots.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
@@ -123,13 +131,19 @@ from .subspace import SubspaceSpec
 from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
 
 
-def _taylor(p: Poly, c: Fraction) -> list[Fraction]:
-    """Taylor coefficients of p at c: its (x - c)-adic digits."""
-    t = Poly({0: -c, 1: 1})
-    digits = []
-    while not p.is_zero:
-        p, r = poly_divmod(p, t)
-        digits.append(r[0])
+_taylor_cache: dict[tuple[SubspaceSpec, Fraction], list[Fraction]] = {}
+
+
+def _taylor(spec: SubspaceSpec, c: Fraction) -> list[Fraction]:
+    """Taylor coefficients of spec's conductor at c: its (x - c)-adic
+    digits, kept until ``clear_cache``."""
+    digits = _taylor_cache.get((spec, c))
+    if digits is None:
+        p, t = spec.conductor, Poly({0: -c, 1: 1})
+        digits = _taylor_cache[spec, c] = []
+        while not p.is_zero:
+            p, r = poly_divmod(p, t)
+            digits.append(r[0])
     return digits
 
 
@@ -144,16 +158,69 @@ def _series_quotient(num: Sequence[Fraction], den: Sequence[Fraction], top: int)
     return out
 
 
+class _Columns:
+    """The columns of every tower of one weight: the monomials (a, b) of A
+    in ``monomial_basis`` order, of which a tower at degree K reads the
+    prefix of degree <= K.  It grows by degree bands, and its lists are
+    only ever appended to, so a tower may keep references to them."""
+
+    __slots__ = ("weight", "cols", "xexp", "index", "counts")
+
+    def __init__(self, weight: Weight):
+        self.weight = weight
+        self.cols: list[tuple[int, int]] = []  # the (a, b) of each column
+        self.xexp: list[int] = []  # the a of each column
+        self.index: list[list[int]] = []  # index[b][a] is the column of (x - c0)^a d^b
+        self.counts = [0]  # counts[K + 1] is dim A_K, the number of columns of degree <= K
+
+    def grow(self, top: int) -> None:
+        """Append the columns of degrees up to top that are not in yet.
+        Within a band the columns of each b come by rising a, and a new b
+        first comes at a = 0, so each column's index is appended to its b."""
+        lo = len(self.counts) - 1
+        if top < lo:
+            return
+        band = monomial_basis(self.weight, top, lo)
+        for i, (a, b) in enumerate(band, len(self.cols)):
+            if b == len(self.index):
+                self.index.append([])
+            self.index[b].append(i)
+        self.cols += band
+        self.xexp += [a for a, _ in band]
+        per_degree = Counter(self.weight.degree(a, b) for a, b in band)
+        for K in range(lo, top + 1):
+            self.counts.append(self.counts[-1] + per_degree[K])
+
+
+_column_tables: dict[Weight, _Columns] = {}
+
+
+def _columns(weight: Weight, top: int) -> _Columns:
+    """The column table of weight, grown to degree top at least."""
+    columns = _column_tables.get(weight)
+    if columns is None:
+        columns = _column_tables[weight] = _Columns(weight)
+    columns.grow(top)
+    return columns
+
+
+def column_counts(weight: Weight, kmax: int) -> list[int]:
+    """dim A_k(w) for k = 0..kmax, read from the weight's column table."""
+    return _columns(weight, kmax).counts[1:kmax + 2]
+
+
 class _Rows:
     """The linear system of one (source, target, weight) up to kmax: its
-    columns (x - c0)^a d^b in order and one ``RowReducer`` holding its rows,
-    built point by point from Laurent jets, each point's rows reduced in its
-    own columns and carried to c0 (see the module docstring), and
-    ``module_pivots``, the pivots its t^s rows reach before any
-    principal-part row.  The cached ``_Tower``s keep only pivots;
-    ``hom_piece`` and ``gr_symbol_space`` read the reducer."""
+    columns (x - c0)^a d^b, the first ``ncols`` of the weight's column
+    table, and one ``RowReducer`` holding its rows, built point by point
+    from Laurent jets, each point's rows reduced in its own columns and
+    carried to c0 (see the module docstring), and ``module_pivots``, the
+    pivots its t^s rows reach before any principal-part row.  The cached
+    ``_Tower``s keep only pivots; ``hom_piece`` and ``gr_symbol_space``
+    read the reducer."""
 
-    __slots__ = ("src", "dst", "weight", "g", "c0", "cols", "col_of", "reducer", "module_pivots")
+    __slots__ = ("src", "dst", "weight", "g", "c0", "columns", "cols", "col_of", "a_end", "ncols",
+                 "reducer", "module_pivots")
 
     def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
         self.src = src
@@ -162,11 +229,12 @@ class _Rows:
         self.g = src.conductor
         self.c0 = min(src.points + dst.points, default=Fraction(0))
         k_u = kmax + weight.w1 * self.g.degree()
-        self.cols = monomial_basis(weight, k_u)
-        self.col_of = [[0] * ((k_u - b * weight.w2) // weight.w1 + 1) for b in range(k_u // weight.w2 + 1)]
-        for i, (a, b) in enumerate(self.cols):
-            self.col_of[b][a] = i  # the column of (x - c0)^a d^b
-        self.reducer = RowReducer(len(self.cols))
+        self.columns = _columns(weight, k_u)
+        self.cols, self.col_of = self.columns.cols, self.columns.index  # read up to ncols and a_end
+        self.ncols = self.columns.counts[k_u + 1]
+        # the column of (x - c0)^a d^b is col_of[b][a], in this system for a < a_end[b]
+        self.a_end = [(k_u - b * weight.w2) // weight.w1 + 1 for b in range(k_u // weight.w2 + 1)]
+        self.reducer = RowReducer(self.ncols)
         self._add_rows(k_u)
 
     # rows ---------------------------------------------------------------------
@@ -202,7 +270,7 @@ class _Rows:
             reducer = local.pop(c) if c in local else self._reducer_at(c)
             kept = reducer.rank
             m = top + 1
-            h = _taylor(self.g, c)[m:]
+            h = _taylor(self.src, c)[m:]
             for w in self.src.local_kernel[c]:
                 part = _series_quotient(w, h, m - 1)
                 den = lcm(*(y.denominator for y in part))
@@ -215,7 +283,7 @@ class _Rows:
         A tower calls the name ``RowReducer`` once, for its own reducer, so
         whatever replaces that name (to record rows, or to count towers
         built) sees every reducer of the tower and counts the tower once."""
-        return self.reducer if c == self.c0 else type(self.reducer)(len(self.cols))
+        return self.reducer if c == self.c0 else type(self.reducer)(self.ncols)
 
     def _carry(self, c: Fraction, reducer: RowReducer, start: int) -> None:
         """Offer the tower's reducer the rows ``reducer`` kept at c from
@@ -233,7 +301,7 @@ class _Rows:
         Column (a, b) with a >= i is (i, b) or a later one, so each row
         keeps its leading column."""
         p, q = offset.numerator, offset.denominator
-        a_top = len(self.col_of[0]) - 1
+        a_top = self.a_end[0] - 1
         power = [p ** n * q ** (a_top - n) for n in range(a_top + 1)]
         factors: dict[int, list[int]] = {}  # i -> [C(a, i) p^(a-i) q^(a_top-a+i) for a >= i]
         for row in rows:
@@ -243,7 +311,7 @@ class _Rows:
                 f = factors.get(i)
                 if f is None:
                     f = factors[i] = [comb(a, i) * power[a - i] for a in range(i, a_top + 1)]
-                for j, x in zip(self.col_of[b][i:], f):
+                for j, x in zip(self.col_of[b][i:self.a_end[b]], f):
                     carried[j] = carried.get(j, 0) + x * v
             yield carried
 
@@ -285,8 +353,7 @@ class _Rows:
                 step = lo - d
             else:
                 step = 1
-                col = self.col_of[b]
-                a_end = len(col)
+                col, a_end = self.col_of[b], self.a_end[b]
                 window = {e: y for e, y in jet.items() if e <= d}
                 for e, y in window.items():
                     for a in range(min(-e, a_end)):
@@ -313,19 +380,21 @@ class _Rows:
 class _Tower:
     """What the engine reads of one reduced system.  Every filtered piece up
     to kmax is a column prefix of it, and both queries need only its pivot
-    columns and the x-exponents of its columns (see the module docstring)."""
+    columns and the x-exponents of its columns (see the module docstring).
+    It holds its weight, deg g, kmax and pivots; ``xexp`` and ``_ncols`` are
+    the lists of its weight's column table, which reach kmax's degree
+    K = kmax + w1*deg(g) at least and are not copied."""
 
     __slots__ = ("weight", "gdeg", "kmax", "xexp", "pivots", "pivot_set", "_ncols")
 
-    def __init__(self, weight: Weight, gdeg: int, kmax: int, xexp: tuple[int, ...], pivots: Sequence[int]):
-        self.weight = weight
+    def __init__(self, columns: _Columns, gdeg: int, kmax: int, pivots: Sequence[int]):
+        self.weight = columns.weight
         self.gdeg = gdeg
         self.kmax = kmax
-        self.xexp = xexp
+        self.xexp = columns.xexp
         self.pivots = tuple(pivots)
         self.pivot_set = frozenset(self.pivots)
-        # _ncols[K + 1] is dim A_K, for K = k + w1*deg(g) from -1 up to kmax's
-        self._ncols = [dim_A(weight, top) for top in range(-1, kmax + weight.w1 * gdeg + 1)]
+        self._ncols = columns.counts  # _ncols[K + 1] is dim A_K
 
     def ncols_at(self, k: int) -> int:
         """The column count at level k: dim A_K, K = k + w1*deg(g), and 0 for K < 0."""
@@ -364,18 +433,20 @@ def _tower_for(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> 
     if tower is None or tower.kmax < k:
         rows = _Rows(src, dst, weight, k)
         gdeg = rows.g.degree()
-        xexp = tuple(a for a, _ in rows.cols)
-        tower = _tower_cache[key] = _Tower(weight, gdeg, k, xexp, rows.reducer.pivot_cols())
+        tower = _tower_cache[key] = _Tower(rows.columns, gdeg, k, rows.reducer.pivot_cols())
         k_module = k + weight.w1 * gdeg
         module = _tower_cache.get((_TRIVIAL, dst, weight))
         if module is None or module.kmax < k_module:
-            _tower_cache[_TRIVIAL, dst, weight] = _Tower(weight, 0, k_module, xexp, rows.module_pivots)
+            _tower_cache[_TRIVIAL, dst, weight] = _Tower(rows.columns, 0, k_module, rows.module_pivots)
     return tower
 
 
 def clear_cache() -> None:
-    """Drop all memoized towers (mainly for honest timing in tests)."""
+    """Drop all memoized towers, column tables and conductor digits (mainly
+    for honest timing in tests)."""
     _tower_cache.clear()
+    _column_tables.clear()
+    _taylor_cache.clear()
 
 
 def _numerators(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int,
@@ -388,7 +459,7 @@ def _numerators(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int,
     top = k + weight.w1 * rows.g.degree()
     lo = dim_A(weight, top - 1) if new_only else 0
     shift = Poly({0: -rows.c0, 1: 1})
-    powers = [(shift ** a).items() for a in range(max(a for a, _ in rows.cols) + 1)]
+    powers = [(shift ** a).items() for a in range(rows.a_end[0])]
     return tuple(
         WeylEl(((j, b), c * cj)
                for i, c in vec.items()

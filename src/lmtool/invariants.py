@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
-from .graded import gr_inclusion_check, hom_dims, module_dims
+from .graded import column_counts, gr_inclusion_check, hom_dims, module_dims
 from .subspace import SubspaceSpec
-from .weyl import Weight, dim_A
+from .weyl import Weight
 
 W11 = Weight(1, 1)
 DEFAULT_WEIGHTS = (Weight(1, 1), Weight(1, 2), Weight(2, 1), Weight(2, 3))
@@ -140,7 +140,7 @@ def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Re
     if kmax < 4:
         raise ValueError("kmax must be >= 4")
     dims = tuple(hom_dims(spec, spec, weight, kmax))
-    p = tuple(dim_A(weight, k) - d for k, d in enumerate(dims))
+    p = tuple(a - d for a, d in zip(column_counts(weight, kmax), dims))
     if not (p[-1] == p[-2] == p[-3]):
         raise NotStabilizedError(
             f"p-sequence for {spec.name} at {weight} still moving: tail {p[-3:]}; raise kmax"

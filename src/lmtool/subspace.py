@@ -130,10 +130,12 @@ class SubspaceSpec:
     top_orders: dict[Fraction, int] = field(init=False)  # point -> top derivative order there
     # point c -> a basis of K_c, each vector the Taylor digits 0..m-1 at c
     local_kernel: dict[Fraction, tuple[tuple[Fraction, ...], ...]] = field(init=False)
+    _hash: int = field(init=False, repr=False, compare=False)  # of the normalized functionals
 
     def __post_init__(self) -> None:
         normalized, kernels = _normalize_functionals(self.functionals)
         object.__setattr__(self, "functionals", normalized)
+        object.__setattr__(self, "_hash", hash(normalized))
         object.__setattr__(self, "local_kernel", kernels)
         by_point = _top_orders(normalized)
         object.__setattr__(self, "top_orders", by_point)
@@ -174,8 +176,8 @@ class SubspaceSpec:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubspaceSpec) and self.functionals == other.functionals
 
-    def __hash__(self) -> int:
-        return hash(self.functionals)
+    def __hash__(self) -> int:  # computed once: every tower lookup hashes two specs
+        return self._hash
 
 
 def _complement_closed(gaps: Sequence[int]) -> bool:

@@ -17,6 +17,7 @@ holds the sparse {(a, b): coeff} dict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .linalg import Terms
 
@@ -94,18 +95,23 @@ def dim_A(weight: Weight, k: int) -> int:
     return sum((k - b * weight.w2) // weight.w1 + 1 for b in range(k // weight.w2 + 1))
 
 
-def monomial_basis(weight: Weight, k: int) -> tuple[tuple[int, int], ...]:
-    """Monomials (a, b) of weighted degree <= k, sorted by (degree, b).
+def monomial_basis(weight: Weight, k: int, lo: int = 0) -> tuple[tuple[int, int], ...]:
+    """Monomials (a, b) of weighted degree lo..k, sorted by (degree, b).
 
     With this order the basis of A_j is a prefix of the basis of A_k for
-    every j <= k, which the graded-piece solver relies on.
+    every j <= k, which the graded-piece solver relies on, and the band of
+    degrees lo..k is what follows the basis of A_(lo-1).  They are listed
+    degree by degree: a*w1 = deg - b*w2 asks b*w2 = deg mod w1, so the
+    d-orders b of one degree run from the least such b in steps of
+    w1/gcd(w1, w2), and a degree that gcd does not divide has none.
     """
-    if k < 0:
-        return ()
-    out = []
-    for b in range(k // weight.w2 + 1):
-        rem = k - b * weight.w2
-        for a in range(rem // weight.w1 + 1):
-            out.append((weight.degree(a, b), b, a))
-    out.sort()
-    return tuple((a, b) for (_, b, a) in out)
+    w1, w2 = weight.w1, weight.w2
+    g = gcd(w1, w2)
+    step = w1 // g
+    inverse = pow(w2 // g, -1, step)  # of w2/g mod step
+    out: list[tuple[int, int]] = []
+    for deg in range(max(lo, 0), k + 1):
+        if deg % g == 0:
+            first = deg // g * inverse % step
+            out += [((deg - b * w2) // w1, b) for b in range(first, deg // w2 + 1, step)]
+    return tuple(out)

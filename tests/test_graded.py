@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -512,8 +512,9 @@ def three_points(draw):
     return out
 
 
+# no shrink phase: shrinking a failure through the sympy oracle takes minutes
 @given(three_points(), three_points(), st.integers(min_value=0, max_value=1))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=[phase for phase in Phase if phase is not Phase.shrink])
 def test_three_point_hom_dims_match_oracle(points1, points2, k):
     # two points of each spec reduce their rows on their own and carry them
     # to one reducer; End and cross hom against the sympy rebuild, and the
@@ -720,6 +721,91 @@ def test_results_survive_cache_clears():
     assert first == second
     clear_cache()
     assert hom_dims(cusp, cusp, W11, 6) == [1, 1, 4, 8, 13, 19, 26]
+
+
+# ---------------------------------------------------------------------------
+# the column table every tower of a weight shares
+# ---------------------------------------------------------------------------
+
+def assert_table_reads_as_monomial_basis(weight: Weight, top: int) -> None:
+    # the table's columns, x-exponents, column index and counts up to top,
+    # each against monomial_basis and dim_A
+    table = graded._column_tables[weight]
+    cols = list(monomial_basis(weight, top))
+    assert table.cols[:len(cols)] == cols
+    assert table.xexp[:len(cols)] == [a for a, _ in cols]
+    assert all(table.index[b][a] == j for j, (a, b) in enumerate(cols))
+    assert table.counts[:top + 2] == [dim_A(weight, K) for K in range(-1, top + 1)]
+
+
+@pytest.mark.parametrize("weight", DEFAULT_WEIGHTS, ids=str)
+@pytest.mark.parametrize("first,second", [(20, 50), (50, 20)])
+def test_column_table_is_a_prefix_of_the_monomial_basis(weight, first, second):
+    # grown by a band from 20 to 50, or built at 50 and then read at 20
+    clear_cache()
+    graded._columns(weight, first)
+    graded._columns(weight, second)
+    assert len(graded._column_tables[weight].counts) == 52
+    for top in (20, 50):
+        assert_table_reads_as_monomial_basis(weight, top)
+
+
+@given(st.sampled_from(DEFAULT_WEIGHTS) | st.builds(Weight, st.integers(min_value=1, max_value=9),
+                                                    st.integers(min_value=1, max_value=9)),
+       st.lists(st.integers(min_value=-1, max_value=40), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_column_counts_are_dim_A(weight, tops):
+    # grown in any order of degrees, the counts are dim A_K for K = -1..top,
+    # and column_counts reads dim A_k for k = 0..kmax from them
+    clear_cache()
+    for top in tops:
+        graded._columns(weight, top)
+    top = max(tops)
+    assert_table_reads_as_monomial_basis(weight, top)
+    kmax = max(top, 0)
+    assert graded.column_counts(weight, kmax) == [dim_A(weight, k) for k in range(kmax + 1)]
+
+
+@pytest.mark.parametrize("weight", DEFAULT_WEIGHTS, ids=str)
+def test_tower_after_a_larger_one_reads_as_from_an_empty_cache(weight):
+    # a build that finds the table grown past its own degree by a larger
+    # build reads the same pivots, dimensions and graded inclusion as one
+    # that grows the table itself
+    towers = [(spec, other) for name in ("cusp", "two-point", "mixed", "off-zero-pair")
+              for spec in [spec_named(name)] for other in (spec, TRIVIAL)]
+    big = SubspaceSpec.from_gaps("big", [1, 2, 3, 5, 7])
+    for src, dst in towers:
+        clear_cache()
+        fresh = _tower_for(src, dst, weight, 10)
+        clear_cache()
+        _tower_for(big, big, weight, 30)
+        assert len(graded._column_tables[weight].cols) > fresh.ncols_at(10)
+        late = _tower_for(src, dst, weight, 10)
+        assert late.pivots == fresh.pivots, (src, dst)
+        assert [late.dim(k) for k in range(-1, 11)] == [fresh.dim(k) for k in range(-1, 11)]
+        assert [late.gr_divisible(k) for k in range(11)] == [fresh.gr_divisible(k) for k in range(11)]
+
+
+def test_clear_cache_empties_the_tables(monkeypatch):
+    # the column tables and the conductor digits live as long as the towers:
+    # a spec's first build divides its conductor once per root, and its
+    # builds at other weights or targets divide nothing
+    divisions = []
+    divmod_ = graded.poly_divmod
+    monkeypatch.setattr(graded, "poly_divmod", lambda p, t: divisions.append(t) or divmod_(p, t))
+    mixed = catalog_get("mixed")
+    clear_cache()
+    hom_dims(mixed, mixed, W11, 8)
+    once = len(divisions)
+    assert once == (mixed.conductor.degree() + 1) * len(mixed.points)
+    hom_dims(mixed, mixed, W21, 8)
+    hom_dims(mixed, TRIVIAL, W11, 8)
+    assert len(divisions) == once
+    assert graded._column_tables and graded._taylor_cache and graded._tower_cache
+    clear_cache()
+    assert not graded._column_tables and not graded._taylor_cache and not graded._tower_cache
+    hom_dims(mixed, mixed, W11, 8)
+    assert len(divisions) == 2 * once
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,39 @@ def test_equality_ignores_presentation():
     assert hash(s1) == hash(s2)
 
 
+@given(st.lists(functionals(), min_size=1, max_size=4),
+       st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3).filter(bool))
+@settings(max_examples=50, deadline=None)
+def test_equal_specs_hash_equal(fns, scale):
+    # the cached hash is that of the normalized functionals, so a spec
+    # written in another order and scale hashes, and looks up, as the same
+    other = [Functional(fn.point, tuple((o, scale * c) for o, c in fn.terms)) for fn in reversed(fns)]
+    s1 = SubspaceSpec.from_functionals("s1", fns)
+    s2 = SubspaceSpec.from_functionals("s2", other)
+    assert s1 == s2
+    assert hash(s1) == hash(s2) == hash(s1.functionals)
+    assert {s1: "found"}[s2] == "found"
+
+
+def test_spec_hash_is_computed_once(monkeypatch):
+    # the towers are cached by spec, so every lookup hashes two specs: the
+    # functionals are hashed when the spec is built, and never again
+    calls = []
+    functional_hash = Functional.__hash__
+
+    def counted(fn):
+        calls.append(fn)
+        return functional_hash(fn)
+
+    monkeypatch.setattr(Functional, "__hash__", counted)
+    spec = SubspaceSpec.from_gaps("g", [1, 3])
+    built = len(calls)
+    assert built
+    for _ in range(3):
+        hash(spec)
+    assert len(calls) == built
+
+
 def test_equality_merges_redundant_functionals():
     a = Functional(Fraction(0), ((1, Fraction(1)),))
     c = Functional(Fraction(0), ((1, Fraction(1)), (0, Fraction(1))))

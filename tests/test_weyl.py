@@ -157,3 +157,10 @@ def test_monomial_basis_matches_dim(w, k):
     assert len(basis) == dim_A(w, k)
     assert len(set(basis)) == len(basis)
     assert all(a * w.w1 + b * w.w2 <= k for a, b in basis)
+
+
+@given(weights, st.integers(min_value=-1, max_value=10), st.integers(min_value=0, max_value=10))
+def test_monomial_basis_band_is_what_follows_the_lower_basis(w, lo, k):
+    # the band of degrees lo..k, appended to the basis of A_(lo-1), is the basis of A_k
+    lo = max(min(lo, k + 1), 0)
+    assert monomial_basis(w, lo - 1) + monomial_basis(w, k, lo) == monomial_basis(w, k)
