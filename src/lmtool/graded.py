@@ -40,12 +40,16 @@ power-series division of w by the Taylor digits of h), column t^a d^b gets
 the jet of t^a d^b F by b differentiations and a multiplications by t.
 The jet is kept as its nonzero terms: every jet of t^s is a single term,
 and so is P_w at 0 for g = x^m and a w with one nonzero digit, as at a gap
-set.  So the walk over b costs the nonzero terms, not the jet length: an
-order b reads only the window of exponents <= d, and while the least
-exponent lo is above d the walk takes lo - d derivatives at once, by the
-falling factorial.  Multiplying by t only raises exponents, so column
-t^a d^b reads window term t^e at t^(e+a): each pair of a window term and a
-functional term fills one column, and the walk over a costs those pairs.
+set.  The walk goes term by term.  With e^(b) = e(e - 1)...(e - b + 1)
+the falling factorial, d^b (y t^e) = y e^(b) t^(e-b), so the term is read
+from order b0 = max(e - d, 0), where its exponent first reaches d, up to
+min(b_max, e) for e >= 0, past which it vanishes, or up to b_max for a
+pole; its coefficient starts at y e^(b0), and each order multiplies it by
+e - b.  So the walk over b costs the orders at which each nonzero term is
+read, not the jet length.  Multiplying by t only raises exponents, so
+column t^a d^b reads the term t^(e-b) at t^(e-b+a): each pair of such a
+term and a functional term fills one column, and the walk over a costs
+those pairs.
 
 At c0 the rows go to the tower's reducer.  At any other point they go to a
 reducer of that point's own, and the rows it keeps are carried to the
@@ -323,54 +327,49 @@ class _Rows:
         nonzero coefficients scaled to integers (a row is only defined up to
         scale).
 
-        Column t^a d^b reads the jet w of t^a d^b F up to t^d.  Each
-        negative exponent is a principal-part row that must vanish.  Each
-        dst functional sum_o coeff_o f^(o)(c), given in ``reads`` as the
-        pairs (o, coeff_o * o!) scaled to integers, gives the row
-        sum_o coeff_o o! w[o].  The jet stays sparse under d/dt, and the walk
-        over b visits only the orders whose window (exponents <= d) is
-        nonempty: while the least exponent lo of the jet is above d, the next
-        lo - d orders read nothing, so it takes lo - d derivatives in one
-        step.  Then d >= -1 gives lo >= 0, so every exponent e is
-        non-negative and d^step t^e = perm(e, step) t^(e - step), which is
-        zero for e < step.  It ends when the jet vanishes or b passes b_max.
-        Multiplying by t raises every exponent by one, so t^a d^b F reads
-        the window at e + a: window term (e, y) and functional term (o, cf)
-        give cf*y to column a = o - e, and y to pole row t^-(e+a) for each
-        a < -e.  So the walk over a costs the terms, and every a > d - lo is
-        zero.  Each row is written as ``{column: value}`` of its nonzero
-        entries, the one row format ``RowReducer`` takes.
+        Column t^a d^b reads the jet of t^a d^b F up to t^d.  Each negative
+        exponent is a principal-part row that must vanish.  Each dst
+        functional sum_o coeff_o f^(o)(c), given in ``reads`` as the pairs
+        (o, coeff_o * o!) scaled to integers, gives the row
+        sum_o coeff_o o! w[o], w that jet.  The walk goes term by term:
+        d^b (y t^e) = y e^(b) t^(e - b), e^(b) = e(e - 1)...(e - b + 1) the
+        falling factorial, and no read order o is above d, so a term is read
+        at the orders b from b0 = max(e - d, 0) on, where e - b <= d.  Its
+        coefficient starts at y e^(b0), with e^(b0) = perm(e, b0), or
+        (-1)^b0 perm(b0 - e - 1, b0) for a pole, and goes from one order to
+        the next by the factor e - b.  A term with e >= 0 vanishes after
+        order e; a pole never does, and its walk ends at b_max.  Multiplying
+        by t raises the exponent by one, so t^a d^b F reads the term at
+        e - b + a: with functional term (o, cf) it gives cf times the
+        coefficient to column a = o - e + b, and the coefficient itself to
+        pole row t^-(e-b+a) for each a < b - e.  So the walk costs the terms
+        and the orders each one is read at, not the jet length.  Each row is
+        written as ``{column: value}`` of its nonzero entries, the one row
+        format ``RowReducer`` takes.
         """
         b_max = k_u // self.weight.w2
         # poles[i] is the row of t^-(i+1); F has a pole of order depth if it is positive
         depth = -min(jet)
         poles: list[dict[int, int]] = [{} for _ in range(depth + b_max if depth > 0 else 0)]
         values: list[dict[int, int]] = [{} for _ in reads]
-        b = 0
-        while jet:
-            lo = min(jet)
-            if lo > d:  # the orders b .. b + lo - d - 1 read nothing up to t^d
-                step = lo - d
+        for e, y in jet.items():
+            b0 = max(e - d, 0)
+            if e >= 0:
+                b_end = min(b_max, e)
+                y *= perm(e, b0)
             else:
-                step = 1
-                col, a_end = self.col_of[b], self.a_end[b]
-                window = {e: y for e, y in jet.items() if e <= d}
-                for e, y in window.items():
-                    for a in range(min(-e, a_end)):
-                        poles[-e - a - 1][col[a]] = y
+                b_end = b_max
+                y *= (-1) ** b0 * perm(b0 - e - 1, b0)
+            for b in range(b0, b_end + 1):
+                col, a_end, low = self.col_of[b], self.a_end[b], e - b  # d^b (y t^e) is y t^low
+                for a in range(min(-low, a_end)):  # no other term of F reaches t^(low + a) here
+                    poles[-low - a - 1][col[a]] = y
                 for row, terms in zip(values, reads):
-                    for e, y in window.items():
-                        for o, cf in terms:
-                            if 0 <= o - e < a_end:
-                                idx = col[o - e]
-                                row[idx] = row.get(idx, 0) + cf * y
-            b += step
-            if b > b_max:
-                break
-            if step == 1:
-                jet = {e - 1: e * y for e, y in jet.items() if e}
-            else:
-                jet = {e - step: f * y for e, y in jet.items() if (f := perm(e, step))}
+                    for o, cf in terms:
+                        if 0 <= o - low < a_end:
+                            idx = col[o - low]
+                            row[idx] = row.get(idx, 0) + cf * y
+                y *= low
         # the terms that meet in one column may cancel
         for row in poles + [{i: v for i, v in row.items() if v} for row in values]:
             if row:

@@ -289,15 +289,21 @@ class RowReducer:
     def _to_int_row(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
         """A fresh ``{column: int}`` of the nonzero entries, scaled to
         integers.  A float would be truncated and a bool is not a number, so
-        either raises ``TypeError``; the checks read the set of types."""
+        either raises ``TypeError``.  The checks read one set of the
+        columns' types and one of the values' types, so they cost a pass
+        over the row, not a probe per entry: a row of columns and values
+        that are all exactly ``int``, as every row the towers build, is
+        range-checked and copied, and filtered only if it holds a zero.
+        Any other row is checked in the same order, its columns' types, their
+        range, then its values' types."""
         if type(entries) is not dict and not isinstance(entries, Mapping):
             raise TypeError(f"a row is a {{column: value}} mapping, not {type(entries).__name__}")
-        bad = _refused(set(map(type, entries)), int)
+        keys, kinds = set(map(type, entries)), set(map(type, entries.values()))
+        bad = _refused(keys, int) if keys != {int} else None
         if bad is not None:
             raise TypeError(f"a row column is an int, not {bad.__name__}")
         if entries and (min(entries) < 0 or max(entries) >= self.ncols):
             raise ValueError("row column out of range")
-        kinds = set(map(type, entries.values()))
         if kinds <= {int}:
             row = dict(entries)
             return {t: v for t, v in row.items() if v} if 0 in row.values() else row

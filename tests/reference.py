@@ -11,7 +11,9 @@ that uses the standard library alone.  ``StepwiseReducer`` is fraction-free
 elimination that keeps every row primitive after every step, which
 ``lmtool.linalg.RowReducer`` must match row for row.  ``recentred_row``
 rewrites a row read on (x - c)^i d^b as a row read on (x - c0)^a d^b,
-with binomials taken as products of Fractions.
+with binomials taken as products of Fractions.  ``jet_rows`` reads the pole
+and value rows of a Laurent jet from each column's own Laurent
+coefficients, which ``graded._Rows._add_jet_rows`` must match row for row.
 """
 
 from fractions import Fraction
@@ -179,3 +181,28 @@ def recentred_row(row: dict[tuple[int, int], int], delta: Fraction, w1: int, w2:
             if value:
                 out[a, b] = value
     return out
+
+
+def jet_rows(jet: dict[int, int], reads: list[list[tuple[int, int]]],
+             columns: list[tuple[int, int]]) -> list[dict[int, Fraction]]:
+    """The rows of F = sum_e y t^e (``jet`` as {e: y}, t = x - c) on the
+    operators t^a d^b of ``columns``, keyed by their index there, from the
+    Laurent coefficients of each t^a d^b F: d^b t^e is the product of
+    (e - j) for j < b times t^(e-b).  First the row of t^-i for i = 1, 2, ...,
+    then the row sum_o cf * [t^o] of each functional in ``reads``, given as
+    its pairs (o, cf); empty rows are left out."""
+    laurent = []  # laurent[j] is {n: coefficient of t^n in column j applied to F}
+    for a, b in columns:
+        coeffs: dict[int, Fraction] = {}
+        for e, y in jet.items():
+            value = Fraction(y)
+            for j in range(b):
+                value *= e - j
+            if value:
+                coeffs[e - b + a] = coeffs.get(e - b + a, Fraction(0)) + value
+        laurent.append(coeffs)
+    depth = max((-n for coeffs in laurent for n in coeffs), default=0)
+    poles = [{j: coeffs[-i] for j, coeffs in enumerate(laurent) if coeffs.get(-i)} for i in range(1, depth + 1)]
+    values = [{j: v for j, coeffs in enumerate(laurent) if (v := sum(cf * coeffs.get(o, 0) for o, cf in terms))}
+              for terms in reads]
+    return [row for row in poles + values if row]

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -48,6 +49,7 @@ from reference import (
     functional_sympy,
     gap_hom_dims,
     in_subspace_sympy,
+    jet_rows,
     low_basis_sympy,
     parse_weyl,
     poly_to_sympy,
@@ -458,6 +460,41 @@ def test_off_zero_hom_dims_match_oracle(points1, points2, k):
     v1, v2 = translated(points1, Fraction(0)), translated(points2, Fraction(0))
     for src, dst in [(v1, v1), (v1, v2)]:
         assert hom_dims(src, dst, W11, k, kmin=k) == [oracle_hom_dim(src, dst, W11, k)], (src, dst)
+
+
+# ---------------------------------------------------------------------------
+# the rows of one Laurent jet
+# ---------------------------------------------------------------------------
+
+@st.composite
+def jet_cases(draw):
+    """A weight, a top degree k_u, a jet {e: y} of one to four terms with
+    exponents from -4 to 9, the top order d >= -1 that a point's
+    functionals read, and up to three functionals of orders <= d, each as
+    its (o, cf) pairs."""
+    weight = draw(st.sampled_from(DEFAULT_WEIGHTS))
+    k_u = draw(st.integers(min_value=0, max_value=12))
+    exponents = draw(st.lists(st.integers(min_value=-4, max_value=9), min_size=1, max_size=4, unique=True))
+    jet = {e: draw(st.integers(min_value=-50, max_value=50).filter(bool)) for e in exponents}
+    d = draw(st.integers(min_value=-1, max_value=5))
+    terms = st.lists(st.tuples(st.integers(min_value=0, max_value=max(d, 0)),
+                               st.integers(min_value=-9, max_value=9).filter(bool)),
+                     min_size=1, max_size=3, unique_by=lambda term: term[0])
+    reads = draw(st.lists(terms, max_size=3)) if d >= 0 else []
+    return weight, k_u, jet, d, reads
+
+
+@given(jet_cases())
+@settings(max_examples=300, deadline=None)
+def test_jet_rows_match_the_laurent_coefficients(case):
+    # the walk over the jet, term by term with a running falling factorial,
+    # must offer exactly the pole and value rows read off each column's own
+    # Laurent coefficients, in the same order
+    weight, k_u, jet, d, reads = case
+    rows = graded._Rows(TRIVIAL, TRIVIAL, weight, k_u)  # no points: columns only
+    offered = []
+    rows._add_jet_rows(SimpleNamespace(add_row=offered.append), jet, d, reads, k_u)
+    assert offered == jet_rows(jet, reads, monomial_basis(weight, k_u))
 
 
 # ---------------------------------------------------------------------------

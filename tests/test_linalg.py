@@ -2,7 +2,9 @@
 
 import time
 from bisect import bisect_left
+from enum import IntEnum
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 import sympy
@@ -248,6 +250,42 @@ def test_add_row_refuses_a_column_not_an_integer(column):
     with pytest.raises(TypeError, match="column is an int"):
         red.add_row({column: 3})
     assert red.rank == 0
+
+
+# A row whose columns are all exactly int skips the per-type column probe;
+# one entry of another type among int ones must still be refused with the
+# same message, and the checks keep their order: column types, column
+# range, value types.
+@pytest.mark.parametrize("column", [True, 1.0], ids=["bool", "float"])
+def test_add_row_refuses_a_column_not_an_integer_among_int_columns(column):
+    red = RowReducer(4)
+    with pytest.raises(TypeError, match="column is an int"):
+        red.add_row({0: 1, column: 3, 2: 5})
+    with pytest.raises(TypeError, match="column is an int"):
+        red.add_row({9: 1, column: 3})  # the column types are checked before the range
+    assert red.rank == 0
+
+
+def test_add_row_refuses_a_float_value_among_int_values():
+    red = RowReducer(4)
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        red.add_row({0: 1, 1: 2.0, 2: 3})
+    with pytest.raises(ValueError):
+        red.add_row({9: 1, 1: 2.0})  # the range is checked before the value types
+    assert red.rank == 0
+
+
+class Column(IntEnum):
+    THIRD = 2
+
+
+def test_add_row_takes_int_subclass_columns_and_read_only_mappings():
+    red = RowReducer(4)
+    assert red.add_row({Column.THIRD: 3, 1: 6})
+    assert red.add_row(MappingProxyType({0: 4, 2: 0, 3: 2}))
+    assert not red.add_row(MappingProxyType({0: 0, 3: 0}))
+    assert red.pivot_cols() == [0, 1]
+    assert red.rows == [{1: 2, 2: 1}, {0: 2, 3: 1}]
 
 
 def test_nullspace_refuses_a_prefix_out_of_range():
