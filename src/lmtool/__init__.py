@@ -25,7 +25,6 @@ from .invariants import (
     NonPolynomialError,
     NotStabilizedError,
     Report,
-    WeightIndependenceResult,
     chern_number,
     dual_check,
     fit_euler,
@@ -58,7 +57,6 @@ __all__ = [
     "SubspaceSpec",
     "SymbolPoly",
     "Weight",
-    "WeightIndependenceResult",
     "WeylEl",
     "catalog",
     "catalog_get",

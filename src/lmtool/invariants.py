@@ -11,10 +11,17 @@ The numerical invariants of a subspace spec V:
     for hom spaces between two ideals, and the dual identity (the fit
     constant of Hom(M, A) equals n).
 
-All fits require a run of exactly matching tail entries before they are
-trusted: two entries pin (shift, constant) and at least three more must
-confirm them, so a fit needs a window of five.  Anything shorter raises
-NotStabilized, which callers surface as "raise kmax".
+A Hilbert sequence is read at weight (1,1) for k = 0..kmax.  All fits
+require a run of exactly matching tail entries before they are trusted: two
+entries pin (shift, constant) and at least three more must confirm them, so
+a fit needs a window of five.  A p-sequence is trusted once its last three
+entries agree.  Anything shorter raises NotStabilized, which callers surface
+as "raise kmax".
+
+Each verb reads every sequence it needs once and fits it once: the End
+sequence of verify_lm_chern gives both its p-sequence and its fit,
+full_report fits the dual sequence itself against the n it already has, and
+weight_independence is weights_report in the shape the benchmark reads.
 
 Every verb returns a frozen Report; this module renders nothing, and
 lmtool.cli turns reports into JSON, CSV and text.
@@ -52,20 +59,10 @@ HilbertSource = Union[SubspaceSpec, tuple[SubspaceSpec, SubspaceSpec]]
 
 @dataclass(frozen=True)
 class HilbertSeq:
-    """Dimensions of filtered pieces for k = k_min .. k_max."""
+    """Dimensions of filtered pieces at weight (1,1) for k = 0 .. len(values) - 1."""
 
     source: str
-    weight: Weight
-    k_min: int
-    k_max: int
     values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.k_max - self.k_min + 1:
-            raise ValueError("value count does not match k range")
-
-    def value_at(self, k: int) -> int:
-        return self.values[k - self.k_min]
 
 
 @dataclass(frozen=True)
@@ -80,20 +77,14 @@ class FitResult:
         return (k + self.shift + 1) * (k + self.shift + 2) // 2 - self.constant
 
 
-def hilbert_seq(source: HilbertSource, weight: Weight, k_min: int = 0, k_max: int = 12) -> HilbertSeq:
+def hilbert_seq(source: HilbertSource, kmax: int) -> HilbertSeq:
     """Hilbert sequence of a spec's ideal or of a hom space (pair)."""
-    if k_max < k_min:
-        raise ValueError("k_max below k_min")
     if isinstance(source, SubspaceSpec):
-        values = tuple(module_dims(source, weight, k_max, k_min))
-        label = f"module({source.name})"
-    elif isinstance(source, tuple) and len(source) == 2:
+        return HilbertSeq(f"module({source.name})", tuple(module_dims(source, W11, kmax)))
+    if isinstance(source, tuple) and len(source) == 2:
         src, dst = source
-        values = tuple(hom_dims(src, dst, weight, k_max, k_min))
-        label = f"hom({src.name},{dst.name})"
-    else:
-        raise ValueError(f"unsupported Hilbert source: {source!r}")
-    return HilbertSeq(label, weight, k_min, k_max, values)
+        return HilbertSeq(f"hom({src.name},{dst.name})", tuple(hom_dims(src, dst, W11, kmax)))
+    raise ValueError(f"unsupported Hilbert source: {source!r}")
 
 
 def fit_euler(h: HilbertSeq) -> FitResult:
@@ -116,12 +107,12 @@ def fit_euler(h: HilbertSeq) -> FitResult:
             f"{h.source}: tail {vals[-3:]} fits no Euler quadratic "
             "(second difference is not 1); a larger kmax may stabilize it"
         )
-    k_top = h.k_max
+    k_top = len(vals) - 1
     shift = vals[-1] - vals[-2] - k_top - 1
     constant = (k_top + shift + 1) * (k_top + shift + 2) // 2 - vals[-1]
     fit = FitResult(shift, constant, (k_top, k_top))
     k0 = k_top
-    while k0 - 1 >= h.k_min and h.value_at(k0 - 1) == fit.predicted(k0 - 1):
+    while k0 > 0 and vals[k0 - 1] == fit.predicted(k0 - 1):
         k0 -= 1
     length = k_top - k0 + 1
     if length < _STABLE_WINDOW:
@@ -135,37 +126,36 @@ def fit_euler(h: HilbertSeq) -> FitResult:
 # invariants
 # ---------------------------------------------------------------------------
 
-def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Report:
-    """p_D = lim dim A_k - dim End_k; requires the last three entries to agree."""
-    if kmax < 4:
-        raise ValueError("kmax must be >= 4")
-    dims = tuple(hom_dims(spec, spec, weight, kmax))
+def _p_sequence(spec: SubspaceSpec, weight: Weight, kmax: int, dims: Sequence[int]) -> tuple[int, ...]:
+    """p(k) = dim A_k - dim End_k from the End dimensions; requires the last
+    three entries to agree."""
     p = tuple(a - d for a, d in zip(column_counts(weight, kmax), dims))
     if not (p[-1] == p[-2] == p[-3]):
         raise NotStabilizedError(
             f"p-sequence for {spec.name} at {weight} still moving: tail {p[-3:]}; raise kmax"
         )
+    return p
+
+
+def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Report:
+    """p_D = lim dim A_k - dim End_k."""
+    if kmax < 4:
+        raise ValueError("kmax must be >= 4")
+    dims = tuple(hom_dims(spec, spec, weight, kmax))
+    p = _p_sequence(spec, weight, kmax, dims)
     return Report(
         name=spec.name, kmax=kmax, weight=weight, hilbert_D=dims,
         p_by_weight=((weight, p),), p_D=p[-1], warnings=spec.warnings,
     )
 
 
-def chern_from_sequence(h: HilbertSeq, name: str = "") -> FitResult:
-    """The Euler fit of h, refused when its constant is negative (n >= 0)."""
-    fit = fit_euler(h)
-    if fit.constant < 0:
-        raise NegativeChernError(
-            f"{name or h.source}: fit constant {fit.constant} is negative"
-        )
-    return fit
-
-
 def chern_number(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """Second invariant n of the ideal of V: shift-normalized fit constant of
-    its Hilbert sequence at weight (1,1)."""
-    seq = hilbert_seq(spec, W11, 0, kmax)
-    fit = chern_from_sequence(seq, spec.name)
+    its Hilbert sequence at weight (1,1), refused when negative (n >= 0)."""
+    seq = hilbert_seq(spec, kmax)
+    fit = fit_euler(seq)
+    if fit.constant < 0:
+        raise NegativeChernError(f"{spec.name or seq.source}: fit constant {fit.constant} is negative")
     return Report(
         name=spec.name, kmax=kmax, hilbert_M=seq.values,
         shift_a=fit.shift, n=fit.constant, warnings=spec.warnings,
@@ -174,7 +164,7 @@ def chern_number(spec: SubspaceSpec, kmax: int = 12) -> Report:
 
 def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> Report:
     """Relative invariant of Hom(M_1, M_2) and the verdict p_12 = n_1 + n_2."""
-    seq = hilbert_seq((src, dst), W11, 0, kmax)
+    seq = hilbert_seq((src, dst), kmax)
     fit = fit_euler(seq)
     n_1 = chern_number(src, kmax).n
     n_2 = chern_number(dst, kmax).n
@@ -188,7 +178,7 @@ def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> 
 
 def dual_check(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """Fit Hom(M, A) and compare its constant with n."""
-    seq = hilbert_seq((spec, SubspaceSpec.trivial()), W11, 0, kmax)
+    seq = hilbert_seq((spec, SubspaceSpec.trivial()), kmax)
     fit = fit_euler(seq)
     n = chern_number(spec, kmax).n
     return Report(
@@ -198,8 +188,23 @@ def dual_check(spec: SubspaceSpec, kmax: int = 12) -> Report:
     )
 
 
+def weights_report(spec: SubspaceSpec, weights: Sequence[Weight], kmax: int = 12) -> Report:
+    """p_D at each of several weights, and whether they agree."""
+    if len(weights) < 2:
+        raise ValueError("weight independence needs at least two weights")
+    p_by_weight = tuple(lm_invariant(spec, w, kmax).p_by_weight[0] for w in weights)
+    return Report(
+        name=spec.name, kmax=kmax, weight=weights[0], weights=tuple(weights),
+        p_by_weight=p_by_weight, p_D=p_by_weight[0][1][-1],
+        verdicts={"weights": len({p[-1] for _, p in p_by_weight}) == 1},
+        warnings=spec.warnings,
+    )
+
+
 @dataclass(frozen=True)
 class WeightIndependenceResult:
+    """weights_report in the shape the monomial-deep benchmark workload reads."""
+
     spec_name: str
     values: tuple[tuple[Weight, int], ...]
     p_sequences: tuple[tuple[Weight, tuple[int, ...]], ...]
@@ -207,29 +212,12 @@ class WeightIndependenceResult:
 
 
 def weight_independence(
-    spec: SubspaceSpec,
-    weights: Sequence[Weight] = DEFAULT_WEIGHTS,
-    kmax: int = 12,
+    spec: SubspaceSpec, weights: Sequence[Weight] = DEFAULT_WEIGHTS, kmax: int = 12
 ) -> WeightIndependenceResult:
-    """p_D computed at each weight; verdict true when all values agree."""
-    if len(weights) < 2:
-        raise ValueError("weight independence needs at least two weights")
-    results = [lm_invariant(spec, w, kmax) for w in weights]
-    values = tuple((r.weight, r.p_D) for r in results)
-    ok = len({v for _, v in values}) == 1
-    return WeightIndependenceResult(
-        spec.name, values, tuple(r.p_by_weight[0] for r in results), ok
-    )
-
-
-def weights_report(spec: SubspaceSpec, weights: Sequence[Weight], kmax: int = 12) -> Report:
-    """p_D at each of several weights, and whether they agree."""
-    res = weight_independence(spec, weights, kmax)
-    return Report(
-        name=spec.name, kmax=kmax, weight=weights[0], weights=tuple(weights),
-        p_by_weight=res.p_sequences, p_D=res.values[0][1],
-        verdicts={"weights": res.ok}, warnings=spec.warnings,
-    )
+    """p_D at each weight, and whether they agree (see weights_report)."""
+    r = weights_report(spec, weights, kmax)
+    values = tuple((w, p[-1]) for w, p in r.p_by_weight)
+    return WeightIndependenceResult(spec.name, values, r.p_by_weight, r.ok)
 
 
 def telescoping_check(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> bool:
@@ -281,20 +269,19 @@ class Report:
 
 def verify_lm_chern(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """The headline check: p_D = 2n at weight (1,1), with the End-sequence fit
-    cross-checked to have shift 0 and constant p_D.  The End tower is built
+    cross-checked to have shift 0 and constant p_D.  The End sequence is read
     first: its build also caches the module tower that chern_number reads."""
-    hom_dims(spec, spec, W11, kmax)
+    end = hilbert_seq((spec, spec), kmax)
     ch = chern_number(spec, kmax)
-    lm = lm_invariant(spec, W11, kmax)
-    d_fit = fit_euler(HilbertSeq(f"hom({spec.name},{spec.name})", W11, 0, kmax, lm.hilbert_D))
-    d_ok = d_fit.shift == 0 and d_fit.constant == lm.p_D
+    p = _p_sequence(spec, W11, kmax, end.values)
+    d_fit = fit_euler(end)
     return replace(
-        lm,
-        hilbert_M=ch.hilbert_M,
-        shift_a=ch.shift_a,
-        n=ch.n,
+        ch,
+        hilbert_D=end.values,
+        p_by_weight=((W11, p),),
+        p_D=p[-1],
         d_fit=(d_fit.shift, d_fit.constant),
-        verdicts={"t2": lm.p_D == 2 * ch.n and d_ok},
+        verdicts={"t2": p[-1] == 2 * ch.n and d_fit.shift == 0 and d_fit.constant == p[-1]},
     )
 
 
@@ -306,8 +293,9 @@ def full_report(
     """Full verification: headline identity, dual fit, weight independence,
     graded inclusion at every level, and the telescoping identity."""
     base = verify_lm_chern(spec, kmax)
-    dual = dual_check(spec, kmax)
-    wind = weight_independence(spec, weights, kmax)
+    dual = hilbert_seq((spec, SubspaceSpec.trivial()), kmax)
+    dual_fit = fit_euler(dual)
+    wind = weights_report(spec, weights, kmax)
     gr_ok = all(
         gr_inclusion_check(spec, w, k) for w in weights for k in range(0, kmax + 1)
     )
@@ -315,12 +303,12 @@ def full_report(
     return replace(
         base,
         weights=tuple(weights),
-        hilbert_dual=dual.hilbert_dual,
-        p_by_weight=wind.p_sequences,
-        dual_constant=dual.dual_constant,
+        hilbert_dual=dual.values,
+        p_by_weight=wind.p_by_weight,
+        dual_constant=dual_fit.constant,
         verdicts={
             **base.verdicts,
-            "dual": dual.ok,
+            "dual": dual_fit.constant == base.n,
             "weights": wind.ok,
             "gr_inclusion": gr_ok,
             "telescoping": tel_ok,

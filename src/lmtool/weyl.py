@@ -24,13 +24,14 @@ from .linalg import Terms
 
 @dataclass(frozen=True)
 class Weight:
-    """Filtration weight (w1, w2); both components must be positive integers."""
+    """Filtration weight (w1, w2); both components must be positive integers,
+    and a bool is not a number."""
 
     w1: int
     w2: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.w1, int) and isinstance(self.w2, int)):
+        if not all(isinstance(w, int) and type(w) is not bool for w in (self.w1, self.w2)):
             raise ValueError("weights must be integers")
         if self.w1 < 1 or self.w2 < 1:
             raise ValueError("weights must be strictly positive")

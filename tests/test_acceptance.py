@@ -62,7 +62,7 @@ def test_criterion_02_cusp_fixture(report):
     m3 = hom_piece(trivial, cusp, W11, 3)
     d1 = hom_piece(cusp, cusp, W11, 1)
     d2 = hom_piece(cusp, cusp, W11, 2)
-    fit = fit_euler(hilbert_seq(cusp, W11, 0, 12))
+    fit = fit_euler(hilbert_seq(cusp, 12))
     r = verify_lm_chern(cusp, 12)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -121,7 +121,7 @@ def test_criterion_07_relative_identity(report):
     ok = True
     for a, b in pairs:
         res = relative_invariant(catalog_get(a), catalog_get(b), 12)
-        window = fit_euler(HilbertSeq(res.name, W11, 0, res.kmax, res.hilbert_hom)).window
+        window = fit_euler(HilbertSeq(res.name, res.hilbert_hom)).window
         ok = ok and res.ok and res.p_12 == sum(res.n_pair)
         ok = ok and (window[1] - window[0] + 1) >= 3
     report(7, "p_12 = n_1 + n_2 on the three reference pairs, window >= 3", ok)

@@ -37,11 +37,29 @@ DEEP_SHA256 = {
         "8dcfaffab7a344c240bcac68abb56f03f02e1790c8cd07e37c3473ec8cd181c3",
 }
 
-# the exact stderr of verify runs below their onset, keyed by their
-# arguments; each exits 3 with nothing on stdout.  The Euler fit of the
-# module runs first and refuses the first three; the p-sequence of gaps-1-3
-# at (1,2) is still moving at kmax 7
+# the exact stderr of runs of each verb below their onset, keyed by their
+# arguments; each exits 3 with nothing on stdout.  verify fits the module
+# first and refuses the first three; the p-sequence of gaps-1-3 at (1,2) is
+# still moving at kmax 7.  relative fits the hom space before either module
 FAILURE_STDERR = {
+    ("chern", "--spec", "mixed", "--kmax", "6"):
+        "lmtool: not stabilized: module(mixed): fit window [3,6] has only 4 entries; raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("dual", "--spec", "gaps-1-2-3", "--kmax", "4"):
+        "lmtool: not stabilized: module(gaps-1-2-3): fit window [2,4] has only 3 entries; raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("relative", "--spec", "cusp", "--spec", "two-point", "--kmax", "5"):
+        "lmtool: not stabilized: hom(cusp,two-point): fit window [2,5] has only 4 entries; raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("relative", "--spec", "mixed", "--spec", "cusp", "--kmax", "6"):
+        "lmtool: not stabilized: module(mixed): fit window [3,6] has only 4 entries; raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("invariant", "--spec", "gaps-1-3", "--kmax", "4"):
+        "lmtool: not stabilized: p-sequence for gaps-1-3 at (1,1) still moving: tail (2, 6, 6); raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
+    ("invariant", "--spec", "mixed", "--weights", "2,3;1,1", "--kmax", "6"):
+        "lmtool: not stabilized: p-sequence for mixed at (2,3) still moving: tail (3, 4, 6); raise kmax\n"
+        "lmtool: raise --kmax and rerun\n",
     ("verify", "--spec", "cusp", "--kmax", "4"):
         "lmtool: not stabilized: module(cusp): fit window [1,4] has only 4 entries; raise kmax\n"
         "lmtool: raise --kmax and rerun\n",
@@ -414,7 +432,7 @@ def test_emitted_report_revalidates(capsys):
     report = json.loads(out)
 
     def fit(values):
-        return fit_euler(HilbertSeq("x", W11, 0, len(values) - 1, tuple(values)))
+        return fit_euler(HilbertSeq("x", tuple(values)))
 
     m_fit = fit(report["hilbert_M"])
     d_fit = fit(report["hilbert_D"])

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmtool import invariants
 from lmtool.catalog import catalog, catalog_get
 from lmtool.cli import report_csv, report_fields, report_text
 from lmtool.invariants import (
@@ -20,7 +21,6 @@ from lmtool.invariants import (
     NegativeChernError,
     NonPolynomialError,
     NotStabilizedError,
-    chern_from_sequence,
     chern_number,
     dual_check,
     fit_euler,
@@ -34,28 +34,25 @@ from lmtool.invariants import (
 )
 from lmtool.subspace import Functional, SubspaceSpec
 from lmtool.weyl import Weight, dim_A
+from reference import gap_hom_dims
 
 
-def seq(values, k_min=0, label="test"):
-    return HilbertSeq(label, W11, k_min, k_min + len(values) - 1, tuple(values))
+def seq(values, label="test"):
+    return HilbertSeq(label, tuple(values))
 
 
 # -- hilbert_seq ----------------------------------------------------------------
 
 def test_hilbert_seq_of_module_and_hom():
     cusp = catalog_get("cusp")
-    assert hilbert_seq(cusp, W11, 0, 3).values == (0, 0, 2, 5)
-    assert hilbert_seq((cusp, cusp), W11, 0, 2).values == (1, 1, 4)
+    assert hilbert_seq(cusp, 3).values == (0, 0, 2, 5)
+    assert hilbert_seq((cusp, cusp), 2).values == (1, 1, 4)
 
 
 def test_hilbert_seq_validation():
-    with pytest.raises(ValueError):
-        hilbert_seq(catalog_get("cusp"), W11, 3, 2)
     for source in ("nonsense", "A"):  # A is dim_A, not a Hilbert source
         with pytest.raises(ValueError):
-            hilbert_seq(source, W11, 0, 4)
-    with pytest.raises(ValueError):
-        HilbertSeq("x", W11, 0, 3, (1, 2))
+            hilbert_seq(source, 4)
 
 
 # -- fit_euler --------------------------------------------------------------------
@@ -101,10 +98,10 @@ def test_fit_recovers_planted_quadratic(shift, constant, k_top):
 
 
 def test_fit_result_reproduces_its_window():
-    h = hilbert_seq(catalog_get("gaps-1-2"), W11, 0, 10)
+    h = hilbert_seq(catalog_get("gaps-1-2"), 10)
     fit = fit_euler(h)
     for k in range(fit.window[0], fit.window[1] + 1):
-        assert fit.predicted(k) == h.value_at(k)
+        assert fit.predicted(k) == h.values[k]
 
 
 # -- lm_invariant --------------------------------------------------------------------
@@ -152,10 +149,12 @@ def test_chern_catalog_values():
         assert (res.n, res.shift_a) == expected[spec.name], spec.name
 
 
-def test_negative_chern_is_reported():
+def test_negative_chern_is_reported(monkeypatch):
+    # a module sequence that fits (k+1)(k+2)/2 - c with c = -1
     values = [(k + 1) * (k + 2) // 2 + 1 for k in range(8)]
-    with pytest.raises(NegativeChernError):
-        chern_from_sequence(seq(values))
+    monkeypatch.setattr(invariants, "module_dims", lambda spec, weight, kmax: values[:kmax + 1])
+    with pytest.raises(NegativeChernError, match=r"^cusp: fit constant -1 is negative$"):
+        chern_number(catalog_get("cusp"), 7)
 
 
 # -- identity checks ----------------------------------------------------------------------
@@ -184,6 +183,21 @@ def test_relative_examples():
     assert (r.p_12, r.shift_a, r.ok) == (2, 0, True)
     r = relative_invariant(cusp, triv)
     assert (r.p_12, *r.n_pair, r.ok) == (1, 1, 0, True)
+
+
+GAP_SETS_0_3 = [tuple(g for g in range(4) if mask >> g & 1) for mask in range(16)]
+
+
+def test_relative_matches_gap_set_closed_form():
+    # every ordered pair of gap sets in {0,1,2,3}, past the onset of both
+    for g1 in GAP_SETS_0_3:
+        for g2 in GAP_SETS_0_3:
+            m = max(g1 + g2, default=-1) + 1
+            kmax = 2 * m + 6
+            r = relative_invariant(SubspaceSpec.from_gaps("src", g1), SubspaceSpec.from_gaps("dst", g2), kmax)
+            assert r.hilbert_hom == tuple(gap_hom_dims(g1, g2, 1, 1, kmax)[1:]), (g1, g2)
+            assert r.verdicts == {"relative": True}, (g1, g2)
+            assert r.shift_a == len(g1) - len(g2), (g1, g2)
 
 
 def test_relative_of_self_equals_lm():
@@ -313,6 +327,35 @@ def test_codimension_is_monotone(name, weight):
 
 
 # -- reports ---------------------------------------------------------------------------------
+
+def counting_reads(monkeypatch):
+    """Patch the two tower reads invariants makes; return the list of
+    (kind, source) each call appends."""
+    calls = []
+    module_dims, hom_dims = invariants.module_dims, invariants.hom_dims
+
+    def counted_module_dims(spec, *args, **kwargs):
+        calls.append(("module", spec.name))
+        return module_dims(spec, *args, **kwargs)
+
+    def counted_hom_dims(src, dst, *args, **kwargs):
+        calls.append(("hom", src.name, dst.name, args[0]))
+        return hom_dims(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "module_dims", counted_module_dims)
+    monkeypatch.setattr(invariants, "hom_dims", counted_hom_dims)
+    return calls
+
+
+def test_each_sequence_is_read_once(monkeypatch):
+    calls = counting_reads(monkeypatch)
+    cusp = catalog_get("cusp")
+    full_report(cusp, 12)
+    assert calls.count(("module", "cusp")) == 1
+    calls.clear()
+    verify_lm_chern(cusp, 12)
+    assert calls == [("hom", "cusp", "cusp", W11), ("module", "cusp")]
+
 
 def test_full_report_verdict_keys():
     r = full_report(catalog_get("cusp"))

@@ -98,6 +98,9 @@ def test_weight_validation():
         Weight(0, 1)
     with pytest.raises(ValueError):
         Weight(1, -2)
+    for w in ((True, 2), (2, True), (False, 1)):  # a bool is not a number
+        with pytest.raises(ValueError, match="weights must be integers"):
+            Weight(*w)
     assert Weight.parse("2, 3") == Weight(2, 3)
     with pytest.raises(ValueError):
         Weight.parse("2")
