@@ -16,12 +16,8 @@ def _fn(point: int, order: int) -> Functional:
 
 
 def _build() -> tuple[SubspaceSpec, ...]:
-    two_point = SubspaceSpec.from_functionals(
-        "two-point", [_fn(0, 1), _fn(1, 1)]
-    )
-    mixed = SubspaceSpec.from_functionals(
-        "mixed", [_fn(0, 2), _fn(1, 1)]
-    )
+    two_point = SubspaceSpec("two-point", [_fn(0, 1), _fn(1, 1)])
+    mixed = SubspaceSpec("mixed", [_fn(0, 2), _fn(1, 1)])
     return (
         SubspaceSpec.trivial(),
         SubspaceSpec.from_gaps("cusp", [1]),

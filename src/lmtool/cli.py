@@ -11,8 +11,9 @@ Verbs:
 Exit codes: 0 success, 1 an identity verdict failed, 2 usage or parse
 error, 3 a sequence did not stabilize (raise --kmax), 4 an exception inside
 the computation, which is a fault in lmtool, not in the input (reported in
-one line, without a traceback).  A negative fit constant counts as not
-stabilized, since n >= 0 for every V.  A --kmax above KMAX_LIMIT, a weight
+one line, without a traceback).  Exit 3 is the one stop error of the
+verbs, invariants.NotStabilizedError, which a negative fit constant raises
+too, since n >= 0 for every V.  A --kmax above KMAX_LIMIT, a weight
 component above WEIGHT_LIMIT and a spec file whose conductor degree is above
 subspace.CONDUCTOR_DEGREE_LIMIT are usage errors.  A --spec token that
 names a built-in spec means that spec even if a file of the same name
@@ -40,8 +41,6 @@ from .catalog import catalog, catalog_get, catalog_names
 from .invariants import (
     DEFAULT_WEIGHTS,
     W11,
-    NegativeChernError,
-    NonPolynomialError,
     NotStabilizedError,
     Report,
     chern_number,
@@ -80,10 +79,10 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--weights", default=None, metavar="W1,W2[;W1,W2...]")
             p.add_argument("--kmax", type=int, default=12,
                            help=f"highest filtration degree, 4..{KMAX_LIMIT} (default 12)")
+            p.add_argument("--timing", action="store_true",
+                           help="include elapsed_ms in json/text output")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--timing", action="store_true",
-                       help="include elapsed_ms in json/text output")
     return parser
 
 
@@ -127,9 +126,9 @@ def report_fields(report: Report) -> dict:
     n_1, n_2 = report.n_pair or (None, None)
     out = {
         "name": report.name,
-        "weight": list(report.weight.as_tuple()),
+        "weight": [report.weight.w1, report.weight.w2],
         "kmax": report.kmax,
-        "weights": None if report.weights is None else [list(w.as_tuple()) for w in report.weights],
+        "weights": None if report.weights is None else [[w.w1, w.w2] for w in report.weights],
         **{key: _as_list(getattr(report, key)) for key in HILBERT_FIELDS},
         "p_by_weight": (None if report.p_by_weight is None
                         else {str(w): list(p) for w, p in report.p_by_weight}),
@@ -309,7 +308,7 @@ def run(argv: Sequence[str]) -> int:
             if args.timing:
                 report = replace(report, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
             reports.append(report)
-    except (NotStabilizedError, NonPolynomialError, NegativeChernError) as exc:
+    except NotStabilizedError as exc:
         print(f"lmtool: not stabilized: {exc}", file=sys.stderr)
         print("lmtool: raise --kmax and rerun", file=sys.stderr)
         return 3

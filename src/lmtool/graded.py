@@ -474,9 +474,9 @@ def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> t
     return _numerators(src, dst, weight, k, new_only=False)
 
 
-def module_dims(spec: SubspaceSpec, weight: Weight, kmax: int, kmin: int = 0) -> list[int]:
+def module_dims(spec: SubspaceSpec, weight: Weight, kmax: int) -> list[int]:
     tower = _tower_for(_TRIVIAL, spec, weight, max(kmax, 0))
-    return [tower.dim(k) for k in range(kmin, kmax + 1)]
+    return [tower.dim(k) for k in range(kmax + 1)]
 
 
 def hom_dims(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int, kmin: int = 0) -> list[int]:

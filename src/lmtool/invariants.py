@@ -15,8 +15,10 @@ A Hilbert sequence is read at weight (1,1) for k = 0..kmax.  All fits
 require a run of exactly matching tail entries before they are trusted: two
 entries pin (shift, constant) and at least three more must confirm them, so
 a fit needs a window of five.  A p-sequence is trusted once its last three
-entries agree.  Anything shorter raises NotStabilized, which callers surface
-as "raise kmax".
+entries agree.  Anything shorter, a tail that fits no quadratic of the
+family, and a negative fit constant (n >= 0 for every V) all raise
+NotStabilizedError, the one error a verb stops with, which lmtool.cli
+surfaces as "raise kmax".
 
 Each verb reads every sequence it needs once and fits it once: the End
 sequence of verify_lm_chern gives both its p-sequence and its fit,
@@ -43,15 +45,8 @@ _STABLE_WINDOW = 5  # 2 anchors + 3 confirmations
 
 
 class NotStabilizedError(RuntimeError):
-    """The sequence has not reached its eventual quadratic; raise kmax."""
-
-
-class NonPolynomialError(RuntimeError):
-    """The tail of the sequence fits no quadratic of the Euler family."""
-
-
-class NegativeChernError(RuntimeError):
-    """A fit produced a negative constant term; reported, never swallowed."""
+    """The sequence has not reached its eventual quadratic, its tail fits no
+    quadratic of the Euler family, or its fit constant is negative; raise kmax."""
 
 
 HilbertSource = Union[SubspaceSpec, tuple[SubspaceSpec, SubspaceSpec]]
@@ -91,9 +86,9 @@ def fit_euler(h: HilbertSeq) -> FitResult:
     """Fit the tail of a Hilbert sequence to (k+a+1)(k+a+2)/2 - c.
 
     The last two values determine (a, c); the window is the maximal exact
-    suffix.  Raises NotStabilized when the window is shorter than five
-    entries and NonPolynomial when even the last three values lie on no
-    quadratic of the family.
+    suffix.  Raises NotStabilizedError when the window is shorter than five
+    entries or when even the last three values lie on no quadratic of the
+    family.
     """
     vals = h.values
     if len(vals) < _STABLE_WINDOW:
@@ -101,9 +96,9 @@ def fit_euler(h: HilbertSeq) -> FitResult:
             f"{h.source}: need at least {_STABLE_WINDOW} values to fit, got {len(vals)}"
         )
     if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
-        raise NonPolynomialError(f"{h.source}: sequence of dimensions is not non-decreasing")
+        raise NotStabilizedError(f"{h.source}: sequence of dimensions is not non-decreasing")
     if vals[-1] - 2 * vals[-2] + vals[-3] != 1:
-        raise NonPolynomialError(
+        raise NotStabilizedError(
             f"{h.source}: tail {vals[-3:]} fits no Euler quadratic "
             "(second difference is not 1); a larger kmax may stabilize it"
         )
@@ -155,7 +150,7 @@ def chern_number(spec: SubspaceSpec, kmax: int = 12) -> Report:
     seq = hilbert_seq(spec, kmax)
     fit = fit_euler(seq)
     if fit.constant < 0:
-        raise NegativeChernError(f"{spec.name or seq.source}: fit constant {fit.constant} is negative")
+        raise NotStabilizedError(f"{spec.name or seq.source}: fit constant {fit.constant} is negative")
     return Report(
         name=spec.name, kmax=kmax, hilbert_M=seq.values,
         shift_a=fit.shift, n=fit.constant, warnings=spec.warnings,
@@ -163,7 +158,9 @@ def chern_number(spec: SubspaceSpec, kmax: int = 12) -> Report:
 
 
 def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> Report:
-    """Relative invariant of Hom(M_1, M_2) and the verdict p_12 = n_1 + n_2."""
+    """Relative invariant of Hom(M_1, M_2) and the verdict p_12 = n_1 + n_2.
+    Each spec's warnings are prefixed with its name, and a line repeated
+    (the same spec twice) is kept once."""
     seq = hilbert_seq((src, dst), kmax)
     fit = fit_euler(seq)
     n_1 = chern_number(src, kmax).n
@@ -172,7 +169,7 @@ def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> 
         name=f"{src.name}->{dst.name}", kmax=kmax, hilbert_hom=seq.values,
         shift_a=fit.shift, p_12=fit.constant, n_pair=(n_1, n_2),
         verdicts={"relative": fit.constant == n_1 + n_2},
-        warnings=src.warnings + dst.warnings,
+        warnings=tuple(dict.fromkeys(f"{s.name}: {w}" for s in (src, dst) for w in s.warnings)),
     )
 
 

@@ -158,12 +158,6 @@ class Poly(Terms):
             raise ValueError(f"Poly needs a non-negative integer exponent, got {e!r}")
         return exp
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly({0: 1})
-
     # -- degree -------------------------------------------------------------
 
     def degree(self) -> int | None:
@@ -183,7 +177,7 @@ class Poly(Terms):
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of Poly")
-        out, base = Poly.one(), self
+        out, base = Poly({0: 1}), self
         while n:
             if n & 1:
                 out = out * base

@@ -139,7 +139,7 @@ class SubspaceSpec:
         object.__setattr__(self, "local_kernel", kernels)
         by_point = _top_orders(normalized)
         object.__setattr__(self, "top_orders", by_point)
-        g = Poly.one()
+        g = Poly({0: 1})
         for point in sorted(by_point):
             g = g * Poly({0: -point, 1: 1}) ** (by_point[point] + 1)
         object.__setattr__(self, "conductor", g)
@@ -147,8 +147,8 @@ class SubspaceSpec:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def trivial(name: str = "trivial") -> "SubspaceSpec":
-        return SubspaceSpec(name=name, functionals=(), gaps=())
+    def trivial() -> "SubspaceSpec":
+        return SubspaceSpec(name="trivial", functionals=(), gaps=())
 
     @staticmethod
     def from_gaps(name: str, gaps: Sequence[int]) -> "SubspaceSpec":
@@ -162,10 +162,6 @@ class SubspaceSpec:
                 "the subspace is not a semigroup algebra",
             )
         return SubspaceSpec(name=name, functionals=fns, gaps=tuple(gap_set), warnings=warnings)
-
-    @staticmethod
-    def from_functionals(name: str, functionals: Sequence[Functional]) -> "SubspaceSpec":
-        return SubspaceSpec(name=name, functionals=tuple(functionals))
 
     # -- queries -----------------------------------------------------------------
 
@@ -293,4 +289,4 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
     _check_conductor_degree(sum(o + 1 for o in _top_orders(functionals).values()))
     if name is None:
         name = f"points-{len({fn.point for fn in functionals})}"
-    return SubspaceSpec.from_functionals(name, functionals)
+    return SubspaceSpec(name, functionals)

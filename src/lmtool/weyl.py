@@ -50,9 +50,6 @@ class Weight:
     def degree(self, a: int, b: int) -> int:
         return a * self.w1 + b * self.w2
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.w1, self.w2)
-
     def __str__(self) -> str:
         return f"({self.w1},{self.w2})"
 

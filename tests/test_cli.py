@@ -15,7 +15,7 @@ import pytest
 
 import lmtool
 from lmtool import cli, graded
-from lmtool.invariants import NegativeChernError, Report, fit_euler, HilbertSeq
+from lmtool.invariants import NotStabilizedError, Report, fit_euler, HilbertSeq
 from lmtool.linalg import RowReducer
 from lmtool.subspace import parse_spec
 from lmtool.weyl import Weight
@@ -378,6 +378,27 @@ def test_all_exports_resolve():
     assert missing == []
 
 
+def test_top_level_names():
+    """The top level is the verbs the CLI runs, their inputs and output, the
+    one stop error and the catalog; ``catalog`` is the function, which the
+    benchmark imports and calls."""
+    assert sorted(lmtool.__all__) == sorted([
+        "lm_invariant", "chern_number", "relative_invariant", "dual_check", "verify_lm_chern",
+        "full_report", "SubspaceSpec", "Functional", "parse_spec", "SpecError", "Weight",
+        "DEFAULT_WEIGHTS", "Report", "NotStabilizedError", "catalog", "catalog_get",
+        "catalog_names", "__version__",
+    ])
+    assert callable(lmtool.catalog)
+
+
+def test_readme_library_use_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    assert capsys.readouterr().out == "2\n1 2 True\n"
+
+
 def test_bench_wrapped_names_resolve(monkeypatch):
     """Every lmtool name the benchmark's tracer wraps or patches still exists,
     so a deletion that would break `bench/run.py --trace 1` fails here."""
@@ -457,6 +478,7 @@ def test_usage_errors_exit_2(capsys, cusp_file):
         ["invariant", "--spec", "cusp", "--weights", "1"],
         ["verify", "--spec", cusp_file, "--weights", "1,1"],
         ["verify", "--spec", "cusp", "--weights", "1,1;1,1"],   # repeated weight
+        ["catalog", "--timing"],                         # a report-verb flag
         ["no-such-verb"],
         [],
     ]
@@ -528,6 +550,20 @@ def test_limits_admit_their_bound():
     assert parse_spec('{"kind": "monomial", "gaps": [63]}').conductor.degree() == 64
 
 
+def test_relative_warnings_name_their_spec(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g2.json").write_text('{"kind": "monomial", "gaps": [2]}')
+    (tmp_path / "g3.json").write_text('{"kind": "monomial", "gaps": [3]}')
+    warning = "gap complement is not closed under addition; the subspace is not a semigroup algebra"
+    code, out, _ = run(capsys, "relative", "--spec", "./g2.json", "--spec", "./g2.json", "--format", "text")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("warning:")] == [
+        f"warning: gaps-2: {warning}"]
+    code, out, _ = run(capsys, "relative", "--spec", "./g2.json", "--spec", "./g3.json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == [f"gaps-2: {warning}", f"gaps-3: {warning}"]
+
+
 def test_builtin_name_wins_over_file(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cusp").write_text('{"kind": "monomial", "gaps": [1, 2]}')
@@ -596,7 +632,7 @@ def test_verdict_failure_exits_1(capsys, monkeypatch):
 
 def test_negative_chern_exits_3(capsys, monkeypatch):
     def negative(*args, **kwargs):
-        raise NegativeChernError("cusp: fit constant -1 is negative")
+        raise NotStabilizedError("cusp: fit constant -1 is negative")
 
     monkeypatch.setattr(cli, "full_report", negative)
     code, out, err = run(capsys, "verify", "--spec", "cusp")

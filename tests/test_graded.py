@@ -200,7 +200,7 @@ def test_negative_degrees_are_empty():
     cusp = catalog_get("cusp")
     assert hom_piece(TRIVIAL, cusp, W11, -1) == ()
     assert hom_piece(cusp, cusp, W11, -1) == ()
-    assert module_dims(cusp, W11, 2, kmin=-2) == [0, 0, 0, 0, 2]
+    assert hom_dims(TRIVIAL, cusp, W11, 2, kmin=-2) == [0, 0, 0, 0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +562,7 @@ def test_three_point_hom_dims_match_oracle(points1, points2, k):
         assert hom_dims(src, dst, W11, k, kmin=k) == [oracle_hom_dim(src, dst, W11, k)], (src, dst)
         top = k + src.conductor.degree()
         assert graded._tower_cache[TRIVIAL, dst, W11].kmax == top
-        assert module_dims(dst, W11, top, kmin=top) == [oracle_module_dim(dst, W11, top)], (src, dst)
+        assert hom_dims(TRIVIAL, dst, W11, top, kmin=top) == [oracle_module_dim(dst, W11, top)], (src, dst)
 
 
 def pinned_specs(monkeypatch) -> list[SubspaceSpec]:
@@ -701,7 +701,7 @@ def test_module_after_end_builds_nothing(gaps, w, kmax):
         built = counted_builds(mp)
         hom_dims(spec, spec, weight, kmax)
         assert len(built) == 1
-        assert module_dims(spec, weight, top, kmin=-1) == gap_hom_dims((), gaps, *w, top)
+        assert hom_dims(TRIVIAL, spec, weight, top, kmin=-1) == gap_hom_dims((), gaps, *w, top)
         assert len(built) == 1
 
 

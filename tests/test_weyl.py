@@ -63,7 +63,7 @@ def test_non_integer_exponents_rejected(make, bad):
 @given(polys(max_degree=3), st.integers(min_value=0, max_value=4))
 @settings(max_examples=60)
 def test_pow_is_repeated_product(p, n):
-    expected = Poly.one()
+    expected = Poly({0: 1})
     for _ in range(n):
         expected = expected * p
     assert p ** n == expected
