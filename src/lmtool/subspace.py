@@ -114,12 +114,23 @@ def _top_orders(functionals: Iterable[Functional]) -> dict[Fraction, int]:
     return out
 
 
+CONDUCTOR_DEGREE_LIMIT = 64  # tower columns grow with deg(g); larger specs are refused
+
+
+def _check_conductor_degree(degree: int) -> None:
+    if degree > CONDUCTOR_DEGREE_LIMIT:
+        # str() refuses an int of over 4300 digits (sys.get_int_max_str_digits)
+        shown = degree if degree.bit_length() < 1000 else f"of {degree.bit_length()} bits"
+        raise SpecError(f"conductor degree {shown} is above the limit of {CONDUCTOR_DEGREE_LIMIT}")
+
+
 @dataclass(frozen=True)
 class SubspaceSpec:
     """Validated subspace description with derived conductor and local kernels.
 
     Equality and hashing use the normalized functionals only, so two specs
     defining the same subspace through different presentations compare equal.
+    A conductor of degree above CONDUCTOR_DEGREE_LIMIT raises SpecError first.
     """
 
     name: str
@@ -133,11 +144,12 @@ class SubspaceSpec:
     _hash: int = field(init=False, repr=False, compare=False)  # of the normalized functionals
 
     def __post_init__(self) -> None:
+        by_point = _top_orders(self.functionals)
+        _check_conductor_degree(sum(o + 1 for o in by_point.values()))
         normalized, kernels = _normalize_functionals(self.functionals)
         object.__setattr__(self, "functionals", normalized)
         object.__setattr__(self, "_hash", hash(normalized))
         object.__setattr__(self, "local_kernel", kernels)
-        by_point = _top_orders(normalized)
         object.__setattr__(self, "top_orders", by_point)
         g = Poly({0: 1})
         for point in sorted(by_point):
@@ -151,16 +163,16 @@ class SubspaceSpec:
         return SubspaceSpec(name="trivial", functionals=(), gaps=())
 
     @staticmethod
-    def from_gaps(name: str, gaps: Sequence[int]) -> "SubspaceSpec":
-        """Monomial spec: V = span{x^i : i not in gaps} via f^(gamma)(0) = 0."""
+    def from_gaps(name: str | None, gaps: Sequence[int]) -> "SubspaceSpec":
+        """Monomial spec: V = span{x^i : i not in gaps} via f^(gamma)(0) = 0,
+        named gaps-1-2 (or trivial) by its gaps if name is None."""
         gap_set = sorted({_natural(g, "gap") for g in gaps})
+        _check_conductor_degree(gap_set[-1] + 1 if gap_set else 0)
+        if name is None:
+            name = "gaps-" + "-".join(map(str, gap_set)) if gap_set else "trivial"
         fns = tuple(Functional(Fraction(0), ((g, Fraction(1)),)) for g in gap_set)
-        warnings = ()
-        if gap_set and not _complement_closed(gap_set):
-            warnings = (
-                "gap complement is not closed under addition; "
-                "the subspace is not a semigroup algebra",
-            )
+        warnings = () if _complement_closed(gap_set) else (
+            "gap complement is not closed under addition; the subspace is not a semigroup algebra",)
         return SubspaceSpec(name=name, functionals=fns, gaps=tuple(gap_set), warnings=warnings)
 
     # -- queries -----------------------------------------------------------------
@@ -179,19 +191,9 @@ class SubspaceSpec:
 def _complement_closed(gaps: Sequence[int]) -> bool:
     """Is N \\ gaps closed under addition?  Only sums <= max(gaps) matter."""
     gap_set = set(gaps)
-    top = max(gaps)
+    top = max(gaps, default=-1)
     non_gaps = [s for s in range(top + 1) if s not in gap_set]
     return not any(s + t in gap_set for s in non_gaps for t in non_gaps)
-
-
-CONDUCTOR_DEGREE_LIMIT = 64  # tower columns grow with deg(g); larger specs are refused
-
-
-def _check_conductor_degree(degree: int) -> None:
-    if degree > CONDUCTOR_DEGREE_LIMIT:
-        # str() refuses an int of over 4300 digits (sys.get_int_max_str_digits)
-        shown = degree if degree.bit_length() < 1000 else f"of {degree.bit_length()} bits"
-        raise SpecError(f"conductor degree {shown} is above the limit of {CONDUCTOR_DEGREE_LIMIT}")
 
 
 _TOP_KEYS = {"name", "kind", "gaps", "points"}
@@ -215,8 +217,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
          "points": [{"c": "0", "functionals": [[{"order": 1, "coeff": "1"}]]}]}
 
     Unknown keys are rejected; duplicate points are merged.  Rationals may be
-    written as integers or "p/q" strings.  A conductor of degree above
-    CONDUCTOR_DEGREE_LIMIT is rejected before the spec is built.
+    written as integers or "p/q" strings.
     """
     if isinstance(document, str):
         try:
@@ -242,9 +243,6 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
         # type(...) is int: JSON true/false load as bool, a subclass of int
         if not isinstance(gaps, list) or not all(type(g) is int and g >= 0 for g in gaps):
             raise SpecError("'gaps' must be a list of non-negative integers")
-        _check_conductor_degree(max(gaps) + 1 if gaps else 0)
-        if name is None:
-            name = "gaps-" + "-".join(str(g) for g in sorted(set(gaps))) if gaps else "trivial"
         return SubspaceSpec.from_gaps(name, gaps)
 
     if "gaps" in document:
@@ -286,7 +284,6 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
                     raise SpecError(str(exc)) from exc
                 terms.append((order, coeff))
             functionals.append(Functional(c, tuple(terms)))
-    _check_conductor_degree(sum(o + 1 for o in _top_orders(functionals).values()))
     if name is None:
         name = f"points-{len({fn.point for fn in functionals})}"
     return SubspaceSpec(name, functionals)

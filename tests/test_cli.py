@@ -19,116 +19,11 @@ from lmtool.invariants import NotStabilizedError, Report, fit_euler, HilbertSeq
 from lmtool.linalg import RowReducer
 from lmtool.subspace import parse_spec
 from lmtool.weyl import Weight
+import pins
 
 W11 = Weight(1, 1)
 
 CUSP_DOC = '{"kind": "monomial", "name": "cusp", "gaps": [1]}'
-
-# sha256 of the stdout of `lmtool verify --kmax 12` over the whole catalog
-CATALOG_KMAX12_SHA256 = "c9e878d29fa842d3ead699fe18d44bff9d59fde7bad7546780baff02760b1d14"
-# ... and of `lmtool verify --kmax 20`, the output the benchmark checks
-CATALOG_KMAX20_SHA256 = "b473bf4471b2dcf1bf45eb3f2ef42921ed94ff268cd8f613603c91e9e4505e9e"
-# sha256 of the stdout of deeper verify runs, keyed by their arguments
-DEEP_SHA256 = {
-    ("verify", "--kmax", "60"): "576b5076514fdbe3cafff4dd162f5e5535a638c5c0d2fd419fb372f450d1c7df",
-    ("verify", "--spec", "mixed", "--kmax", "120"):
-        "242eb22772c4206f6cbae34e81f10b362fd99645a24c50cd4086cff8b8251cd7",
-    ("verify", "--spec", "two-point", "--kmax", "120"):
-        "8dcfaffab7a344c240bcac68abb56f03f02e1790c8cd07e37c3473ec8cd181c3",
-}
-
-# the exact stderr of runs of each verb below their onset, keyed by their
-# arguments; each exits 3 with nothing on stdout.  verify fits the module
-# first and refuses the first three; the p-sequence of gaps-1-3 at (1,2) is
-# still moving at kmax 7.  relative fits the hom space before either module
-FAILURE_STDERR = {
-    ("chern", "--spec", "mixed", "--kmax", "6"):
-        "lmtool: not stabilized: module(mixed): fit window [3,6] has only 4 entries; raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("dual", "--spec", "gaps-1-2-3", "--kmax", "4"):
-        "lmtool: not stabilized: module(gaps-1-2-3): fit window [2,4] has only 3 entries; raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("relative", "--spec", "cusp", "--spec", "two-point", "--kmax", "5"):
-        "lmtool: not stabilized: hom(cusp,two-point): fit window [2,5] has only 4 entries; raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("relative", "--spec", "mixed", "--spec", "cusp", "--kmax", "6"):
-        "lmtool: not stabilized: module(mixed): fit window [3,6] has only 4 entries; raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("invariant", "--spec", "gaps-1-3", "--kmax", "4"):
-        "lmtool: not stabilized: p-sequence for gaps-1-3 at (1,1) still moving: tail (2, 6, 6); raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("invariant", "--spec", "mixed", "--weights", "2,3;1,1", "--kmax", "6"):
-        "lmtool: not stabilized: p-sequence for mixed at (2,3) still moving: tail (3, 4, 6); raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("verify", "--spec", "cusp", "--kmax", "4"):
-        "lmtool: not stabilized: module(cusp): fit window [1,4] has only 4 entries; raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("verify", "--spec", "two-point", "--kmax", "5"):
-        "lmtool: not stabilized: module(two-point): fit window [3,5] has only 3 entries; raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("verify", "--spec", "mixed", "--kmax", "6"):
-        "lmtool: not stabilized: module(mixed): fit window [3,6] has only 4 entries; raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-    ("verify", "--spec", "gaps-1-3", "--kmax", "7"):
-        "lmtool: not stabilized: p-sequence for gaps-1-3 at (1,2) still moving: tail (5, 6, 6); raise kmax\n"
-        "lmtool: raise --kmax and rerun\n",
-}
-
-# sha256 of stdout for each verb and format at --kmax 8; a rendering change
-# that moves a single byte shows up here
-VERB_ARGS = {
-    "chern": ["chern", "--spec", "cusp", "--spec", "mixed"],
-    "invariant-1": ["invariant", "--spec", "cusp", "--spec", "two-point"],
-    "invariant-2": ["invariant", "--spec", "cusp", "--spec", "two-point", "--weights", "1,1;2,1"],
-    "dual": ["dual", "--spec", "cusp", "--spec", "mixed"],
-    "relative": ["relative", "--spec", "cusp", "--spec", "two-point"],
-    "verify": ["verify", "--spec", "cusp", "--spec", "gaps-1-2"],
-}
-VERB_SHA256 = {
-    ("chern", "json"): "1e0d17b9b0c8e064cc459fee00e4e8f25df430c774d0940e3a490a0dca941ed2",
-    ("chern", "csv"): "ee08c2bcf655f62c760102f89797d604cd6a3ad63a0fe89ab1f4fcf0c1d68335",
-    ("chern", "text"): "b810359fe3a6638540ff2e8f0ab0ab0d52390f5c13210a31c7ff1d4cfa0d4c57",
-    ("invariant-1", "json"): "3af8bfda4f0cc285e186cbc2fb2641ab25c464c12f17e54e2acdd696eaf87183",
-    ("invariant-1", "csv"): "81d0f1efddaa38572b71a2ca3f880e48cf1da1739199943e9c3c82213074f437",
-    ("invariant-1", "text"): "e5f16188a569b28ccf59d9ec799f86c5ca26d12eda24307fcdcf27f550110031",
-    ("invariant-2", "json"): "21956f7ef68bd743f1763277176f7047097fd45c508ead8fffc0f6059e4a8cbd",
-    ("invariant-2", "csv"): "06d95d3b7b257560fa4ae52c6aad5eafd8883688819a40a1fd112e29d5bfb682",
-    ("invariant-2", "text"): "c87ae4d85b2893c396d0a2298c6fbeac7f7d6174e6f2e5b9c5e06cb151a3180f",
-    ("dual", "json"): "023ffa82cd278f808ab40b52a1aecbf086c2959e9c73320e9f8f2a668308c12f",
-    ("dual", "csv"): "6d78c8ce7594954345cd6c1e4b1230a149379b38943280a4f33ace0e7047267b",
-    ("dual", "text"): "f12a858458e2e6ad374f13b48c3483edbc7e609e5948d967c83a4c6b2784ca8e",
-    ("relative", "json"): "5dcd05e3d66457d6781528daeb19c8d904a0835c9526b182f4b84175bb1605ab",
-    ("relative", "csv"): "779d72d6df1396c20fa736e1a2a72a6f53c381445045791b854b695916225a1d",
-    ("relative", "text"): "6dbcb397fbc6c3453f751d87e0cd504560b147613ebd9dc6e1d61058bf9ccc39",
-    ("verify", "json"): "5148dcb9767dab2e74320504c764fa675ab3473ff2d7a2daea8e5609e0988255",
-    ("verify", "csv"): "1b93c88d60fc80b0799eae27d4c8819dbcacc512bbea13d138b77bfc70812e74",
-    ("verify", "text"): "54f4fb8978ef373e379095e091ed68eb9691f8fdce5b5d3565f7741535d47035",
-}
-
-# sha256 of stdout of `lmtool catalog --format FMT`
-CATALOG_SHA256 = {
-    "json": "3f29fec7d23da2caf0e02dabc54b5a5a7a5827cc6c71fe1815725fe9b41cb2eb",
-    "csv": "cf21fbcd300504a6eb688ae0e1aa0eda97e64481a0719536c824ab51a542f2c9",
-    "text": "a1585de3dd47899348908ea849baaeaf773fb3b1909685fb5729d03a909984ca",
-}
-
-# two conditions specs with no point at 0: f'(1/2) = 0 and
-# 2f(1/2) - f^(3)(1/2)/3 = 0, then the same with f'(-1/3) = 0 added
-OFF_ZERO_HALF = [{"c": "1/2", "functionals": [
-    [{"order": 1, "coeff": 1}],
-    [{"order": 0, "coeff": 2}, {"order": 3, "coeff": "-1/3"}]]}]
-OFF_ZERO_DOCS = {
-    "off-zero-1": {"kind": "conditions", "name": "off-zero-1", "points": OFF_ZERO_HALF},
-    "off-zero-2": {"kind": "conditions", "name": "off-zero-2", "points": OFF_ZERO_HALF + [
-        {"c": "-1/3", "functionals": [[{"order": 1, "coeff": 1}]]}]},
-}
-# sha256 of stdout of `lmtool verify --spec off-zero-1 --spec off-zero-2 --kmax 12`
-OFF_ZERO_SHA256 = {
-    "json": "802a19aea06e1aade4132141e817557b419779ebd68ff814bcd6cd1f44c8305b",
-    "csv": "ff9aeaabd681d61519f751b7f8fc3e93403fa25568a52ade36e831129c4efd76",
-    "text": "15dc8fb2120101e174aa62d367bf05490cf6c849434c3861f49ad4b740cedfa0",
-}
-
 
 @pytest.fixture
 def cusp_file(tmp_path):
@@ -141,6 +36,12 @@ def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_pinned(capsys, argv):
+    """Run a case of pins.CLI_CASES in-process against its pinned outcome."""
+    code, out, err = run(capsys, *argv)
+    assert pins.outcome(code, out.encode(), err) == pins.CLI_CASES[argv]
 
 
 # -- worked end-to-end examples ------------------------------------------------------
@@ -171,9 +72,9 @@ def test_verify_small_kmax_exits_3(capsys, cusp_file):
     assert "kmax" in err
 
 
-@pytest.mark.parametrize("argv", sorted(FAILURE_STDERR), ids=" ".join)
+@pytest.mark.parametrize("argv", sorted(pins.FAILURE_STDERR), ids=" ".join)
 def test_failure_stderr_is_pinned(capsys, argv):
-    assert run(capsys, *argv) == (3, "", FAILURE_STDERR[argv])
+    assert_pinned(capsys, argv)
 
 
 # -- verbs --------------------------------------------------------------------------
@@ -223,11 +124,9 @@ def test_catalog_verb(capsys):
     assert cusp_entry["gaps"] == [1]
 
 
-@pytest.mark.parametrize("fmt", sorted(CATALOG_SHA256))
+@pytest.mark.parametrize("fmt", sorted(pins.CATALOG_SHA256))
 def test_catalog_digest(capsys, fmt):
-    code, out, err = run(capsys, "catalog", "--format", fmt)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[fmt]
+    assert_pinned(capsys, ("catalog", "--format", fmt))
 
 
 def test_invariant_multi_weight(capsys):
@@ -273,19 +172,19 @@ def test_timing_flag_gates_elapsed(capsys):
     assert "elapsed_ms" in timed
 
 
-@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+@pytest.mark.parametrize("verb", sorted(pins.VERB_ARGS))
 def test_timing_measures_every_verb(capsys, verb):
-    code, out, _ = run(capsys, *VERB_ARGS[verb], "--kmax", "8", "--timing")
+    code, out, _ = run(capsys, *pins.VERB_ARGS[verb], "--kmax", "8", "--timing")
     assert code == 0
     reports = json.loads(out)
     assert all(r["elapsed_ms"] > 0 for r in (reports if isinstance(reports, list) else [reports]))
 
 
-@pytest.mark.parametrize("verb,fmt", sorted(VERB_SHA256))
+@pytest.mark.parametrize("verb,fmt", sorted(pins.VERB_SHA256))
 def test_timing_adds_only_elapsed(capsys, verb, fmt):
     # --timing leaves CSV as it is and adds only each report's elapsed_ms
     # field (JSON) or line (text): with those taken out, the output is the pinned one
-    code, out, err = run(capsys, *VERB_ARGS[verb], "--kmax", "8", "--format", fmt, "--timing")
+    code, out, err = run(capsys, *pins.verb_argv(verb, fmt), "--timing")
     assert (code, err) == (0, "")
     if fmt == "json":
         reports = json.loads(out)
@@ -295,9 +194,9 @@ def test_timing_adds_only_elapsed(capsys, verb, fmt):
     elif fmt == "text":
         lines = out.splitlines(keepends=True)
         kept = [line for line in lines if not line.startswith("elapsed_ms: ")]
-        assert len(lines) - len(kept) == (1 if verb == "relative" else VERB_ARGS[verb].count("--spec"))
+        assert len(lines) - len(kept) == (1 if verb == "relative" else pins.VERB_ARGS[verb].count("--spec"))
         out = "".join(kept)
-    assert hashlib.sha256(out.encode()).hexdigest() == VERB_SHA256[verb, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == pins.VERB_SHA256[verb, fmt]
 
 
 def test_towers_built_at_the_kmax_asked(capsys):
@@ -320,22 +219,16 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--spec", "cusp")
     _, second, _ = run(capsys, "verify", "--spec", "cusp")
     assert first == second
-    code, out, _ = run(capsys, "verify", "--kmax", "12")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX12_SHA256
+    assert_pinned(capsys, ("verify", "--kmax", "12"))
 
 
 def test_catalog_verify_kmax20_digest(capsys):
-    code, out, _ = run(capsys, "verify", "--kmax", "20")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_KMAX20_SHA256
+    assert_pinned(capsys, ("verify", "--kmax", "20"))
 
 
-@pytest.mark.parametrize("argv", sorted(DEEP_SHA256), ids=" ".join)
+@pytest.mark.parametrize("argv", sorted(pins.DEEP_SHA256), ids=" ".join)
 def test_deep_verify_digest(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_SHA256[argv]
+    assert_pinned(capsys, argv)
 
 
 def test_cached_towers_hold_no_reducer(capsys):
@@ -354,23 +247,16 @@ def test_cached_towers_hold_no_reducer(capsys):
             assert not any(isinstance(v, (RowReducer, dict, list, tuple)) for v in items), slot
 
 
-@pytest.mark.parametrize("verb,fmt", sorted(VERB_SHA256))
+@pytest.mark.parametrize("verb,fmt", sorted(pins.VERB_SHA256))
 def test_output_digest_per_verb_and_format(capsys, verb, fmt):
-    code, out, err = run(capsys, *VERB_ARGS[verb], "--kmax", "8", "--format", fmt)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == VERB_SHA256[verb, fmt]
+    assert_pinned(capsys, pins.verb_argv(verb, fmt))
 
 
-@pytest.mark.parametrize("fmt", sorted(OFF_ZERO_SHA256))
-def test_off_zero_verify_digest(capsys, tmp_path, fmt):
-    paths = []
-    for name, doc in OFF_ZERO_DOCS.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        paths += ["--spec", str(path)]
-    code, out, err = run(capsys, "verify", *paths, "--kmax", "12", "--format", fmt)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == OFF_ZERO_SHA256[fmt]
+@pytest.mark.parametrize("fmt", sorted(pins.OFF_ZERO_SHA256))
+def test_off_zero_verify_digest(capsys, tmp_path, monkeypatch, fmt):
+    pins.write_off_zero_docs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert_pinned(capsys, pins.off_zero_argv(fmt))
 
 
 def test_all_exports_resolve():
@@ -411,22 +297,29 @@ def test_bench_wrapped_names_resolve(monkeypatch):
     assert missing == []
 
 
+def imports_outside_stdlib(path: Path) -> set[str]:
+    """The top-level modules that path imports by absolute name, other than stdlib."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return {m.split(".")[0] for m in modules} - set(sys.stdlib_module_names)
+
+
 def test_package_imports_only_stdlib():
     """The package is dependency-free: every import is relative or stdlib."""
-    sources = sorted(Path(lmtool.__file__).parent.glob("*.py"))
-    assert sources
-    outside = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {m}" for m in modules
-                        if m.split(".")[0] not in sys.stdlib_module_names]
-    assert outside == []
+    outside = {path.name: imports_outside_stdlib(path) for path in Path(lmtool.__file__).parent.glob("*.py")}
+    assert outside and not any(outside.values()), outside
+
+
+def test_pins_import_only_stdlib_lmtool_and_workloads():
+    """tests/pins.py runs where nothing is installed: it, and the benchmark
+    inputs it reads, import the stdlib and lmtool alone, never a test package."""
+    root = Path(__file__).resolve().parent.parent
+    assert imports_outside_stdlib(root / "tests" / "pins.py") == {"lmtool", "workloads"}
+    assert imports_outside_stdlib(root / "bench" / "workloads.py") == {"lmtool"}
 
 
 def test_package_modules_use_every_import():

@@ -14,12 +14,9 @@ The frozen fixtures below were computed by hand first and cross-checked by
 both oracles before being pinned.
 """
 
-import hashlib
-import importlib
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -44,9 +41,9 @@ from lmtool.invariants import DEFAULT_WEIGHTS
 from lmtool.linalg import RowReducer
 from lmtool.subspace import SubspaceSpec, parse_spec
 from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis
+import pins
 from reference import (
     frac,
-    functional_sympy,
     gap_hom_dims,
     in_subspace_sympy,
     jet_rows,
@@ -565,71 +562,16 @@ def test_three_point_hom_dims_match_oracle(points1, points2, k):
         assert hom_dims(TRIVIAL, dst, W11, top, kmin=top) == [oracle_module_dim(dst, W11, top)], (src, dst)
 
 
-def pinned_specs(monkeypatch) -> list[SubspaceSpec]:
-    """The catalog and both benchmark sweep batches at seeds 1-3: 67 specs."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    workloads = importlib.import_module("workloads")
-    specs = list(catalog()) + [spec for seed in (1, 2, 3)
-                               for sweep in (workloads.ConditionsSweep, workloads.MonomialDeep)
-                               for spec in sweep(seed).specs]
-    assert len(specs) == 67
-    return specs
+def test_pivots_and_rref_are_pinned():
+    towers = pins.pinned_towers()
+    assert len(towers) == 804
+    for reverse in (False, True):
+        assert pins.echelon_sha256(towers, reverse) == pins.ECHELON_SHA256, reverse
 
 
-def pinned_towers(specs):
-    """The (src, dst, weight) of every End, module and dual tower of specs at
-    the four default weights."""
-    return [(src, dst, weight) for spec in specs for weight in DEFAULT_WEIGHTS
-            for src, dst in [(spec, spec), (TRIVIAL, spec), (spec, TRIVIAL)]]
-
-
-# What the engine reads of each pinned tower at kmax 12: the sha256 of its
-# pivot columns and canonical RREF, written as repr((pivot_cols(), rref
-# pivots, rref rows as sorted items)).  Neither depends on which rows encode
-# the conditions or in what order they are offered, so any change to the
-# row builder must keep this digest.
-ECHELON_SHA256 = "54e49cdd7fdf9d91e43df3c1aac53253f78ce9c27def8517969e22fb198fe48a"
-
-
-def test_pivots_and_rref_are_pinned(monkeypatch):
-    digest = hashlib.sha256()
-    for src, dst, weight in pinned_towers(pinned_specs(monkeypatch)):
-        reducer = graded._Rows(src, dst, weight, 12).reducer
-        pivots, rows = reducer.rref()
-        digest.update(repr((reducer.pivot_cols(), pivots, [sorted(r.items()) for r in rows])).encode())
-    assert digest.hexdigest() == ECHELON_SHA256
-
-
-# The rows offered to a reducer by the pinned towers at kmax 12: their
-# number, the sha256 of the sequence, each row written as
-# repr(sorted(row.items())), and the sha256 of those reprs sorted.  The
-# builder offers the t^s rows of every point first and then, at each root
-# of g, the rows of the principal parts P_w of a basis of the local kernel.
-# Rows at c0 go to the tower's reducer and rows at any other point c to a
-# reducer of c's own, written in the columns (x - c)^a d^b.  The recording
-# reducer keeps no row, so no row is carried to c0 here.  The sorted digest
-# pins the rows whatever their order; the sequence digest pins this order.
-OFFERED_ROWS = 31522
-OFFERED_ROWS_SHA256 = "0394b6586026f79110a69756cb68c6ca42bb22f018129d55f395442f6203357b"
-OFFERED_ROWS_SORTED_SHA256 = "2d6cd59e310d7a9f7177ed01f0e6f94218515e498a8f4158032b953aeaca9003"
-
-
-def test_offered_rows_are_pinned(monkeypatch):
-    offered = []
-
-    class RecordingReducer(RowReducer):
-        """Records the rows offered to it and reduces none of them."""
-
-        def add_row(self, entries):
-            offered.append(repr(sorted(entries.items())))
-            return True
-
-    towers = pinned_towers(pinned_specs(monkeypatch))
-    monkeypatch.setattr(graded, "RowReducer", RecordingReducer)
-    for src, dst, weight in towers:
-        graded._Rows(src, dst, weight, 12)
-    digests = [hashlib.sha256("".join(rows).encode()).hexdigest() for rows in (offered, sorted(offered))]
-    assert (len(offered), *digests) == (OFFERED_ROWS, OFFERED_ROWS_SHA256, OFFERED_ROWS_SORTED_SHA256)
+def test_offered_rows_are_pinned():
+    assert pins.offered_rows(pins.pinned_towers()) == (
+        pins.OFFERED_ROWS, pins.OFFERED_ROWS_SHA256, pins.OFFERED_ROWS_SORTED_SHA256)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +597,10 @@ def assert_side_module_is_fresh(src: SubspaceSpec, dst: SubspaceSpec, weight: We
     assert [module.dim(k) for k in range(-1, top + 1)] == fresh_module_dims(dst, weight, top), (src, dst, weight)
 
 
-def test_side_module_tower_of_pinned_specs(monkeypatch):
+def test_side_module_tower_of_pinned_specs():
     # End and dual of the catalog and both sweeps at seeds 1-3, and cross
     # towers between specs with no point at 0, whose centre is src's point
-    specs = pinned_specs(monkeypatch)
+    specs = pins.pinned_specs()
     cross = [(EXTRA_SPECS["third-mixed"], EXTRA_SPECS["half-cusp"]),
              (EXTRA_SPECS["off-zero-pair"], EXTRA_SPECS["half-cusp"]),
              (catalog_get("mixed"), EXTRA_SPECS["half-cusp"])]
@@ -712,8 +654,7 @@ def test_builds_per_benchmark_input(monkeypatch):
     # has one tower at each weight), conditions-sweep End, and monomial-deep
     # End at four weights; with a module build of its own for each spec
     # they were 40, 30 and 25
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    workloads = importlib.import_module("workloads")
+    workloads = pins.workloads
     built = counted_builds(monkeypatch)
     counts = {}
     clear_cache()

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,6 +141,23 @@ def test_gap_warning_for_non_semigroup():
     spec = SubspaceSpec.from_gaps("odd", [2])
     assert spec.warnings  # 1 + 1 = 2 is a gap, complement not closed
     assert SubspaceSpec.from_gaps("ok", [1, 2]).warnings == ()
+
+
+def test_conductor_limit_comes_before_any_work():
+    # the cost of a spec grows with its conductor degree, so each way to
+    # build one refuses a degree above the limit before doing any of it
+    document = json.dumps({"kind": "monomial", "gaps": list(range(10 ** 6))})
+    builds = {
+        "gap 5000": lambda: SubspaceSpec.from_gaps("g", [5000]),
+        "order 10**6": lambda: SubspaceSpec("f", [Functional(Fraction(0), ((10 ** 6, Fraction(1)),))]),
+        "10**6 gaps": lambda: parse_spec(document),
+    }
+    for what, build in builds.items():
+        t0 = time.perf_counter()
+        with pytest.raises(SpecError, match=r"^conductor degree \d+ is above the limit of 64$"):
+            build()
+        assert time.perf_counter() - t0 < 1.0, what
+    assert SubspaceSpec.from_gaps("g", [63]).conductor.degree() == 64
 
 
 def test_equality_ignores_presentation():
