@@ -10,13 +10,13 @@ product of powers, and ``graded.hom_piece`` expands powers of x - c0.
 
 Values are ``fractions.Fraction`` or ``int``; there are no floats anywhere,
 so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
-fraction-free Gaussian elimination on integer-scaled rows with the pivot
-taken as the first nonzero entry in column order, which makes the reduced
-echelon form -- and hence nullspace bases -- canonical for a given row space
-and column order.  It has one row format: a row goes in, and the ``rref``
-rows and ``nullspace`` vectors come out, as ``{column: value}`` of the
-nonzero entries.  Each elimination step touches only those: the rows the
-towers build are mostly zeros.  The steps and the pivots are those of dense
+fraction-free Gaussian elimination on integer rows ``{column: int}`` with
+the pivot taken as the first nonzero entry in column order, which makes the
+reduced echelon form -- and hence nullspace bases -- canonical for a given
+row space and column order.  The ``rref`` rows and ``nullspace`` vectors
+come out as ``{column: Fraction}`` of their nonzero entries.  Each
+elimination step touches only the nonzero entries: the rows the towers
+build are mostly zeros.  The steps and the pivots are those of dense
 elimination, so the echelon rows and the canonical form do not change with
 the storage.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 
@@ -245,32 +245,20 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
     return {t: v // g for t, v in row.items()} if g != 1 else row
 
 
-def _refused(kinds: set[type], allowed: type | tuple[type, ...]) -> type | None:
-    """A type among ``kinds`` that is bool or not a subclass of ``allowed``;
-    None if there is none."""
-    return next((kind for kind in kinds if kind is bool or not issubclass(kind, allowed)), None)
-
-
 class RowReducer:
     """Incremental Gaussian elimination over Q with canonical output.
 
-    A row is given as a mapping ``{column: value}`` with integer columns in
-    0..ncols-1 and ``int`` or ``Fraction`` values; anything else raises
-    ``TypeError`` or ``ValueError``, and a zero value is dropped.  It is
-    stored as ``{column: int}`` of the nonzero entries, rescaled to
-    integers.  Both are pure speed matters: each step does the arithmetic
-    dense elimination would do on the nonzero entries and skips only the
-    zeros, the pivot is still the first nonzero column, and scaling a row
-    changes neither the row space nor that column.  So the echelon rows, the
-    pivot set and the reduced echelon form are exactly those of
-    fraction-preserving dense elimination.
+    A row is a mapping ``{column: int}`` with columns in 0..ncols-1 (a row
+    over Q is offered scaled to integers, which changes neither its row
+    space nor its pivot); its zero entries are dropped, and the caller's
+    mapping is left as it is.
 
     A stored row is primitive with a positive leading entry; the module
     docstring says where its content is divided out.
 
     A reducer has no finalized state: rows may be added at any time, and
     ``rref`` and ``nullspace`` reduce the current rows afresh on each call.
-    They return ``{column: Fraction}`` of the nonzero entries, like the rows.
+    They return ``{column: Fraction}`` of the nonzero entries.
     """
 
     def __init__(self, ncols: int):
@@ -280,41 +268,10 @@ class RowReducer:
 
     # -- building -----------------------------------------------------------
 
-    def _to_int_row(self, entries: Mapping[int, Fraction | int]) -> dict[int, int]:
-        """A fresh ``{column: int}`` of the nonzero entries, scaled to
-        integers.  A float would be truncated and a bool is not a number, so
-        either raises ``TypeError``.  The checks read one set of the
-        columns' types and one of the values' types, so they cost a pass
-        over the row, not a probe per entry: a row of columns and values
-        that are all exactly ``int``, as every row the towers build, is
-        range-checked and copied, and filtered only if it holds a zero.
-        Any other row is checked in the same order, its columns' types, their
-        range, then its values' types."""
-        if type(entries) is not dict and not isinstance(entries, Mapping):
-            raise TypeError(f"a row is a {{column: value}} mapping, not {type(entries).__name__}")
-        keys, kinds = set(map(type, entries)), set(map(type, entries.values()))
-        bad = _refused(keys, int) if keys != {int} else None
-        if bad is not None:
-            raise TypeError(f"a row column is an int, not {bad.__name__}")
-        if entries and (min(entries) < 0 or max(entries) >= self.ncols):
-            raise ValueError("row column out of range")
-        if kinds <= {int}:
-            row = dict(entries)
-            return {t: v for t, v in row.items() if v} if 0 in row.values() else row
-        bad = _refused(kinds, (int, Fraction))
-        if bad is not None:
-            raise TypeError(f"a row value is an int or a Fraction, not {bad.__name__}")
-        row = {t: v for t, v in entries.items() if v}
-        scale = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
-        return {
-            t: v.numerator * (scale // v.denominator) if isinstance(v, Fraction) else v * scale
-            for t, v in row.items()
-        }
-
-    def add_row(self, entries: Mapping[int, Fraction | int]) -> bool:
-        """Reduce a row ``{column: value}`` against the current basis;
+    def add_row(self, entries: Mapping[int, int]) -> bool:
+        """Reduce a row ``{column: int}`` against the current basis;
         returns True if rank grew."""
-        row = self._to_int_row(entries)
+        row = {t: v for t, v in entries.items() if v}
         while row:
             j = min(row)
             pivot_idx = self._pivot_of.get(j)

@@ -20,7 +20,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from .linalg import Poly, RowReducer, rat_from_str
@@ -83,7 +83,8 @@ class Functional:
 def _normalize_functionals(
         functionals: Iterable[Functional]) -> tuple[tuple[Functional, ...], dict[Fraction, tuple]]:
     """Canonical form: group by point, row-reduce each point's coefficient
-    matrix (deduplicates and drops dependent functionals), sort points.
+    matrix, each row scaled to integers (deduplicates and drops dependent
+    functionals), sort points.
     Also the local kernel at each point: the nullspace of the same matrix,
     whose column o is f^(o)(c) = o! times Taylor digit o."""
     by_point: dict[Fraction, list[Functional]] = {}
@@ -96,7 +97,8 @@ def _normalize_functionals(
         width = max(fn.order for fn in fns) + 1
         red = RowReducer(width)
         for fn in fns:
-            red.add_row(dict(fn.terms))
+            scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
+            red.add_row({o: int(coeff * scale) for o, coeff in fn.terms})
         _, rows = red.rref()
         for row in rows:
             out.append(Functional(point, tuple(row.items())))
@@ -240,8 +242,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
         if "points" in document:
             raise SpecError("monomial spec cannot carry 'points'")
         gaps = document.get("gaps")
-        # type(...) is int: JSON true/false load as bool, a subclass of int
-        if not isinstance(gaps, list) or not all(type(g) is int and g >= 0 for g in gaps):
+        if not isinstance(gaps, list):  # from_gaps checks each entry
             raise SpecError("'gaps' must be a list of non-negative integers")
         return SubspaceSpec.from_gaps(name, gaps)
 
@@ -275,14 +276,11 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
                 _check_keys(term, _TERM_KEYS, "term")
                 if "order" not in term or "coeff" not in term:
                     raise SpecError("term needs 'order' and 'coeff'")
-                order = term["order"]
-                if type(order) is not int or order < 0:
-                    raise SpecError("'order' must be a non-negative integer")
                 try:
                     coeff = rat_from_str(term["coeff"])
                 except ValueError as exc:
                     raise SpecError(str(exc)) from exc
-                terms.append((order, coeff))
+                terms.append((term["order"], coeff))  # Functional checks the order
             functionals.append(Functional(c, tuple(terms)))
     if name is None:
         name = f"points-{len({fn.point for fn in functionals})}"

@@ -34,6 +34,8 @@ import workloads  # bench/ is a directory of scripts, not a package
 # sha256 of the stdout of `lmtool verify --kmax 12` over the whole catalog
 CATALOG_KMAX12_SHA256 = "c9e878d29fa842d3ead699fe18d44bff9d59fde7bad7546780baff02760b1d14"
 # ... and of `lmtool verify --kmax 20`, the output the benchmark checks
+# against its own copy, workloads.CATALOG_STDOUT_SHA256; main() checks that
+# the two agree
 CATALOG_KMAX20_SHA256 = "b473bf4471b2dcf1bf45eb3f2ef42921ed94ff268cd8f613603c91e9e4505e9e"
 # sha256 of the stdout of deeper verify runs, keyed by their arguments
 DEEP_SHA256 = {
@@ -252,6 +254,8 @@ def main() -> int:
         results.append(got == want)
         print(f"ok   {what}" if got == want else f"BAD  {what}\n     got  {got}\n     want {want}", flush=True)
 
+    check("CATALOG_KMAX20_SHA256 equals the benchmark's CATALOG_STDOUT_SHA256",
+          CATALOG_KMAX20_SHA256, workloads.CATALOG_STDOUT_SHA256)
     towers = pinned_towers()
     check("804 pinned towers", len(towers), 804)
     for reverse in (False, True):

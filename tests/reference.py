@@ -7,7 +7,8 @@ tests membership in a subspace spec by evaluating its functionals in sympy,
 and ``low_basis_sympy`` is a basis of the part of a spec below its conductor's
 degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
-that uses the standard library alone.  ``StepwiseReducer`` is fraction-free
+that uses the standard library alone.  ``int_row`` scales a row over Q to
+the integer row ``RowReducer`` takes.  ``StepwiseReducer`` is fraction-free
 elimination that keeps every row primitive after every step, which
 ``lmtool.linalg.RowReducer`` must match row for row.  ``recentred_row``
 rewrites a row read on (x - c)^i d^b as a row read on (x - c0)^a d^b,
@@ -118,6 +119,14 @@ def gap_hom_dims(gaps1, gaps2, w1: int, w2: int, kmax: int, kmin: int = -1) -> l
     return dims
 
 
+def int_row(entries: dict) -> dict[int, int]:
+    """A row ``{column: int or Fraction}`` scaled by the lcm of its
+    denominators, zeros dropped: the ``{column: int}`` that
+    ``RowReducer.add_row`` takes, with the same row space and pivot."""
+    scale = lcm(*(Fraction(v).denominator for v in entries.values()))
+    return {t: int(v * scale) for t, v in entries.items() if v}
+
+
 class StepwiseReducer:
     """Fraction-free Gaussian elimination, pivot the first nonzero column,
     that divides a row by its content after every elimination step.
@@ -138,9 +147,8 @@ class StepwiseReducer:
         content = gcd(*new.values()) or 1
         return {t: v // content for t, v in new.items() if v}
 
-    def add_row(self, entries: dict) -> bool:
-        scale = lcm(*(Fraction(v).denominator for v in entries.values()))
-        row = {t: int(v * scale) for t, v in entries.items() if v}
+    def add_row(self, entries: dict[int, int]) -> bool:
+        row = {t: v for t, v in entries.items() if v}
         while row and min(row) in self.pivot_of:
             row = self._step(row, self.rows[self.pivot_of[min(row)]], min(row))
         if row:

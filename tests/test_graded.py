@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from lmtool import graded
+from lmtool import graded, subspace
 from lmtool.catalog import catalog, catalog_get
 from lmtool.graded import (
     _tower_for,
@@ -46,6 +46,7 @@ from reference import (
     frac,
     gap_hom_dims,
     in_subspace_sympy,
+    int_row,
     jet_rows,
     low_basis_sympy,
     parse_weyl,
@@ -144,7 +145,7 @@ def test_cusp_module_piece_k2():
 
 
 def _coeff_row(terms, idx):
-    return {idx[key]: c for key, c in terms}
+    return int_row({idx[key]: c for key, c in terms})
 
 
 def test_cusp_module_piece_k3():
@@ -572,6 +573,32 @@ def test_pivots_and_rref_are_pinned():
 def test_offered_rows_are_pinned():
     assert pins.offered_rows(pins.pinned_towers()) == (
         pins.OFFERED_ROWS, pins.OFFERED_ROWS_SHA256, pins.OFFERED_ROWS_SORTED_SHA256)
+
+
+def test_every_row_offered_is_an_int_row(monkeypatch):
+    # RowReducer.add_row takes {column: int} and checks nothing: every row
+    # the towers build (t^s rows, P_w rows, rows carried from a point other
+    # than c0) and every row the spec parser builds must already be one
+    offered = 0
+
+    class IntRowReducer(RowReducer):
+        def add_row(self, entries):
+            nonlocal offered
+            assert type(entries) is dict, entries
+            assert all(type(t) is int and type(v) is int for t, v in entries.items()), entries
+            offered += 1
+            return super().add_row(entries)
+
+    monkeypatch.setattr(graded, "RowReducer", IntRowReducer)
+    monkeypatch.setattr(subspace, "RowReducer", IntRowReducer)
+    sweep = pins.workloads.ConditionsSweep(1).specs  # parsed with the check in place
+    parsed = offered
+    assert parsed
+    for spec in list(catalog()) + sweep:
+        for weight in DEFAULT_WEIGHTS:
+            for src, dst in [(spec, spec), (TRIVIAL, spec), (spec, TRIVIAL)]:
+                graded._Rows(src, dst, weight, 12)
+    assert offered > parsed
 
 
 # ---------------------------------------------------------------------------
