@@ -104,9 +104,9 @@ K, and a tower keeps references to its x-exponents and counts, which only
 ever grow.  dim(k) is the column count at level k less the pivots below
 it.  The cache also keeps the Taylor digits of a conductor at each of its
 roots, and ``clear_cache`` drops towers, tables and digits together.
-``hom_piece`` and ``gr_symbol_space``, the reference readings that need
-the canonical nullspace, build and reduce the rows of their level afresh
-on each call.
+``hom_piece``, the reference reading that needs the canonical nullspace,
+builds and reduces the rows of its level afresh on each call, and
+``gr_symbol_space`` reads the top symbols of its basis.
 
 One build also yields the module tower of dst, (TRIVIAL, dst), whose
 conductor is 1.  A build offers the t^s rows of every point first and the
@@ -220,8 +220,7 @@ class _Rows:
     from Laurent jets, each point's rows reduced in its own columns and
     carried to c0 (see the module docstring), and ``module_pivots``, the
     pivots its t^s rows reach before any principal-part row.  The cached
-    ``_Tower``s keep only pivots; ``hom_piece`` and ``gr_symbol_space``
-    read the reducer."""
+    ``_Tower``s keep only pivots; ``hom_piece`` reads the reducer."""
 
     __slots__ = ("src", "dst", "weight", "g", "c0", "columns", "cols", "col_of", "a_end", "ncols",
                  "reducer", "module_pivots")
@@ -448,15 +447,13 @@ def clear_cache() -> None:
     _taylor_cache.clear()
 
 
-def _numerators(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int,
-                new_only: bool) -> tuple[WeylEl, ...]:
-    """The canonical nullspace at level k of a system built for it alone, or,
-    if ``new_only``, its vectors new at level k (free column at least
-    ncols(k-1)), each as the numerator u of u o g^{-1}: column (x-c0)^a d^b
-    is written out as sum_j C(a, j) (-c0)^(a-j) x^j d^b."""
+def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[WeylEl, ...]:
+    """Basis of {p : wdeg(p) <= k, p . V1 in V2}, each p = u o g^{-1} given
+    by its numerator u (g is ``src.conductor``): the canonical nullspace at
+    level k of a system built for it alone, column (x-c0)^a d^b written out
+    as sum_j C(a, j) (-c0)^(a-j) x^j d^b.  The bases are nested: the basis
+    at level k-1 is a prefix of the one at level k."""
     rows = _Rows(src, dst, weight, max(k, 0))
-    top = k + weight.w1 * rows.g.degree()
-    lo = dim_A(weight, top - 1) if new_only else 0
     shift = Poly({0: -rows.c0, 1: 1})
     powers = [(shift ** a).items() for a in range(rows.a_end[0])]
     return tuple(
@@ -464,14 +461,7 @@ def _numerators(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int,
                for i, c in vec.items()
                for a, b in [rows.cols[i]]
                for j, cj in powers[a])
-        for vec in rows.reducer.nullspace(dim_A(weight, top)) if max(vec) >= lo)
-
-
-def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[WeylEl, ...]:
-    """Basis of {p : wdeg(p) <= k, p . V1 in V2}, each p = u o g^{-1} given
-    by its numerator u (g is ``src.conductor``).  The bases are nested: the
-    basis at level k-1 is a prefix of the one at level k."""
-    return _numerators(src, dst, weight, k, new_only=False)
+        for vec in rows.reducer.nullspace(dim_A(weight, k + weight.w1 * rows.g.degree())))
 
 
 def module_dims(spec: SubspaceSpec, weight: Weight, kmax: int) -> list[int]:
@@ -485,15 +475,16 @@ def hom_dims(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int, km
 
 
 def gr_symbol_space(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[SymbolPoly, ...]:
-    """Basis of the degree-k graded piece as principal symbols.
-
-    Because bases are nested, the basis vectors new at level k are those
-    whose free column is of top degree; their symbols are independent and
-    span the graded piece, of dimension dim_k - dim_{k-1}.  The symbols are
-    numerator forms, of weighted degree k + w1*deg(g).
+    """Basis of the degree-k graded piece as principal symbols in numerator
+    form, of weighted degree k + w1*deg(g): the nonzero top symbols of
+    ``hom_piece``'s basis at level k.  Because bases are nested, those are
+    the vectors whose free column is of top degree, each with coefficient 1
+    on its monomial; an older vector is of lower degree.  Their symbols are
+    independent and span the graded piece, of dimension dim_k - dim_{k-1}.
     """
     top = k + weight.w1 * src.conductor.degree()
-    return tuple(u.top_component(weight, top) for u in _numerators(src, dst, weight, k, new_only=True))
+    symbols = (u.top_component(weight, top) for u in hom_piece(src, dst, weight, k))
+    return tuple(sym for sym in symbols if not sym.is_zero)
 
 
 def gr_inclusion_check(spec: SubspaceSpec, weight: Weight, k: int) -> bool:

@@ -76,10 +76,8 @@ def hilbert_seq(source: HilbertSource, kmax: int) -> HilbertSeq:
     """Hilbert sequence of a spec's ideal or of a hom space (pair)."""
     if isinstance(source, SubspaceSpec):
         return HilbertSeq(f"module({source.name})", tuple(module_dims(source, W11, kmax)))
-    if isinstance(source, tuple) and len(source) == 2:
-        src, dst = source
-        return HilbertSeq(f"hom({src.name},{dst.name})", tuple(hom_dims(src, dst, W11, kmax)))
-    raise ValueError(f"unsupported Hilbert source: {source!r}")
+    src, dst = source
+    return HilbertSeq(f"hom({src.name},{dst.name})", tuple(hom_dims(src, dst, W11, kmax)))
 
 
 def fit_euler(h: HilbertSeq) -> FitResult:

@@ -35,7 +35,6 @@ elimination).
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
 from math import gcd
@@ -78,10 +77,11 @@ class Terms:
     with no zero coefficient: the container behind ``Poly``, ``weyl.WeylEl``
     and ``weyl.SymbolPoly``.
 
-    A key holds one exponent per name in ``_vars`` (a tuple; a subclass with
-    one variable may key by the bare exponent and override ``_key``).  A sum
-    is built whole from its terms: it has no sum, difference or scalar
-    multiple, and only ``Poly`` adds a product.
+    A key holds one non-negative ``int`` exponent per name in ``_vars``: a
+    tuple, or the bare exponent where there is one variable (``Poly``).  The
+    keys are the ones lmtool builds, and nothing checks them.  A sum is built
+    whole from its terms: it has no sum, difference or scalar multiple, and
+    only ``Poly`` adds a product.
     """
 
     __slots__ = ("_terms",)
@@ -91,7 +91,6 @@ class Terms:
         items = terms.items() if isinstance(terms, Mapping) else terms
         t: dict = {}
         for key, v in items:
-            key = self._key(key)
             v = Fraction(v)
             if key in t:
                 v += t[key]
@@ -100,16 +99,6 @@ class Terms:
             elif key in t:
                 del t[key]
         self._terms = t
-
-    def _key(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        try:
-            exps = tuple(map(operator.index, key))
-        except TypeError:
-            exps = ()
-        if len(exps) != len(self._vars) or min(exps) < 0:
-            raise ValueError(f"{type(self).__name__} needs {len(self._vars)} non-negative integer exponents, "
-                             f"got {key!r}")
-        return exps
 
     # -- inspection ---------------------------------------------------------
 
@@ -149,15 +138,6 @@ class Poly(Terms):
     __slots__ = ()
     _vars = ("x",)
 
-    def _key(self, e: int) -> int:
-        try:
-            exp = operator.index(e)
-        except TypeError:
-            exp = -1
-        if exp < 0:
-            raise ValueError(f"Poly needs a non-negative integer exponent, got {e!r}")
-        return exp
-
     # -- degree -------------------------------------------------------------
 
     def degree(self) -> int | None:
@@ -188,9 +168,7 @@ class Poly(Terms):
 
 
 def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Exact quotient and remainder; raises ZeroDivisionError on zero divisor."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Exact quotient and remainder by a nonzero ``den``."""
     q: dict[int, Fraction] = {}
     r = dict(num._terms)
     dd = den.degree()
@@ -248,10 +226,10 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
 class RowReducer:
     """Incremental Gaussian elimination over Q with canonical output.
 
-    A row is a mapping ``{column: int}`` with columns in 0..ncols-1 (a row
-    over Q is offered scaled to integers, which changes neither its row
-    space nor its pivot); its zero entries are dropped, and the caller's
-    mapping is left as it is.
+    A row is a ``dict[int, int]``, ``{column: value}`` with columns in
+    0..ncols-1 (a row over Q is offered scaled to integers, which changes
+    neither its row space nor its pivot); its zero entries are dropped, and
+    the caller's dict is left as it is.
 
     A stored row is primitive with a positive leading entry; the module
     docstring says where its content is divided out.
@@ -268,9 +246,9 @@ class RowReducer:
 
     # -- building -----------------------------------------------------------
 
-    def add_row(self, entries: Mapping[int, int]) -> bool:
-        """Reduce a row ``{column: int}`` against the current basis;
-        returns True if rank grew."""
+    def add_row(self, entries: dict[int, int]) -> bool:
+        """Reduce a row, a ``dict[int, int]`` of column to value, against
+        the current basis; returns True if rank grew."""
         row = {t: v for t, v in entries.items() if v}
         while row:
             j = min(row)
@@ -315,11 +293,9 @@ class RowReducer:
         """Canonical nullspace basis, one vector ``{column: Fraction}`` per
         free column in increasing column order; restricting to a column
         prefix solves the truncated system because each vector ends at its
-        free column.
+        free column.  The prefix is at most ``ncols``.
         """
         n = self.ncols if ncols_prefix is None else ncols_prefix
-        if not 0 <= n <= self.ncols:
-            raise ValueError(f"column prefix {n} is outside 0..{self.ncols}")
         pivots, rows = self.rref()
         pivot_set = set(pivots)
         basis = []

@@ -9,9 +9,11 @@ polynomial ring in the principal symbols of x and d, represented here by
 The engine never multiplies two operators: every invariant is a dimension
 read from a row-reduced system whose columns are the monomials listed by
 ``monomial_basis``.  So ``WeylEl`` has no product: it holds the numerators
-``graded.hom_piece`` returns and reads off their weighted degree and
-principal symbol.  Both element classes subclass ``linalg.Terms``, which
-holds the sparse {(a, b): coeff} dict.
+``graded.hom_piece`` returns and reads off their principal symbols.  Both
+element classes subclass ``linalg.Terms``, which holds the sparse
+{(a, b): coeff} dict and checks no key: the keys are the ones lmtool
+builds, and outside input is checked where it enters (``Weight``, and
+``subspace.parse_spec``).
 """
 
 from __future__ import annotations
@@ -60,20 +62,9 @@ class WeylEl(Terms):
     __slots__ = ()
     _vars = ("x", "d")
 
-    def wdegree(self, weight: Weight) -> int | None:
-        """Weighted degree, or None (minus infinity) for zero."""
-        if not self._terms:
-            return None
-        return max(weight.degree(a, b) for (a, b) in self._terms)
-
     def top_component(self, weight: Weight, k: int) -> "SymbolPoly":
-        """Principal symbol at weighted degree k (terms of lower degree drop).
-
-        Raises ValueError if the element has weighted degree above k.
-        """
-        deg = self.wdegree(weight)
-        if deg is not None and deg > k:
-            raise ValueError(f"element has weighted degree {deg} > {k}")
+        """Principal symbol at weighted degree k of an element of weighted
+        degree at most k: its terms of degree k (zero if there are none)."""
         return SymbolPoly({key: v for key, v in self._terms.items() if weight.degree(*key) == k})
 
 

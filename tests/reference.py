@@ -2,9 +2,10 @@
 
 ``parse_poly`` and ``parse_weyl`` turn written literals such as
 "x^2 - 1/2*x + 3" or "x^2*d^2 + 4*x*d + 2" into package objects; the package
-itself only prints such sums, and never imports sympy.  ``in_subspace_sympy``
-tests membership in a subspace spec by evaluating its functionals in sympy,
-and ``low_basis_sympy`` is a basis of the part of a spec below its conductor's
+itself only prints such sums, and never imports sympy.  ``wdegree`` is the
+weighted degree of a Weyl element.  ``in_subspace_sympy`` tests membership
+in a subspace spec by evaluating its functionals in sympy, and
+``low_basis_sympy`` is a basis of the part of a spec below its conductor's
 degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
 that uses the standard library alone.  ``int_row`` scales a row over Q to
@@ -24,7 +25,7 @@ import sympy
 
 from lmtool.linalg import Poly
 from lmtool.subspace import Functional, SubspaceSpec
-from lmtool.weyl import WeylEl
+from lmtool.weyl import Weight, WeylEl
 
 X = sympy.Symbol("x")
 D = sympy.Symbol("d")
@@ -55,6 +56,11 @@ def parse_weyl(text: str) -> WeylEl:
     """A Weyl element written in normal order, every x to the left of every d
     (sympy's symbols commute, so "d*x" would read as "x*d")."""
     return WeylEl(_monomial_sum(text, X, D))
+
+
+def wdegree(u: WeylEl, weight: Weight) -> int | None:
+    """Weighted degree of u, or None (minus infinity) for zero."""
+    return max((weight.degree(a, b) for (a, b), _ in u.items()), default=None)
 
 
 def functional_sympy(fn: Functional, expr):

@@ -15,6 +15,7 @@ import pytest
 
 import lmtool
 from lmtool import cli, graded
+from lmtool.catalog import catalog_get
 from lmtool.invariants import NotStabilizedError, Report, fit_euler, HilbertSeq
 from lmtool.linalg import RowReducer
 from lmtool.subspace import parse_spec
@@ -292,7 +293,9 @@ def test_readme_library_use_runs(capsys):
 
 def test_bench_wrapped_names_resolve(monkeypatch):
     """Every lmtool name the benchmark's tracer wraps or patches still exists,
-    so a deletion that would break `bench/run.py --trace 1` fails here."""
+    so a deletion that would break `bench/run.py --trace 1` fails here, and a
+    traced call through the reference path gives the untraced result with
+    its nested span."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     spans = importlib.import_module("spans")
     importlib.import_module("workloads")
@@ -300,6 +303,15 @@ def test_bench_wrapped_names_resolve(monkeypatch):
     missing = [f"{owner.__name__}.{attr}" for owner, attr in names
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+    # gr_symbol_space reads hom_piece through graded's module global, so the
+    # tracer records the hom_piece span under the gr_symbol_space span
+    cusp = catalog_get("cusp")
+    expected = graded.gr_symbol_space(cusp, cusp, Weight(1, 1), 2)
+    with spans.Tracer() as tracer:
+        assert graded.gr_symbol_space(cusp, cusp, Weight(1, 1), 2) == expected
+    outer = [sid for sid, _, name, _, _ in tracer.spans if name == "graded.gr_symbol_space"]
+    assert len(outer) == 1
+    assert [parent for _, parent, name, _, _ in tracer.spans if name == "graded.hom_piece"] == outer
 
 
 def imports_outside_stdlib(path: Path) -> set[str]:

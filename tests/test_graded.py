@@ -15,6 +15,7 @@ both oracles before being pinned.
 """
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from lmtool import graded, subspace
+from lmtool import cli, graded, linalg, subspace
 from lmtool.catalog import catalog, catalog_get
 from lmtool.graded import (
     _tower_for,
@@ -38,7 +39,7 @@ from lmtool.graded import (
     module_dims,
 )
 from lmtool.invariants import DEFAULT_WEIGHTS
-from lmtool.linalg import RowReducer
+from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import SubspaceSpec, parse_spec
 from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis
 import pins
@@ -52,6 +53,7 @@ from reference import (
     parse_weyl,
     poly_to_sympy,
     recentred_row,
+    wdegree,
 )
 
 X = sympy.Symbol("x")
@@ -316,7 +318,7 @@ def test_module_basis_maps_polynomials_into_subspace(name, weight, k):
     spec = catalog_get(name)
     basis = hom_piece(TRIVIAL, spec, weight, k)
     for u in basis:
-        assert u.wdegree(weight) <= k
+        assert wdegree(u, weight) <= k
         for j in range(spec.conductor.degree() + max_order(basis) + 2):
             image = apply_u_sympy(u, X ** j)
             assert in_subspace_sympy(spec, image), (str(u), j)
@@ -347,7 +349,7 @@ def test_hom_basis_maps_source_into_target(src, dst, weight, k):
     d_top = max((fn.order for fn in d.functionals), default=0)
     for u in basis:
         # u o g^-1 has the weighted degree of u less w1 * deg g
-        assert u.wdegree(weight) - weight.w1 * s.conductor.degree() <= k
+        assert wdegree(u, weight) - weight.w1 * s.conductor.degree() <= k
         # on the conductor tail g*x^j the action is u.x^j
         for j in range(b_top + d_top + 2):
             assert in_subspace_sympy(d, apply_u_sympy(u, X ** j)), (str(u), "tail", j)
@@ -599,6 +601,34 @@ def test_every_row_offered_is_an_int_row(monkeypatch):
             for src, dst in [(spec, spec), (TRIVIAL, spec), (spec, TRIVIAL)]:
                 graded._Rows(src, dst, weight, 12)
     assert offered > parsed
+
+
+def test_every_term_key_is_built_non_negative(monkeypatch, capsys):
+    # linalg.Terms checks no key: every Poly lmtool builds (conductors,
+    # Taylor digits, the shift of the centre) must key by a non-negative
+    # int, and every WeylEl and SymbolPoly (numerators, symbols) by a pair
+    init = linalg.Terms.__init__
+    built = set()
+
+    def checked_init(self, terms=()):
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for key, _ in items:
+            exps = (key,) if type(self) is Poly else key
+            assert type(exps) is tuple and len(exps) == len(self._vars), (self._vars, key)
+            assert all(type(e) is int and e >= 0 for e in exps), (self._vars, key)
+        built.add(type(self).__name__)
+        init(self, items)
+
+    monkeypatch.setattr(linalg.Terms, "__init__", checked_init)
+    clear_cache()
+    pins.pinned_specs()
+    assert cli.run(["verify", "--kmax", "12"]) == 0
+    capsys.readouterr()
+    for spec in catalog():
+        for weight, k in ((W11, 3), (W21, 2)):
+            hom_piece(spec, spec, weight, k)
+            gr_symbol_space(spec, spec, weight, k)
+    assert built == {"Poly", "WeylEl", "SymbolPoly"}
 
 
 # ---------------------------------------------------------------------------

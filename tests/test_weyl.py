@@ -1,5 +1,5 @@
-"""Weyl elements and symbols: construction, weighted degrees, principal
-symbols, and the monomial basis of the filtered pieces A_k."""
+"""Weyl elements and symbols: construction, weights, principal symbols,
+and the monomial basis of the filtered pieces A_k."""
 
 from fractions import Fraction
 
@@ -37,29 +37,6 @@ def test_parse_round_trip():
     assert WeylEl() == parse_weyl("0")
 
 
-def test_negative_exponents_rejected():
-    with pytest.raises(ValueError):
-        Poly({-1: 1})
-    with pytest.raises(ValueError):
-        WeylEl({(0, -1): 1})
-    with pytest.raises(ValueError):
-        SymbolPoly({(-2, 0): 1})
-
-
-@pytest.mark.parametrize("make,bad", [
-    (Poly, 1.5),
-    (Poly, Fraction(2)),
-    (WeylEl, (1.9, 0)),
-    (WeylEl, (0, Fraction(1, 2))),
-    (SymbolPoly, (1, 2.0)),
-    (WeylEl, 1),
-])
-def test_non_integer_exponents_rejected(make, bad):
-    # rejected, not truncated: int() would make Poly({1.5: 1}) equal Poly({1: 1})
-    with pytest.raises(ValueError, match=make.__name__):
-        make({bad: 1})
-
-
 @given(polys(max_degree=3), st.integers(min_value=0, max_value=4))
 @settings(max_examples=60)
 def test_pow_is_repeated_product(p, n):
@@ -83,15 +60,7 @@ def test_only_poly_multiplies():
         u ** 2
 
 
-# -- weighted degrees -------------------------------------------------------------
-
-def test_wdegree_examples():
-    assert parse_weyl("x^2*d").wdegree(Weight(1, 1)) == 3
-    assert parse_weyl("x^2*d").wdegree(Weight(1, 2)) == 4
-    assert parse_weyl("x^2 + d^3").wdegree(Weight(2, 1)) == 4
-    assert parse_weyl("x*d^2 - d").wdegree(Weight(1, 1)) == 3
-    assert WeylEl().wdegree(Weight(1, 1)) is None
-
+# -- weights ----------------------------------------------------------------------
 
 def test_weight_validation():
     with pytest.raises(ValueError):
@@ -112,8 +81,6 @@ def test_top_component():
     u = parse_weyl("x^2*d^2 + 4*x*d + 2")
     sym = u.top_component(Weight(1, 1), 4)
     assert sym == SymbolPoly({(2, 2): Fraction(1)})
-    with pytest.raises(ValueError):
-        u.top_component(Weight(1, 1), 3)
     v = parse_weyl("x*d^2 - d")
     assert v.top_component(Weight(1, 1), 3) == SymbolPoly({(1, 2): Fraction(1)})
     # strictly below the requested degree: the class in that graded piece is zero
