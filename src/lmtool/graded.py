@@ -132,7 +132,7 @@ from math import comb, factorial, lcm, perm
 
 from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
-from .weyl import SymbolPoly, Weight, WeylEl, dim_A, monomial_basis
+from .weyl import Weight, WeylEl, dim_A, monomial_basis
 
 
 _taylor_cache: dict[tuple[SubspaceSpec, Fraction], list[Fraction]] = {}
@@ -454,8 +454,9 @@ def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> t
     as sum_j C(a, j) (-c0)^(a-j) x^j d^b.  The bases are nested: the basis
     at level k-1 is a prefix of the one at level k."""
     rows = _Rows(src, dst, weight, max(k, 0))
-    shift = Poly({0: -rows.c0, 1: 1})
-    powers = [(shift ** a).items() for a in range(rows.a_end[0])]
+    minus_c0 = -rows.c0
+    powers = [[(j, comb(a, j) * minus_c0 ** (a - j)) for j in range(a + 1) if minus_c0 or j == a]
+              for a in range(rows.a_end[0])]
     return tuple(
         WeylEl(((j, b), c * cj)
                for i, c in vec.items()
@@ -474,10 +475,11 @@ def hom_dims(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int, km
     return [tower.dim(k) for k in range(kmin, kmax + 1)]
 
 
-def gr_symbol_space(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[SymbolPoly, ...]:
+def gr_symbol_space(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[WeylEl, ...]:
     """Basis of the degree-k graded piece as principal symbols in numerator
-    form, of weighted degree k + w1*deg(g): the nonzero top symbols of
-    ``hom_piece``'s basis at level k.  Because bases are nested, those are
+    form, of weighted degree k + w1*deg(g): the nonzero top parts of
+    ``hom_piece``'s basis at level k, each a ``WeylEl`` whose x^a d^b reads
+    as the symbol x^a xi^b.  Because bases are nested, those are
     the vectors whose free column is of top degree, each with coefficient 1
     on its monomial; an older vector is of lower degree.  Their symbols are
     independent and span the graded piece, of dimension dim_k - dim_{k-1}.

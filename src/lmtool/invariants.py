@@ -285,8 +285,10 @@ def full_report(
     kmax: int = 12,
     weights: Sequence[Weight] = DEFAULT_WEIGHTS,
 ) -> Report:
-    """Full verification: headline identity, dual fit, weight independence,
-    graded inclusion at every level, and the telescoping identity."""
+    """Full verification: headline identity, dual fit, weight independence
+    (at (1,1), where p_D is read, first if ``weights`` lacks it), graded
+    inclusion at every level, and the telescoping identity."""
+    weights = weights if W11 in weights else (W11, *weights)
     base = verify_lm_chern(spec, kmax)
     dual = hilbert_seq((spec, SubspaceSpec.trivial()), kmax)
     dual_fit = fit_euler(dual)

@@ -3,10 +3,10 @@ reduction.
 
 ``Terms`` is the one container for finite sums of monomials with rational
 coefficients.  It owns normalisation, equality, hashing and the text form;
-it neither adds nor scales.  ``Poly`` here and ``weyl.WeylEl`` and
-``weyl.SymbolPoly`` subclass it and add their variables and queries.  The
-one arithmetic is ``Poly``'s product of two polynomials: the conductor is a
-product of powers, and ``graded.hom_piece`` expands powers of x - c0.
+it neither adds nor scales.  ``Poly`` here and ``weyl.WeylEl`` subclass
+it and add their variables and queries.  The one arithmetic is ``Poly``'s
+product of two polynomials, and its one use is the conductor: the product
+of x - c over the points c, each factor taken d_c + 1 times.
 
 Values are ``fractions.Fraction`` or ``int``; there are no floats anywhere,
 so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
@@ -74,8 +74,8 @@ def rat_to_str(value: Fraction) -> str:
 
 class Terms:
     """Immutable finite sum of terms, stored sparsely as ``{key: Fraction}``
-    with no zero coefficient: the container behind ``Poly``, ``weyl.WeylEl``
-    and ``weyl.SymbolPoly``.
+    with no zero coefficient: the container behind ``Poly`` and
+    ``weyl.WeylEl``.
 
     A key holds one non-negative ``int`` exponent per name in ``_vars``: a
     tuple, or the bare exponent where there is one variable (``Poly``).  The
@@ -144,9 +144,6 @@ class Poly(Terms):
         """Degree, or None (minus infinity) for the zero polynomial."""
         return max(self._terms) if self._terms else None
 
-    def leading_coeff(self) -> Fraction:
-        return self._terms[max(self._terms)] if self._terms else Fraction(0)
-
     # -- product -------------------------------------------------------------
 
     def __mul__(self, other):
@@ -154,25 +151,13 @@ class Poly(Terms):
             return NotImplemented
         return Poly((e1 + e2, v1 * v2) for e1, v1 in self._terms.items() for e2, v2 in other._terms.items())
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of Poly")
-        out, base = Poly({0: 1}), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
 
 def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Exact quotient and remainder by a nonzero ``den``."""
     q: dict[int, Fraction] = {}
     r = dict(num._terms)
     dd = den.degree()
-    dlc = den.leading_coeff()
+    dlc = den[dd]
     den_items = list(den._terms.items())
     while r:
         e = max(r)

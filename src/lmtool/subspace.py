@@ -155,7 +155,8 @@ class SubspaceSpec:
         object.__setattr__(self, "top_orders", by_point)
         g = Poly({0: 1})
         for point in sorted(by_point):
-            g = g * Poly({0: -point, 1: 1}) ** (by_point[point] + 1)
+            for _ in range(by_point[point] + 1):
+                g = g * Poly({0: -point, 1: 1})
         object.__setattr__(self, "conductor", g)
 
     # -- constructors ----------------------------------------------------------

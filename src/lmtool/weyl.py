@@ -3,17 +3,17 @@
 Elements are finite sums c * x^a * d^b (d denotes the derivative operator).
 A weight w = (w1, w2) of strictly positive integers filters A by
 wdeg(x^a d^b) = a*w1 + b*w2; the associated graded algebra is the commutative
-polynomial ring in the principal symbols of x and d, represented here by
-:class:`SymbolPoly`.
+polynomial ring C[x, xi] in the principal symbols of x and d.
 
 The engine never multiplies two operators: every invariant is a dimension
 read from a row-reduced system whose columns are the monomials listed by
 ``monomial_basis``.  So ``WeylEl`` has no product: it holds the numerators
-``graded.hom_piece`` returns and reads off their principal symbols.  Both
-element classes subclass ``linalg.Terms``, which holds the sparse
-{(a, b): coeff} dict and checks no key: the keys are the ones lmtool
-builds, and outside input is checked where it enters (``Weight``, and
-``subspace.parse_spec``).
+``graded.hom_piece`` returns and reads off their principal symbols.  A
+symbol is a ``WeylEl`` too, its top part: with no product, nothing tells
+x^a d^b from the symbol x^a xi^b, so one class holds both.  It subclasses
+``linalg.Terms``, which holds the sparse {(a, b): coeff} dict and checks no
+key: the keys are the ones lmtool builds, and outside input is checked where
+it enters (``Weight``, and ``subspace.parse_spec``).
 """
 
 from __future__ import annotations
@@ -62,18 +62,11 @@ class WeylEl(Terms):
     __slots__ = ()
     _vars = ("x", "d")
 
-    def top_component(self, weight: Weight, k: int) -> "SymbolPoly":
+    def top_component(self, weight: Weight, k: int) -> "WeylEl":
         """Principal symbol at weighted degree k of an element of weighted
-        degree at most k: its terms of degree k (zero if there are none)."""
-        return SymbolPoly({key: v for key, v in self._terms.items() if weight.degree(*key) == k})
-
-
-class SymbolPoly(Terms):
-    """Polynomial in the commuting symbols of x and d (the associated graded
-    algebra of A is C[x, y]): the principal symbol ``top_component`` returns."""
-
-    __slots__ = ()
-    _vars = ("x", "y")
+        degree at most k: its terms of degree k (zero if there are none),
+        each x^a d^b read as the symbol x^a xi^b."""
+        return WeylEl({key: v for key, v in self._terms.items() if weight.degree(*key) == k})
 
 
 def dim_A(weight: Weight, k: int) -> int:

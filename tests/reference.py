@@ -8,8 +8,9 @@ in a subspace spec by evaluating its functionals in sympy, and
 ``low_basis_sympy`` is a basis of the part of a spec below its conductor's
 degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
-that uses the standard library alone.  ``int_row`` scales a row over Q to
-the integer row ``RowReducer`` takes.  ``StepwiseReducer`` is fraction-free
+that uses the standard library alone, and ``top_gaps`` the gap set that a
+spec degenerates to when its points collide at 0.  ``int_row`` scales a
+row over Q to the integer row ``RowReducer`` takes.  ``StepwiseReducer`` is fraction-free
 elimination that keeps every row primitive after every step, which
 ``lmtool.linalg.RowReducer`` must match row for row.  ``recentred_row``
 rewrites a row read on (x - c)^i d^b as a row read on (x - c0)^a d^b,
@@ -19,7 +20,7 @@ coefficients, which ``graded._Rows._add_jet_rows`` must match row for row.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, perm
 
 import sympy
 
@@ -123,6 +124,25 @@ def gap_hom_dims(gaps1, gaps2, w1: int, w2: int, kmax: int, kmin: int = -1) -> l
             dim += max(0, b1 - b0 + 1 - len(nodes))
         dims.append(dim)
     return dims
+
+
+def top_gaps(spec: SubspaceSpec) -> tuple[int, ...]:
+    """The gaps of s(V), the span of the top-degree monomials of V: the
+    degrees below deg g that no element of V has.  Read the functionals on
+    1, x, ..., x^(deg g - 1) and eliminate in column order: an element of V
+    of degree j < deg g exists exactly when column j is free, so the gaps
+    are the pivot columns.  As x -> lambda*x, lambda -> 0, V tends to s(V),
+    and no filtered hom dimension can drop at the limit."""
+    deg = spec.conductor.degree()
+    rows = [[sum((v * perm(i, o) * fn.point ** (i - o) for o, v in fn.terms if o <= i), Fraction(0))
+             for i in range(deg)] for fn in spec.functionals]
+    gaps = []
+    for j in range(deg):
+        at = next((r for r in rows if r[j]), None)
+        if at is not None:
+            gaps.append(j)
+            rows = [[y - r[j] / at[j] * z for y, z in zip(r, at)] for r in rows if r is not at]
+    return tuple(gaps)
 
 
 def int_row(entries: dict) -> dict[int, int]:

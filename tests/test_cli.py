@@ -57,6 +57,27 @@ def test_verify_cusp_json(capsys, cusp_file):
     assert set(report["verdicts"]) == {"t2", "dual", "weights", "gr_inclusion", "telescoping"}
 
 
+def test_verify_reads_weight_1_1_that_p_D_comes_from(capsys):
+    # p_D is read at (1,1): weights that agree with each other but not with
+    # it fail the weights verdict, as a list that holds (1,1) does
+    code, out, err = run(capsys, "verify", "--spec", "cusp", "--weights", "30,1;31,1", "--kmax", "12")
+    report = json.loads(out)
+    assert code == 1
+    assert report["p_D"] == 2
+    assert list(report["p_by_weight"]) == ["(1,1)", "(30,1)", "(31,1)"]
+    assert report["verdicts"]["weights"] is False
+    assert "verdict failure for cusp: weights" in err
+
+
+def test_verify_puts_weight_1_1_first_when_the_list_lacks_it(capsys):
+    code, out, _ = run(capsys, "verify", "--spec", "cusp", "--weights", "1,2;2,1", "--kmax", "12")
+    report = json.loads(out)
+    assert code == 0
+    assert list(report["p_by_weight"]) == ["(1,1)", "(1,2)", "(2,1)"]
+    assert report["weights"] == [[1, 1], [1, 2], [2, 1]]
+    assert report["ok"] is True
+
+
 def test_invariant_trivial(capsys, tmp_path):
     path = tmp_path / "trivial.json"
     path.write_text('{"kind": "monomial", "gaps": []}')

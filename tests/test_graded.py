@@ -40,8 +40,8 @@ from lmtool.graded import (
 )
 from lmtool.invariants import DEFAULT_WEIGHTS
 from lmtool.linalg import Poly, RowReducer
-from lmtool.subspace import SubspaceSpec, parse_spec
-from lmtool.weyl import SymbolPoly, Weight, dim_A, monomial_basis
+from lmtool.subspace import Functional, SubspaceSpec, parse_spec
+from lmtool.weyl import Weight, WeylEl, dim_A, monomial_basis
 import pins
 from reference import (
     frac,
@@ -53,6 +53,7 @@ from reference import (
     parse_weyl,
     poly_to_sympy,
     recentred_row,
+    top_gaps,
     wdegree,
 )
 
@@ -301,6 +302,43 @@ def test_gap_set_closed_form_literals():
     assert gap_hom_dims((), (1,), 1, 1, 5) == [0, 0, 0, 2, 5, 9, 14]
     assert gap_hom_dims((1,), (1,), 1, 1, 5) == [0, 1, 1, 4, 8, 13, 19]
     assert gap_hom_dims((1,), (), 1, 1, 5) == [0, 2, 5, 9, 14, 20, 27]
+
+
+# the collision bound: x -> lambda*x moves every point to 0 as lambda -> 0,
+# and V tends to the gap set s(V) (``top_gaps``); the weighted filtrations
+# are invariant and p.V1 in V2 is a closed condition, so no dimension drops
+# at the limit.  A missing row makes a dimension too large and breaks it
+COLLISION_POINTS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2), Fraction(3)]
+
+
+@st.composite
+def collision_specs(draw, points=st.lists(st.sampled_from(COLLISION_POINTS), min_size=1, max_size=3, unique=True)):
+    fns = []
+    for c in draw(points):
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=4))
+            if not any(coeffs):
+                coeffs[-1] = 1
+            fns.append(Functional(c, tuple((o, v) for o, v in enumerate(coeffs) if v)))
+    return SubspaceSpec("collision", fns)
+
+
+@st.composite
+def distinct_one_point_specs(draw):
+    # a missing carried row breaks the bound mostly on such pairs, e.g.
+    # V1 = {f'(1) = 0} and V2 = {f(3) = 0} at (2,3)
+    c1, c2 = draw(st.lists(st.sampled_from(COLLISION_POINTS), min_size=2, max_size=2, unique=True))
+    return draw(collision_specs(st.just([c1]))), draw(collision_specs(st.just([c2])))
+
+
+@given(collision_specs(), collision_specs(), distinct_one_point_specs(), st.sampled_from([W11, Weight(2, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_hom_dims_are_bounded_by_the_collision_limit(v1, v2, one_point_pair, weight):
+    kmax = 16
+    for src, dst in [(TRIVIAL, v1), (v1, v1), (v1, TRIVIAL), (v1, v2), one_point_pair]:
+        ours = hom_dims(src, dst, weight, kmax, kmin=-1)
+        bound = gap_hom_dims(top_gaps(src), top_gaps(dst), weight.w1, weight.w2, kmax)
+        assert all(d <= b for d, b in zip(ours, bound)), (src.functionals, dst.functionals, weight, ours, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +643,8 @@ def test_every_row_offered_is_an_int_row(monkeypatch):
 
 def test_every_term_key_is_built_non_negative(monkeypatch, capsys):
     # linalg.Terms checks no key: every Poly lmtool builds (conductors,
-    # Taylor digits, the shift of the centre) must key by a non-negative
-    # int, and every WeylEl and SymbolPoly (numerators, symbols) by a pair
+    # Taylor digits) must key by a non-negative int, and every WeylEl
+    # (numerators, symbols) by a pair
     init = linalg.Terms.__init__
     built = set()
 
@@ -628,7 +666,7 @@ def test_every_term_key_is_built_non_negative(monkeypatch, capsys):
         for weight, k in ((W11, 3), (W21, 2)):
             hom_piece(spec, spec, weight, k)
             gr_symbol_space(spec, spec, weight, k)
-    assert built == {"Poly", "WeylEl", "SymbolPoly"}
+    assert built == {"Poly", "WeylEl"}
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +905,7 @@ def test_gr_symbols_of_the_cusp_level_two():
     syms = gr_symbol_space(cusp, cusp, W11, 2)
     assert len(syms) == 3
     # the symbol of x^2*d^2 + 2*x*d - 2 must lie in the span
-    target = SymbolPoly({(2, 2): Fraction(1)})
+    target = WeylEl({(2, 2): Fraction(1)})
     keys = sorted({key for s in (*syms, target) for key, _ in s.items()})
     idx = {key: j for j, key in enumerate(keys)}
     red = RowReducer(len(keys))

@@ -18,7 +18,7 @@ from lmtool.subspace import (
     SubspaceSpec,
     parse_spec,
 )
-from reference import functional_sympy, in_subspace_sympy, parse_poly, poly_to_sympy
+from reference import frac, functional_sympy, in_subspace_sympy, parse_poly, poly_to_sympy
 
 X = sympy.Symbol("x")
 
@@ -134,7 +134,12 @@ def test_local_basis_on_catalog():
 @given(st.lists(functionals(), min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_local_basis_on_random_specs(fns):
-    assert_local_kernel(SubspaceSpec("random", fns))
+    spec = SubspaceSpec("random", fns)
+    assert_local_kernel(spec)
+    # the conductor is the product of (x - c)^(d_c + 1), d_c the top order at c
+    top = {fn.point: max(f.order for f in fns if f.point == fn.point) for fn in fns}
+    expected = sympy.prod([(X - frac(c)) ** (d + 1) for c, d in top.items()])
+    assert sympy.expand(poly_to_sympy(spec.conductor) - expected) == 0
 
 
 def test_gap_warning_for_non_semigroup():
