@@ -33,9 +33,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .catalog import catalog, catalog_get, catalog_names
 from .invariants import (
@@ -290,8 +289,8 @@ def run(argv: Sequence[str]) -> int:
             verb = chern_number if args.verb == "chern" else dual_check
             jobs = [(verb, spec, args.kmax) for spec in specs]
         else:  # verify
-            if weights is not None and len(weights) < 2:
-                raise ValueError("verify needs at least two weights")
+            if weights == (W11,):  # full_report reads 1,1 whatever the list
+                raise ValueError("verify always reads weight 1,1; give a weight to compare with it")
             jobs = [
                 (full_report, spec, args.kmax, weights or DEFAULT_WEIGHTS)
                 for spec in specs or catalog()
@@ -306,7 +305,7 @@ def run(argv: Sequence[str]) -> int:
             t0 = time.perf_counter()
             report = verb(*inputs)
             if args.timing:
-                report = replace(report, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+                report = report.replace(elapsed_ms=(time.perf_counter() - t0) * 1000.0)
             reports.append(report)
     except NotStabilizedError as exc:
         print(f"lmtool: not stabilized: {exc}", file=sys.stderr)

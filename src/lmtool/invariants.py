@@ -31,10 +31,10 @@ lmtool.cli turns reports into JSON, CSV and text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .graded import column_counts, gr_inclusion_check, hom_dims, module_dims
+from .record import Record
 from .subspace import SubspaceSpec
 from .weyl import Weight
 
@@ -49,24 +49,25 @@ class NotStabilizedError(RuntimeError):
     quadratic of the Euler family, or its fit constant is negative; raise kmax."""
 
 
-HilbertSource = Union[SubspaceSpec, tuple[SubspaceSpec, SubspaceSpec]]
+HilbertSource = SubspaceSpec | tuple[SubspaceSpec, SubspaceSpec]
 
 
-@dataclass(frozen=True)
-class HilbertSeq:
+class HilbertSeq(Record):
     """Dimensions of filtered pieces at weight (1,1) for k = 0 .. len(values) - 1."""
 
-    source: str
-    values: tuple[int, ...]
+    __slots__ = ("source", "values")
+
+    def __init__(self, source: str, values: tuple[int, ...]) -> None:
+        self._set(source=source, values=values)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Exact fit h(k) = (k+shift+1)(k+shift+2)/2 - constant on the window."""
 
-    shift: int
-    constant: int
-    window: tuple[int, int]
+    __slots__ = ("shift", "constant", "window")
+
+    def __init__(self, shift: int, constant: int, window: tuple[int, int]) -> None:
+        self._set(shift=shift, constant=constant, window=window)
 
     def predicted(self, k: int) -> int:
         return (k + self.shift + 1) * (k + self.shift + 2) // 2 - self.constant
@@ -196,14 +197,14 @@ def weights_report(spec: SubspaceSpec, weights: Sequence[Weight], kmax: int = 12
     )
 
 
-@dataclass(frozen=True)
-class WeightIndependenceResult:
+class WeightIndependenceResult(Record):
     """weights_report in the shape the monomial-deep benchmark workload reads."""
 
-    spec_name: str
-    values: tuple[tuple[Weight, int], ...]
-    p_sequences: tuple[tuple[Weight, tuple[int, ...]], ...]
-    ok: bool
+    __slots__ = ("spec_name", "values", "p_sequences", "ok")
+
+    def __init__(self, spec_name: str, values: tuple[tuple[Weight, int], ...],
+                 p_sequences: tuple[tuple[Weight, tuple[int, ...]], ...], ok: bool) -> None:
+        self._set(spec_name=spec_name, values=values, p_sequences=p_sequences, ok=ok)
 
 
 def weight_independence(
@@ -230,32 +231,50 @@ def telescoping_check(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) 
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """What every verb returns; optional fields stay None when a verb does not
     compute them, and ``lmtool.cli`` renders the rest.  Verdicts are
     recomputable from the embedded sequences.  ``elapsed_ms`` is set by the
-    CLI under --timing only."""
+    CLI under --timing only.  ``replace`` is the one way to change a field:
+    it returns a copy."""
 
-    name: str
-    kmax: int
-    weight: Weight = W11
-    weights: tuple[Weight, ...] | None = None
-    hilbert_M: tuple[int, ...] | None = None
-    hilbert_D: tuple[int, ...] | None = None
-    hilbert_dual: tuple[int, ...] | None = None
-    hilbert_hom: tuple[int, ...] | None = None
-    p_by_weight: tuple[tuple[Weight, tuple[int, ...]], ...] | None = None
-    shift_a: int | None = None
-    n: int | None = None
-    p_D: int | None = None
-    p_12: int | None = None
-    n_pair: tuple[int, int] | None = None
-    d_fit: tuple[int, int] | None = None      # (shift, constant) of the End fit
-    dual_constant: int | None = None
-    verdicts: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
-    elapsed_ms: float | None = None
+    __slots__ = ("name", "kmax", "weight", "weights", "hilbert_M", "hilbert_D", "hilbert_dual",
+                 "hilbert_hom", "p_by_weight", "shift_a", "n", "p_D", "p_12", "n_pair", "d_fit",
+                 "dual_constant", "verdicts", "warnings", "elapsed_ms")
+
+    def __init__(
+        self,
+        name: str,
+        kmax: int,
+        weight: Weight = W11,
+        weights: tuple[Weight, ...] | None = None,
+        hilbert_M: tuple[int, ...] | None = None,
+        hilbert_D: tuple[int, ...] | None = None,
+        hilbert_dual: tuple[int, ...] | None = None,
+        hilbert_hom: tuple[int, ...] | None = None,
+        p_by_weight: tuple[tuple[Weight, tuple[int, ...]], ...] | None = None,
+        shift_a: int | None = None,
+        n: int | None = None,
+        p_D: int | None = None,
+        p_12: int | None = None,
+        n_pair: tuple[int, int] | None = None,
+        d_fit: tuple[int, int] | None = None,  # (shift, constant) of the End fit
+        dual_constant: int | None = None,
+        verdicts: dict | None = None,  # None is a new empty dict
+        warnings: tuple[str, ...] = (),
+        elapsed_ms: float | None = None,
+    ) -> None:
+        self._set(
+            name=name, kmax=kmax, weight=weight, weights=weights, hilbert_M=hilbert_M,
+            hilbert_D=hilbert_D, hilbert_dual=hilbert_dual, hilbert_hom=hilbert_hom,
+            p_by_weight=p_by_weight, shift_a=shift_a, n=n, p_D=p_D, p_12=p_12, n_pair=n_pair,
+            d_fit=d_fit, dual_constant=dual_constant, verdicts={} if verdicts is None else verdicts,
+            warnings=warnings, elapsed_ms=elapsed_ms,
+        )
+
+    def replace(self, **changes: object) -> Report:
+        """A copy with the named fields changed; this report is left as it is."""
+        return Report(**dict(zip(self.__slots__, self._values()), **changes))
 
     @property
     def ok(self) -> bool:
@@ -270,8 +289,7 @@ def verify_lm_chern(spec: SubspaceSpec, kmax: int = 12) -> Report:
     ch = chern_number(spec, kmax)
     p = _p_sequence(spec, W11, kmax, end.values)
     d_fit = fit_euler(end)
-    return replace(
-        ch,
+    return ch.replace(
         hilbert_D=end.values,
         p_by_weight=((W11, p),),
         p_D=p[-1],
@@ -297,8 +315,7 @@ def full_report(
         gr_inclusion_check(spec, w, k) for w in weights for k in range(0, kmax + 1)
     )
     tel_ok = all(telescoping_check(spec, w, kmax) for w in weights)
-    return replace(
-        base,
+    return base.replace(
         weights=tuple(weights),
         hilbert_dual=dual.values,
         p_by_weight=wind.p_by_weight,

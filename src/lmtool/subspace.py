@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Sequence
 
 from .linalg import Poly, RowReducer, rat_from_str
+from .record import Record
 
 
 class SpecError(ValueError):
@@ -50,20 +50,20 @@ def _rational(value: object, what: str) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """Single-point functional f -> sum_e coeff_e * f^(e)(point).
 
     Functionals supported at several points are not representable (and the
     input format cannot express them); at least one term must be nonzero.
+    ``terms`` holds the (derivative order, coefficient) pairs, sorted by
+    order, with like orders summed and no zero coefficient.
     """
 
-    point: Fraction
-    terms: tuple[tuple[int, Fraction], ...]  # (derivative order, coefficient)
+    __slots__ = ("point", "terms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, point: Fraction, terms: tuple[tuple[int, Fraction], ...]) -> None:
         seen: dict[int, Fraction] = {}
-        for order, coeff in self.terms:
+        for order, coeff in terms:
             order = _natural(order, "derivative order")
             coeff = _rational(coeff, "coefficient")
             if coeff:
@@ -71,8 +71,7 @@ class Functional:
         cleaned = tuple(sorted((o, c) for o, c in seen.items() if c))
         if not cleaned:
             raise SpecError("functional has no nonzero term")
-        object.__setattr__(self, "point", _rational(self.point, "point"))
-        object.__setattr__(self, "terms", cleaned)
+        self._set(point=_rational(point, "point"), terms=cleaned)
 
     @property
     def order(self) -> int:
@@ -126,8 +125,7 @@ def _check_conductor_degree(degree: int) -> None:
         raise SpecError(f"conductor degree {shown} is above the limit of {CONDUCTOR_DEGREE_LIMIT}")
 
 
-@dataclass(frozen=True)
-class SubspaceSpec:
+class SubspaceSpec(Record):
     """Validated subspace description with derived conductor and local kernels.
 
     Equality and hashing use the normalized functionals only, so two specs
@@ -135,29 +133,26 @@ class SubspaceSpec:
     A conductor of degree above CONDUCTOR_DEGREE_LIMIT raises SpecError first.
     """
 
-    name: str
-    functionals: tuple[Functional, ...]
-    gaps: tuple[int, ...] | None = None
-    warnings: tuple[str, ...] = ()
-    conductor: Poly = field(init=False)
-    top_orders: dict[Fraction, int] = field(init=False)  # point -> top derivative order there
+    __slots__ = ("name", "functionals", "gaps", "warnings", "conductor", "top_orders",
+                 "local_kernel", "_hash")
+    # derived from the functionals, besides the four fields __init__ takes
+    conductor: Poly
+    top_orders: dict[Fraction, int]  # point -> top derivative order there
     # point c -> a basis of K_c, each vector the Taylor digits 0..m-1 at c
-    local_kernel: dict[Fraction, tuple[tuple[Fraction, ...], ...]] = field(init=False)
-    _hash: int = field(init=False, repr=False, compare=False)  # of the normalized functionals
+    local_kernel: dict[Fraction, tuple[tuple[Fraction, ...], ...]]
+    _hash: int  # of the normalized functionals
 
-    def __post_init__(self) -> None:
-        by_point = _top_orders(self.functionals)
+    def __init__(self, name: str, functionals: Sequence[Functional],
+                 gaps: tuple[int, ...] | None = None, warnings: tuple[str, ...] = ()) -> None:
+        by_point = _top_orders(functionals)
         _check_conductor_degree(sum(o + 1 for o in by_point.values()))
-        normalized, kernels = _normalize_functionals(self.functionals)
-        object.__setattr__(self, "functionals", normalized)
-        object.__setattr__(self, "_hash", hash(normalized))
-        object.__setattr__(self, "local_kernel", kernels)
-        object.__setattr__(self, "top_orders", by_point)
+        normalized, kernels = _normalize_functionals(functionals)
         g = Poly({0: 1})
         for point in sorted(by_point):
             for _ in range(by_point[point] + 1):
                 g = g * Poly({0: -point, 1: 1})
-        object.__setattr__(self, "conductor", g)
+        self._set(name=name, functionals=normalized, gaps=gaps, warnings=warnings, conductor=g,
+                  top_orders=by_point, local_kernel=kernels, _hash=hash(normalized))
 
     # -- constructors ----------------------------------------------------------
 

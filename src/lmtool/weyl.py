@@ -18,25 +18,33 @@ it enters (``Weight``, and ``subspace.parse_spec``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .linalg import Terms
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """Filtration weight (w1, w2); both components must be positive integers,
     and a bool is not a number."""
 
-    w1: int
-    w2: int
+    __slots__ = ("w1", "w2")
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(w, int) and type(w) is not bool for w in (self.w1, self.w2)):
+    def __init__(self, w1: int, w2: int) -> None:
+        if not all(isinstance(w, int) and type(w) is not bool for w in (w1, w2)):
             raise ValueError("weights must be integers")
-        if self.w1 < 1 or self.w2 < 1:
+        if w1 < 1 or w2 < 1:
             raise ValueError("weights must be strictly positive")
+        self._set(w1=w1, w2=w2)
+
+    # a tower-cache key: compared and hashed as the pair (w1, w2)
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Weight:
+            return NotImplemented
+        return self.w1 == other.w1 and self.w2 == other.w2
+
+    def __hash__(self) -> int:
+        return hash((self.w1, self.w2))
 
     @staticmethod
     def parse(text: str) -> "Weight":

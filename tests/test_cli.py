@@ -78,6 +78,20 @@ def test_verify_puts_weight_1_1_first_when_the_list_lacks_it(capsys):
     assert report["ok"] is True
 
 
+def test_verify_takes_one_weight_besides_1_1(capsys):
+    code, out, _ = run(capsys, "verify", "--spec", "cusp", "--weights", "2,1", "--kmax", "12")
+    report = json.loads(out)
+    assert code == 0
+    assert list(report["p_by_weight"]) == ["(1,1)", "(2,1)"]
+    assert report["ok"] is True
+
+
+def test_verify_refuses_weight_1_1_alone(capsys):
+    code, out, err = run(capsys, "verify", "--spec", "cusp", "--weights", "1,1")
+    assert (code, out) == (2, "")
+    assert err == "lmtool: error: verify always reads weight 1,1; give a weight to compare with it\n"
+
+
 def test_invariant_trivial(capsys, tmp_path):
     path = tmp_path / "trivial.json"
     path.write_text('{"kind": "monomial", "gaps": []}')
@@ -350,6 +364,20 @@ def test_package_imports_only_stdlib():
     """The package is dependency-free: every import is relative or stdlib."""
     outside = {path.name: imports_outside_stdlib(path) for path in Path(lmtool.__file__).parent.glob("*.py")}
     assert outside and not any(outside.values()), outside
+
+
+# the catalog-digest CI job runs the same line on each Python it tests
+IMPORT_GUARD = ("import lmtool.cli, sys; loaded = {'dataclasses', 'inspect', 'typing'} & set(sys.modules); "
+                "sys.exit(f'lmtool.cli loads {sorted(loaded)}' if loaded else 0)")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Every run of the CLI pays its imports: with site-packages hidden,
+    nothing but lmtool could load these modules, and lmtool does not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lmtool.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_pins_import_only_stdlib_lmtool_and_workloads():

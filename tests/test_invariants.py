@@ -1,7 +1,8 @@
 """Hilbert sequences, quadratic fits, and the integer invariants."""
 
+import copy
 import json
-from dataclasses import replace
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -370,8 +371,41 @@ def test_report_dict_shape():
     assert d["n"] == 1 and d["p_D"] == 2 and d["shift_a"] == -1
     assert d["ok"] is True
     assert "elapsed_ms" not in d
-    assert "elapsed_ms" in report_fields(replace(r, elapsed_ms=1.0))
+    assert "elapsed_ms" in report_fields(r.replace(elapsed_ms=1.0))
     json.dumps(d)  # serializable
+
+
+def test_report_replace_leaves_the_original():
+    r = chern_number(catalog_get("cusp"))
+    timed = r.replace(elapsed_ms=1.0)
+    assert (r.elapsed_ms, timed.elapsed_ms) == (None, 1.0)
+
+
+# one instance of each immutable record type, and one of its fields
+RECORDS = {
+    "Weight": (lambda: Weight(1, 2), "w1"),
+    "Functional": (lambda: Functional(Fraction(0), ((1, Fraction(1)),)), "terms"),
+    "SubspaceSpec": (lambda: catalog_get("mixed"), "functionals"),
+    "HilbertSeq": (lambda: seq([0, 1]), "values"),
+    "FitResult": (lambda: FitResult(0, 1, (0, 4)), "constant"),
+    "WeightIndependenceResult": (
+        lambda: weight_independence(catalog_get("trivial"), (W11, Weight(2, 1)), 6), "ok"),
+    "Report": (lambda: chern_number(catalog_get("cusp")), "n"),
+}
+
+
+@pytest.mark.parametrize("make, field", RECORDS.values(), ids=RECORDS)
+def test_record_fields_cannot_be_assigned(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("make, field", RECORDS.values(), ids=RECORDS)
+def test_records_survive_pickle_and_copy(make, field):
+    record = make()
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert copied == record
 
 
 def test_report_verdicts_recomputable_from_sequences():

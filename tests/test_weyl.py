@@ -54,6 +54,17 @@ def test_weight_validation():
         Weight.parse("2")
 
 
+def test_weight_true_1_is_refused():
+    # True == 1 and hash(True) == hash(1): taken as a number it would be Weight(1, 1)
+    with pytest.raises(ValueError, match="weights must be integers"):
+        Weight(True, 1)
+
+
+def test_equal_weights_hash_alike():
+    # a weight is a tower-cache key: a weight built apart must find its tower
+    assert Weight(1, 1) == Weight(1, 1) and hash(Weight(1, 1)) == hash(Weight(1, 1))
+
+
 # -- symbols -----------------------------------------------------------------------
 
 def test_top_component():
