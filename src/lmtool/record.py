@@ -3,8 +3,8 @@
 A record lists its fields in ``__slots__`` and sets each one once, in its
 own ``__init__``, through ``_set``; assigning or deleting a field afterwards
 raises AttributeError.  Records compare, hash and print by their fields in
-slot order, and a class whose instances are cache keys writes its own
-``__eq__`` and ``__hash__``.  Plain classes, not ``dataclasses``: that
+slot order; a class that compares by less than all its fields writes its
+own ``__eq__`` and ``__hash__``.  Plain classes, not ``dataclasses``: that
 module imports ``inspect`` and generates every method at import time, which
 a command line run pays on every start.
 """

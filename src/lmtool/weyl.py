@@ -37,15 +37,6 @@ class Weight(Record):
             raise ValueError("weights must be strictly positive")
         self._set(w1=w1, w2=w2)
 
-    # a tower-cache key: compared and hashed as the pair (w1, w2)
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Weight:
-            return NotImplemented
-        return self.w1 == other.w1 and self.w2 == other.w2
-
-    def __hash__(self) -> int:
-        return hash((self.w1, self.w2))
-
     @staticmethod
     def parse(text: str) -> "Weight":
         parts = text.split(",")

@@ -46,23 +46,13 @@ def test_weight_validation():
         Weight(0, 1)
     with pytest.raises(ValueError):
         Weight(1, -2)
-    for w in ((True, 2), (2, True), (False, 1)):  # a bool is not a number
+    for w in ((True, 2), (2, True), (False, 1), (True, 1)):  # a bool is not a number
         with pytest.raises(ValueError, match="weights must be integers"):
             Weight(*w)
     assert Weight.parse("2, 3") == Weight(2, 3)
+    assert hash(Weight(1, 1)) == hash(Weight(1, 1))  # a weight is a tower-cache key
     with pytest.raises(ValueError):
         Weight.parse("2")
-
-
-def test_weight_true_1_is_refused():
-    # True == 1 and hash(True) == hash(1): taken as a number it would be Weight(1, 1)
-    with pytest.raises(ValueError, match="weights must be integers"):
-        Weight(True, 1)
-
-
-def test_equal_weights_hash_alike():
-    # a weight is a tower-cache key: a weight built apart must find its tower
-    assert Weight(1, 1) == Weight(1, 1) and hash(Weight(1, 1)) == hash(Weight(1, 1))
 
 
 # -- symbols -----------------------------------------------------------------------
