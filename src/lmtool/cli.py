@@ -115,36 +115,32 @@ def _load_spec(token: str):
 HILBERT_FIELDS = ("hilbert_M", "hilbert_D", "hilbert_dual", "hilbert_hom")
 
 
-def _as_list(seq: tuple[int, ...] | None) -> list[int] | None:
-    return None if seq is None else list(seq)
+# the converters of the field values that JSON cannot take as they are
+_TO_JSON = {
+    "weight": lambda w: [w.w1, w.w2],
+    "weights": lambda weights: [[w.w1, w.w2] for w in weights],
+    "p_by_weight": lambda pairs: {str(w): list(p) for w, p in pairs},
+    "d_fit": lambda fit: {"shift": fit[0], "constant": fit[1]},
+    "verdicts": dict,
+    "warnings": lambda warnings: list(warnings) or None,  # no warning: left out
+    "elapsed_ms": lambda ms: round(ms, 3),
+}
 
 
 def report_fields(report: Report) -> dict:
-    """The ordered field table that every output format renders; fields
+    """The ordered field table that every output format renders: the fields
+    of Report.__slots__ in their order, with ok right after verdicts; fields
     a verb did not compute, and elapsed_ms without --timing, are left out."""
-    n_1, n_2 = report.n_pair or (None, None)
-    out = {
-        "name": report.name,
-        "weight": [report.weight.w1, report.weight.w2],
-        "kmax": report.kmax,
-        "weights": None if report.weights is None else [[w.w1, w.w2] for w in report.weights],
-        **{key: _as_list(getattr(report, key)) for key in HILBERT_FIELDS},
-        "p_by_weight": (None if report.p_by_weight is None
-                        else {str(w): list(p) for w, p in report.p_by_weight}),
-        "shift_a": report.shift_a,
-        "n": report.n,
-        "p_D": report.p_D,
-        "p_12": report.p_12,
-        "n_1": n_1,
-        "n_2": n_2,
-        "d_fit": None if report.d_fit is None else {"shift": report.d_fit[0], "constant": report.d_fit[1]},
-        "dual_constant": report.dual_constant,
-        "verdicts": dict(report.verdicts),
-        "ok": report.ok,
-        "warnings": list(report.warnings) or None,
-        "elapsed_ms": None if report.elapsed_ms is None else round(report.elapsed_ms, 3),
-    }
-    return {key: val for key, val in out.items() if val is not None}
+    out = {}
+    for key in report.__slots__:
+        value = getattr(report, key)
+        if key in _TO_JSON and value is not None:
+            value = _TO_JSON[key](value)
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
+        if key == "verdicts":
+            out["ok"] = report.ok
+    return out
 
 
 def report_csv(fields: dict) -> str:
@@ -201,8 +197,7 @@ def report_text(fields: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(reports: list[Report], fmt: str) -> str:
-    tables = [report_fields(r) for r in reports]
+def _render(tables: list[dict], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(tables[0] if len(tables) == 1 else tables, indent=2) + "\n"
     if fmt == "csv" and len(tables) > 1:
@@ -315,10 +310,11 @@ def run(argv: Sequence[str]) -> int:
         print(f"lmtool: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
-    if _emit(_render(reports, args.format), args.out):
+    tables = [report_fields(r) for r in reports]
+    if _emit(_render(tables, args.format), args.out):
         return 2
 
-    failed = [report_fields(r) for r in reports if not r.ok]
+    failed = [fields for fields in tables if not fields["ok"]]
     for fields in failed:
         bad = [k for k, v in fields["verdicts"].items() if not v]
         print(f"lmtool: verdict failure for {fields['name']}: {', '.join(bad)}", file=sys.stderr)

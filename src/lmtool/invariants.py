@@ -57,17 +57,11 @@ class HilbertSeq(Record):
 
     __slots__ = ("source", "values")
 
-    def __init__(self, source: str, values: tuple[int, ...]) -> None:
-        self._set(source=source, values=values)
-
 
 class FitResult(Record):
     """Exact fit h(k) = (k+shift+1)(k+shift+2)/2 - constant on the window."""
 
     __slots__ = ("shift", "constant", "window")
-
-    def __init__(self, shift: int, constant: int, window: tuple[int, int]) -> None:
-        self._set(shift=shift, constant=constant, window=window)
 
     def predicted(self, k: int) -> int:
         return (k + self.shift + 1) * (k + self.shift + 2) // 2 - self.constant
@@ -166,7 +160,7 @@ def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> 
     n_2 = chern_number(dst, kmax).n
     return Report(
         name=f"{src.name}->{dst.name}", kmax=kmax, hilbert_hom=seq.values,
-        shift_a=fit.shift, p_12=fit.constant, n_pair=(n_1, n_2),
+        shift_a=fit.shift, p_12=fit.constant, n_1=n_1, n_2=n_2,
         verdicts={"relative": fit.constant == n_1 + n_2},
         warnings=tuple(dict.fromkeys(f"{s.name}: {w}" for s in (src, dst) for w in s.warnings)),
     )
@@ -202,10 +196,6 @@ class WeightIndependenceResult(Record):
 
     __slots__ = ("spec_name", "values", "p_sequences", "ok")
 
-    def __init__(self, spec_name: str, values: tuple[tuple[Weight, int], ...],
-                 p_sequences: tuple[tuple[Weight, tuple[int, ...]], ...], ok: bool) -> None:
-        self._set(spec_name=spec_name, values=values, p_sequences=p_sequences, ok=ok)
-
 
 def weight_independence(
     spec: SubspaceSpec, weights: Sequence[Weight] = DEFAULT_WEIGHTS, kmax: int = 12
@@ -232,45 +222,21 @@ def telescoping_check(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) 
 # ---------------------------------------------------------------------------
 
 class Report(Record):
-    """What every verb returns; optional fields stay None when a verb does not
-    compute them, and ``lmtool.cli`` renders the rest.  Verdicts are
+    """What every verb returns; ``lmtool.cli`` renders it.  ``__slots__`` is
+    the one table of output fields, in the order JSON, CSV and text print
+    them.  ``name`` and ``kmax`` are required, ``weight`` defaults to (1,1),
+    and a field a verb does not compute stays None.  ``d_fit`` is the
+    (shift, constant) of the End fit.  Verdicts are read-only and
     recomputable from the embedded sequences.  ``elapsed_ms`` is set by the
     CLI under --timing only.  ``replace`` is the one way to change a field:
     it returns a copy."""
 
-    __slots__ = ("name", "kmax", "weight", "weights", "hilbert_M", "hilbert_D", "hilbert_dual",
-                 "hilbert_hom", "p_by_weight", "shift_a", "n", "p_D", "p_12", "n_pair", "d_fit",
-                 "dual_constant", "verdicts", "warnings", "elapsed_ms")
-
-    def __init__(
-        self,
-        name: str,
-        kmax: int,
-        weight: Weight = W11,
-        weights: tuple[Weight, ...] | None = None,
-        hilbert_M: tuple[int, ...] | None = None,
-        hilbert_D: tuple[int, ...] | None = None,
-        hilbert_dual: tuple[int, ...] | None = None,
-        hilbert_hom: tuple[int, ...] | None = None,
-        p_by_weight: tuple[tuple[Weight, tuple[int, ...]], ...] | None = None,
-        shift_a: int | None = None,
-        n: int | None = None,
-        p_D: int | None = None,
-        p_12: int | None = None,
-        n_pair: tuple[int, int] | None = None,
-        d_fit: tuple[int, int] | None = None,  # (shift, constant) of the End fit
-        dual_constant: int | None = None,
-        verdicts: dict | None = None,  # None is a new empty dict
-        warnings: tuple[str, ...] = (),
-        elapsed_ms: float | None = None,
-    ) -> None:
-        self._set(
-            name=name, kmax=kmax, weight=weight, weights=weights, hilbert_M=hilbert_M,
-            hilbert_D=hilbert_D, hilbert_dual=hilbert_dual, hilbert_hom=hilbert_hom,
-            p_by_weight=p_by_weight, shift_a=shift_a, n=n, p_D=p_D, p_12=p_12, n_pair=n_pair,
-            d_fit=d_fit, dual_constant=dual_constant, verdicts={} if verdicts is None else verdicts,
-            warnings=warnings, elapsed_ms=elapsed_ms,
-        )
+    __slots__ = ("name", "weight", "kmax", "weights", "hilbert_M", "hilbert_D", "hilbert_dual",
+                 "hilbert_hom", "p_by_weight", "shift_a", "n", "p_D", "p_12", "n_1", "n_2",
+                 "d_fit", "dual_constant", "verdicts", "warnings", "elapsed_ms")
+    _defaults = {**dict.fromkeys(set(__slots__) - {"name", "kmax"}),
+                 "weight": W11, "verdicts": {}, "warnings": ()}
+    __hash__ = None  # verdicts is a mapping: reports compare by field but do not hash
 
     def replace(self, **changes: object) -> Report:
         """A copy with the named fields changed; this report is left as it is."""

@@ -30,6 +30,12 @@ class SpecError(ValueError):
     """Raised for malformed subspace spec documents."""
 
 
+CONDUCTOR_DEGREE_LIMIT = 64  # tower columns grow with deg(g); larger specs are refused
+# digits of a point's or a coefficient's numerator or denominator: row
+# reduction slows with their size long before Python's integer limit
+RATIONAL_DIGIT_LIMIT = 100
+
+
 def _natural(value: object, what: str) -> int:
     """A non-negative integer, through ``operator.index``: a float is
     rejected, not truncated, and a bool is not a number."""
@@ -43,11 +49,16 @@ def _natural(value: object, what: str) -> int:
 
 
 def _rational(value: object, what: str) -> Fraction:
-    """An int or a Fraction as a Fraction; a float is rejected, not rounded
-    to its binary value, and a bool is not a number."""
+    """An int or a Fraction as a Fraction, of at most RATIONAL_DIGIT_LIMIT
+    digits above and below; a float is rejected, not rounded to its binary
+    value, and a bool is not a number."""
     if type(value) is bool or not isinstance(value, (int, Fraction)):
         raise SpecError(f"{what} must be an int or a Fraction, got {value!r}")
-    return Fraction(value)
+    value = Fraction(value)
+    if max(abs(value.numerator), value.denominator) >= 10 ** RATIONAL_DIGIT_LIMIT:
+        raise SpecError(f"{what} has a numerator or denominator above the limit of "
+                        f"{RATIONAL_DIGIT_LIMIT} digits")
+    return value
 
 
 class Functional(Record):
@@ -66,8 +77,8 @@ class Functional(Record):
         for order, coeff in terms:
             order = _natural(order, "derivative order")
             coeff = _rational(coeff, "coefficient")
-            if coeff:
-                seen[order] = seen.get(order, Fraction(0)) + coeff
+            if coeff:  # a sum of like orders is held to the limit too
+                seen[order] = _rational(seen.get(order, Fraction(0)) + coeff, "coefficient")
         cleaned = tuple(sorted((o, c) for o, c in seen.items() if c))
         if not cleaned:
             raise SpecError("functional has no nonzero term")
@@ -113,9 +124,6 @@ def _top_orders(functionals: Iterable[Functional]) -> dict[Fraction, int]:
     for fn in functionals:
         out[fn.point] = max(out.get(fn.point, -1), fn.order)
     return out
-
-
-CONDUCTOR_DEGREE_LIMIT = 64  # tower columns grow with deg(g); larger specs are refused
 
 
 def _check_conductor_degree(degree: int) -> None:
@@ -233,6 +241,8 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
     name = document.get("name")
     if name is not None and not isinstance(name, str):
         raise SpecError("spec 'name' must be a string")
+    if name is not None and not name.isprintable():  # reports print the name as it is
+        raise SpecError(f"spec 'name' must be printable, got {name!r}")
 
     if kind == "monomial":
         if "points" in document:

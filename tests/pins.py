@@ -138,10 +138,28 @@ OFF_ZERO_SHA256 = {
     "text": "15dc8fb2120101e174aa62d367bf05490cf6c849434c3861f49ad4b740cedfa0",
 }
 
+# two spec files that are refused when read: a name with a control
+# character, which would print as a line of its own, and a coefficient of
+# 101 digits
+REFUSED_DOCS = {
+    "forged-name": {"kind": "monomial", "name": "a\nk,dim_A", "gaps": [1]},
+    "long-coeff": {"kind": "conditions", "points": [
+        {"c": 0, "functionals": [[{"order": 1, "coeff": "1" + "0" * 100}]]}]},
+}
+# the exact stderr of runs that read them, keyed by their arguments; each
+# exits 2 with nothing on stdout
+REFUSED_STDERR = {
+    ("chern", "--spec", "forged-name.json", "--spec", "cusp", "--format", "csv"):
+        "lmtool: error: forged-name.json: spec 'name' must be printable, got 'a\\nk,dim_A'\n",
+    ("verify", "--spec", "long-coeff.json", "--kmax", "12"):
+        "lmtool: error: long-coeff.json: coefficient has a numerator or denominator "
+        "above the limit of 100 digits\n",
+}
 
-def write_off_zero_docs(directory: Path) -> None:
-    """Write OFF_ZERO_DOCS as the NAME.json files the off-zero cases read."""
-    for name, doc in OFF_ZERO_DOCS.items():
+
+def write_spec_docs(directory: Path) -> None:
+    """Write OFF_ZERO_DOCS and REFUSED_DOCS as the NAME.json files their cases read."""
+    for name, doc in {**OFF_ZERO_DOCS, **REFUSED_DOCS}.items():
         (directory / f"{name}.json").write_text(json.dumps(doc))
 
 
@@ -167,6 +185,7 @@ CLI_CASES = {
     **{argv: (0, want, "") for argv, want in DEEP_SHA256.items()},
     **{off_zero_argv(fmt): (0, want, "") for fmt, want in OFF_ZERO_SHA256.items()},
     **{argv: outcome(3, b"", stderr) for argv, stderr in FAILURE_STDERR.items()},
+    **{argv: outcome(2, b"", stderr) for argv, stderr in REFUSED_STDERR.items()},
 }
 
 # -- the pinned towers ---------------------------------------------------------
@@ -265,7 +284,7 @@ def main() -> int:
           (OFFERED_ROWS, OFFERED_ROWS_SHA256, OFFERED_ROWS_SORTED_SHA256))
     env = dict(os.environ, PYTHONPATH=str(Path(lmtool.__file__).resolve().parent.parent))
     with tempfile.TemporaryDirectory() as cwd:
-        write_off_zero_docs(Path(cwd))
+        write_spec_docs(Path(cwd))
         for argv, want in CLI_CASES.items():
             proc = subprocess.run([sys.executable, "-m", "lmtool.cli", *argv],
                                   capture_output=True, cwd=cwd, env=env)

@@ -122,7 +122,7 @@ def test_criterion_07_relative_identity(report):
     for a, b in pairs:
         res = relative_invariant(catalog_get(a), catalog_get(b), 12)
         window = fit_euler(HilbertSeq(res.name, res.hilbert_hom)).window
-        ok = ok and res.ok and res.p_12 == sum(res.n_pair)
+        ok = ok and res.ok and res.p_12 == res.n_1 + res.n_2
         ok = ok and (window[1] - window[0] + 1) >= 3
     report(7, "p_12 = n_1 + n_2 on the three reference pairs, window >= 3", ok)
 

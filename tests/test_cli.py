@@ -295,9 +295,16 @@ def test_output_digest_per_verb_and_format(capsys, verb, fmt):
 
 @pytest.mark.parametrize("fmt", sorted(pins.OFF_ZERO_SHA256))
 def test_off_zero_verify_digest(capsys, tmp_path, monkeypatch, fmt):
-    pins.write_off_zero_docs(tmp_path)
+    pins.write_spec_docs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert_pinned(capsys, pins.off_zero_argv(fmt))
+
+
+@pytest.mark.parametrize("argv", sorted(pins.REFUSED_STDERR), ids=" ".join)
+def test_refused_spec_stderr_is_pinned(capsys, tmp_path, monkeypatch, argv):
+    pins.write_spec_docs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert_pinned(capsys, argv)
 
 
 def test_all_exports_resolve():
@@ -491,7 +498,11 @@ def test_kmax_above_bound_exits_2(capsys, monkeypatch):
     (["chern", "--spec"], '{"kind": "conditions", "points": [{"c": "1", "functionals": '
                           '[[{"order": 1, "coeff": "1e10000000"}]]}]}',
      "{path}: not a rational: '1e10000000'"),
-], ids=["huge-weight", "weight-100", "gap-5000", "two-point-66", "exponent-coeff"])
+    (["verify", "--kmax", "12", "--spec"], json.dumps({"kind": "conditions", "points": [
+        {"c": f"{10 ** 800}/3", "functionals": [[{"order": 1, "coeff": str(10 ** 800)}]]},
+        {"c": 0, "functionals": [[{"order": 1, "coeff": 1}]]}]}),
+     "{path}: coefficient has a numerator or denominator above the limit of 100 digits"),
+], ids=["huge-weight", "weight-100", "gap-5000", "two-point-66", "exponent-coeff", "coeff-800-digits"])
 def test_runaway_input_exits_2_at_parse(capsys, tmp_path, argv, doc, message):
     if doc is not None:
         path = tmp_path / "runaway.json"

@@ -20,6 +20,7 @@ from lmtool.invariants import (
     FitResult,
     HilbertSeq,
     NotStabilizedError,
+    Report,
     chern_number,
     dual_check,
     fit_euler,
@@ -30,6 +31,7 @@ from lmtool.invariants import (
     telescoping_check,
     verify_lm_chern,
     weight_independence,
+    weights_report,
 )
 from lmtool.subspace import Functional, SubspaceSpec
 from lmtool.weyl import Weight, dim_A
@@ -181,7 +183,7 @@ def test_relative_examples():
     r = relative_invariant(cusp, cusp)
     assert (r.p_12, r.shift_a, r.ok) == (2, 0, True)
     r = relative_invariant(cusp, triv)
-    assert (r.p_12, *r.n_pair, r.ok) == (1, 1, 0, True)
+    assert (r.p_12, r.n_1, r.n_2, r.ok) == (1, 1, 0, True)
 
 
 GAP_SETS_0_3 = [tuple(g for g in range(4) if mask >> g & 1) for mask in range(16)]
@@ -373,6 +375,55 @@ def test_report_dict_shape():
     assert "elapsed_ms" not in d
     assert "elapsed_ms" in report_fields(r.replace(elapsed_ms=1.0))
     json.dumps(d)  # serializable
+
+
+def test_report_fields_follow_the_one_table():
+    """Every verb's field table is Report.__slots__ in order, restricted to
+    the fields it set, with ok right after verdicts."""
+    cusp, odd = catalog_get("cusp"), SubspaceSpec.from_gaps(None, [2])  # odd carries a warning
+    reports = {
+        "chern": chern_number(odd, 8),
+        "dual": dual_check(cusp, 8),
+        "relative": relative_invariant(odd, cusp, 8),
+        "invariant-1": lm_invariant(cusp, Weight(2, 1), 8),
+        "invariant-2": weights_report(odd, (W11, Weight(2, 1)), 8),
+        "verify": full_report(cusp, 8).replace(elapsed_ms=1.25),
+    }
+    for verb, r in reports.items():
+        want = [key for key in Report.__slots__ if getattr(r, key) not in (None, ())]
+        want.insert(want.index("verdicts") + 1, "ok")
+        assert list(report_fields(r)) == want, verb
+    assert "warnings" in report_fields(reports["chern"])
+    assert report_fields(reports["verify"])["elapsed_ms"] == 1.25
+    with pytest.raises(TypeError, match="bogus"):
+        Report(name="x", kmax=4, bogus=1)
+
+
+def test_records_take_each_field_once():
+    with pytest.raises(TypeError, match="missing"):
+        Report(name="x")
+    with pytest.raises(TypeError, match="shift"):
+        FitResult(0, 1, (0, 4), shift=2)
+    with pytest.raises(TypeError):
+        FitResult(0, 1, (0, 4), 5)
+    with pytest.raises(TypeError, match="values"):
+        HilbertSeq("x")
+    assert FitResult(0, 1, window=(0, 4)) == FitResult(shift=0, constant=1, window=(0, 4))
+    r = Report(name="x", kmax=4)
+    assert (r.weight, dict(r.verdicts), r.warnings, r.n, r.ok) == (W11, {}, (), None, True)
+
+
+def test_report_is_frozen_and_does_not_hash():
+    r = full_report(catalog_get("cusp"), 8)
+    with pytest.raises(TypeError):
+        r.verdicts["t2"] = False
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(r)
+    verdicts = {"t2": True}
+    r = Report(name="x", kmax=4, verdicts=verdicts)
+    verdicts["t2"] = False  # the report holds a copy
+    assert r.ok and r.verdicts == {"t2": True}
+    assert r.replace(n=1).verdicts == r.verdicts
 
 
 def test_report_replace_leaves_the_original():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lmtool.linalg import Poly
 from lmtool.subspace import (
+    RATIONAL_DIGIT_LIMIT,
     Functional,
     SpecError,
     SubspaceSpec,
@@ -163,6 +164,36 @@ def test_conductor_limit_comes_before_any_work():
             build()
         assert time.perf_counter() - t0 < 1.0, what
     assert SubspaceSpec.from_gaps("g", [63]).conductor.degree() == 64
+
+
+def test_rational_digit_limit():
+    # row reduction slows with the size of the numbers, so a point or a
+    # coefficient, and a sum of like orders, is held to 100 digits above
+    # and below; the limit itself is admitted
+    assert RATIONAL_DIGIT_LIMIT == 100
+    top = 10 ** 100 - 1
+    assert Functional(Fraction(1, top), ((1, Fraction(top, 7)),)).point == Fraction(1, top)
+    refused = {
+        "numerator": lambda: Functional(0, ((1, 10 ** 100),)),
+        "denominator": lambda: Functional(0, ((1, Fraction(1, 10 ** 100)),)),
+        "point": lambda: Functional(Fraction(-(10 ** 100), 3), ((1, 1),)),
+        "sum": lambda: Functional(0, ((1, Fraction(1, 10 ** 60)), (1, Fraction(1, 3 ** 126)))),
+        "parsed": lambda: parse_spec({"kind": "conditions", "points": [
+            {"c": "1/" + "9" * 4000, "functionals": [[{"order": 0, "coeff": 1}]]}]}),
+    }
+    for what, build in refused.items():
+        t0 = time.perf_counter()
+        with pytest.raises(SpecError, match="above the limit of 100 digits$"):
+            build()
+        assert time.perf_counter() - t0 < 1.0, what
+
+
+def test_parse_refuses_a_name_that_is_not_printable():
+    # reports print the name as it is: a newline in it would forge a line
+    for name in ("a\nk,dim_A", "tab\there", "\x1b[2J", "\u2028"):
+        with pytest.raises(SpecError, match="must be printable"):
+            parse_spec({"kind": "monomial", "name": name, "gaps": [1]})
+    assert parse_spec({"kind": "monomial", "name": "Spitze ü", "gaps": [1]}).name == "Spitze ü"
 
 
 def test_equality_ignores_presentation():
