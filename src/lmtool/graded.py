@@ -102,8 +102,8 @@ column, the column of (x - c0)^a d^b for each b, and the column count of
 every degree K.  It grows by degree bands when a build asks for a larger
 K, and a tower keeps references to its x-exponents and counts, which only
 ever grow.  dim(k) is the column count at level k less the pivots below
-it.  The cache also keeps the Taylor digits of a conductor at each of its
-roots, and ``clear_cache`` drops towers, tables and digits together.
+it.  The cache also keeps a source's principal parts at each root of its
+conductor, and ``clear_cache`` drops towers, tables and parts together.
 ``hom_piece``, the reference reading that needs the canonical nullspace,
 builds and reduces the rows of its level afresh on each call, and
 ``gr_symbol_space`` reads the top symbols of its basis.
@@ -128,38 +128,37 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, lcm, perm
 
 from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
 from .weyl import Weight, WeylEl, dim_A, monomial_basis
 
 
-_taylor_cache: dict[tuple[SubspaceSpec, Fraction], list[Fraction]] = {}
+_principal_part_cache: dict[tuple[SubspaceSpec, Fraction], list[dict[int, int]]] = {}
 
 
-def _taylor(spec: SubspaceSpec, c: Fraction) -> list[Fraction]:
-    """Taylor coefficients of spec's conductor at c: its (x - c)-adic
-    digits, kept until ``clear_cache``."""
-    digits = _taylor_cache.get((spec, c))
-    if digits is None:
-        p, t = spec.conductor, Poly({0: -c, 1: 1})
-        digits = _taylor_cache[spec, c] = []
+def _principal_parts(spec: SubspaceSpec, c: Fraction) -> list[dict[int, int]]:
+    """P_w = t^-m (w/h mod t^m) at a root c of spec's conductor g, t = x - c,
+    m the order of g at c and h = g/t^m, for each w in ``spec.local_kernel[c]``:
+    the jet ``{e - m: y}`` of the nonzero digits of the power series w/h,
+    scaled to integers.  Kept until ``clear_cache``."""
+    parts = _principal_part_cache.get((spec, c))
+    if parts is None:
+        p, t, digits = spec.conductor, Poly({0: -c, 1: 1}), []
         while not p.is_zero:
             p, r = poly_divmod(p, t)
             digits.append(r[0])
-    return digits
-
-
-def _series_quotient(num: Sequence[Fraction], den: Sequence[Fraction], top: int) -> list[Fraction]:
-    """Coefficients 0..top of the power series num/den, den[0] != 0."""
-    out: list[Fraction] = []
-    for n in range(top + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[k] * out[n - k]
-        out.append(acc / den[0])
-    return out
+        m = spec.top_orders[c] + 1
+        h = digits[m:]
+        parts = _principal_part_cache[spec, c] = []
+        for w in spec.local_kernel[c]:
+            part: list[Fraction] = []
+            for y in w:  # digit n is (w[n] - h[1] part[n-1] - ... - h[n] part[0]) / h[0]
+                part.append((y - sum(a * b for a, b in zip(h[1:], reversed(part)))) / h[0])
+            den = lcm(*(y.denominator for y in part))
+            parts.append({e - m: int(y * den) for e, y in enumerate(part) if y})
+    return parts
 
 
 class _Columns:
@@ -246,20 +245,15 @@ class _Rows:
         """Two rounds.  First, at each point c of dst, the rows of
         F = (x-c)^s for s <= d + b_max, d the top order of a dst functional
         at c; the pivots they reach are kept as ``module_pivots``.  Then, at
-        each root c of g, those of F = P_w for each w in
-        ``src.local_kernel[c]``: P_w = t^-m (w/h mod t^m), m the order of g
-        at c and h = g/t^m, with d = -1 where dst reads nothing (see the
-        module docstring).  The jets are taken at c.  At c0 the rows go to
-        the tower's reducer; at any other point to a reducer of that point,
-        in the columns (x - c)^a d^b, whose kept rows of each round are then
-        carried to the tower's (``_carried``)."""
+        each root c of g, those of the principal parts F = P_w of src there
+        (``_principal_parts``), with d = -1 where dst reads nothing (see the
+        module docstring).  Both read dst through ``dst.digit_rows[c]``.
+        The jets are taken at c.  At c0 the rows go to the tower's reducer;
+        at any other point to a reducer of that point, in the columns
+        (x - c)^a d^b, whose kept rows of each round are then carried to the
+        tower's (``_carried``)."""
         b_max = k_u // self.weight.w2
-        src_order, dst_order = self.src.top_orders, self.dst.top_orders
-        reads: dict[Fraction, list[list[tuple[int, int]]]] = {}
-        for fn in self.dst.functionals:
-            scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
-            reads.setdefault(fn.point, []).append(
-                [(o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms])
+        src_order, dst_order, reads = self.src.top_orders, self.dst.top_orders, self.dst.digit_rows
         local: dict[Fraction, RowReducer] = {}  # the reducers round two adds to
         for c, d in sorted(dst_order.items()):
             reducer = self._reducer_at(c)
@@ -269,16 +263,11 @@ class _Rows:
             if c in src_order:
                 local[c] = reducer
         self.module_pivots = self.reducer.pivot_cols()
-        for c, top in sorted(src_order.items()):
+        for c in sorted(src_order):
             reducer = local.pop(c) if c in local else self._reducer_at(c)
             kept = reducer.rank
-            m = top + 1
-            h = _taylor(self.src, c)[m:]
-            for w in self.src.local_kernel[c]:
-                part = _series_quotient(w, h, m - 1)
-                den = lcm(*(y.denominator for y in part))
-                self._add_jet_rows(reducer, {e - m: int(y * den) for e, y in enumerate(part) if y},
-                                   dst_order.get(c, -1), reads.get(c, []), k_u)
+            for jet in _principal_parts(self.src, c):
+                self._add_jet_rows(reducer, jet, dst_order.get(c, -1), reads.get(c, ()), k_u)
             self._carry(c, reducer, kept)
 
     def _reducer_at(self, c: Fraction) -> RowReducer:
@@ -319,7 +308,7 @@ class _Rows:
             yield carried
 
     def _add_jet_rows(self, reducer: RowReducer, jet: dict[int, int], d: int,
-                      reads: list[list[tuple[int, int]]], k_u: int) -> None:
+                      reads: Sequence[Sequence[tuple[int, int]]], k_u: int) -> None:
         """Offer ``reducer`` the rows for one F given by its Laurent jet at
         a point c, t = x - c, in the columns (x - c)^a d^b: F is either t^s
         or a principal part P_w, given as ``{exponent: value}`` of its
@@ -328,8 +317,8 @@ class _Rows:
 
         Column t^a d^b reads the jet of t^a d^b F up to t^d.  Each negative
         exponent is a principal-part row that must vanish.  Each dst
-        functional sum_o coeff_o f^(o)(c), given in ``reads`` as the pairs
-        (o, coeff_o * o!) scaled to integers, gives the row
+        functional sum_o coeff_o f^(o)(c), given in ``reads`` as its digit
+        row (the pairs (o, coeff_o * o!) scaled to integers), gives the row
         sum_o coeff_o o! w[o], w that jet.  The walk goes term by term:
         d^b (y t^e) = y e^(b) t^(e - b), e^(b) = e(e - 1)...(e - b + 1) the
         falling factorial, and no read order o is above d, so a term is read
@@ -440,11 +429,11 @@ def _tower_for(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> 
 
 
 def clear_cache() -> None:
-    """Drop all memoized towers, column tables and conductor digits (mainly
+    """Drop all memoized towers, column tables and principal parts (mainly
     for honest timing in tests)."""
     _tower_cache.clear()
     _column_tables.clear()
-    _taylor_cache.clear()
+    _principal_part_cache.clear()
 
 
 def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> tuple[WeylEl, ...]:

@@ -90,31 +90,37 @@ class Functional(Record):
         return self.terms[-1][0]
 
 
-def _normalize_functionals(
-        functionals: Iterable[Functional]) -> tuple[tuple[Functional, ...], dict[Fraction, tuple]]:
+def _scaled(terms: tuple[tuple[int, Fraction], ...]) -> list[tuple[int, int]]:
+    """The (order, coefficient) pairs scaled by the lcm of their denominators."""
+    scale = lcm(*(coeff.denominator for _, coeff in terms))
+    return [(o, int(coeff * scale)) for o, coeff in terms]
+
+
+def _normalize_functionals(functionals: Iterable[Functional], top_orders: dict[Fraction, int]
+                           ) -> tuple[tuple[Functional, ...], dict[Fraction, tuple], dict[Fraction, tuple]]:
     """Canonical form: group by point, row-reduce each point's coefficient
     matrix, each row scaled to integers (deduplicates and drops dependent
     functionals), sort points.
-    Also the local kernel at each point: the nullspace of the same matrix,
-    whose column o is f^(o)(c) = o! times Taylor digit o."""
+    Also, at each point, the local kernel, the nullspace of the same matrix,
+    whose column o is f^(o)(c) = o! times Taylor digit o, and the digit rows:
+    each RREF row scaled to integers, its order-o entry times o!."""
     by_point: dict[Fraction, list[Functional]] = {}
     for fn in functionals:
         by_point.setdefault(fn.point, []).append(fn)
     out: list[Functional] = []
     kernels: dict[Fraction, tuple] = {}
+    digit_rows: dict[Fraction, tuple] = {}
     for point in sorted(by_point):
-        fns = by_point[point]
-        width = max(fn.order for fn in fns) + 1
+        width = top_orders[point] + 1
         red = RowReducer(width)
-        for fn in fns:
-            scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
-            red.add_row({o: int(coeff * scale) for o, coeff in fn.terms})
-        _, rows = red.rref()
-        for row in rows:
-            out.append(Functional(point, tuple(row.items())))
+        for fn in by_point[point]:
+            red.add_row(dict(_scaled(fn.terms)))
+        fns = [Functional(point, tuple(row.items())) for row in red.rref()[1]]
+        out += fns
+        digit_rows[point] = tuple(tuple((o, v * factorial(o)) for o, v in _scaled(fn.terms)) for fn in fns)
         kernels[point] = tuple(tuple(Fraction(vec.get(o, 0), factorial(o)) for o in range(width))
                                for vec in red.nullspace())
-    return tuple(out), kernels
+    return tuple(out), kernels, digit_rows
 
 
 def _top_orders(functionals: Iterable[Functional]) -> dict[Fraction, int]:
@@ -142,25 +148,28 @@ class SubspaceSpec(Record):
     """
 
     __slots__ = ("name", "functionals", "gaps", "warnings", "conductor", "top_orders",
-                 "local_kernel", "_hash")
+                 "local_kernel", "digit_rows", "_hash")
     # derived from the functionals, besides the four fields __init__ takes
     conductor: Poly
     top_orders: dict[Fraction, int]  # point -> top derivative order there
     # point c -> a basis of K_c, each vector the Taylor digits 0..m-1 at c
     local_kernel: dict[Fraction, tuple[tuple[Fraction, ...], ...]]
+    # point c -> its normalised functionals as rows on the Taylor digits at c,
+    # each the (order o, integer coefficient times o!) pairs
+    digit_rows: dict[Fraction, tuple[tuple[tuple[int, int], ...], ...]]
     _hash: int  # of the normalized functionals
 
     def __init__(self, name: str, functionals: Sequence[Functional],
                  gaps: tuple[int, ...] | None = None, warnings: tuple[str, ...] = ()) -> None:
         by_point = _top_orders(functionals)
         _check_conductor_degree(sum(o + 1 for o in by_point.values()))
-        normalized, kernels = _normalize_functionals(functionals)
+        normalized, kernels, digit_rows = _normalize_functionals(functionals, by_point)
         g = Poly({0: 1})
         for point in sorted(by_point):
             for _ in range(by_point[point] + 1):
                 g = g * Poly({0: -point, 1: 1})
         self._set(name=name, functionals=normalized, gaps=gaps, warnings=warnings, conductor=g,
-                  top_orders=by_point, local_kernel=kernels, _hash=hash(normalized))
+                  top_orders=by_point, local_kernel=kernels, digit_rows=digit_rows, _hash=hash(normalized))
 
     # -- constructors ----------------------------------------------------------
 

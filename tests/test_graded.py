@@ -860,7 +860,7 @@ def test_tower_after_a_larger_one_reads_as_from_an_empty_cache(weight):
 
 
 def test_clear_cache_empties_the_tables(monkeypatch):
-    # the column tables and the conductor digits live as long as the towers:
+    # the column tables and the principal parts live as long as the towers:
     # a spec's first build divides its conductor once per root, and its
     # builds at other weights or targets divide nothing
     divisions = []
@@ -874,9 +874,9 @@ def test_clear_cache_empties_the_tables(monkeypatch):
     hom_dims(mixed, mixed, W21, 8)
     hom_dims(mixed, TRIVIAL, W11, 8)
     assert len(divisions) == once
-    assert graded._column_tables and graded._taylor_cache and graded._tower_cache
+    assert graded._column_tables and graded._principal_part_cache and graded._tower_cache
     clear_cache()
-    assert not graded._column_tables and not graded._taylor_cache and not graded._tower_cache
+    assert not graded._column_tables and not graded._principal_part_cache and not graded._tower_cache
     hom_dims(mixed, mixed, W11, 8)
     assert len(divisions) == 2 * once
 
