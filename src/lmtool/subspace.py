@@ -115,7 +115,11 @@ def _normalize_functionals(functionals: Iterable[Functional], top_orders: dict[F
         red = RowReducer(width)
         for fn in by_point[point]:
             red.add_row(dict(_scaled(fn.terms)))
-        fns = [Functional(point, tuple(row.items())) for row in red.rref()[1]]
+        try:
+            fns = [Functional(point, tuple(row.items())) for row in red.rref()[1]]
+        except SpecError:  # the digit limit holds for the normalised rows too
+            raise SpecError(f"conditions at point {point} row-reduce to a coefficient above "
+                            f"the limit of {RATIONAL_DIGIT_LIMIT} digits") from None
         out += fns
         digit_rows[point] = tuple(tuple((o, v * factorial(o)) for o, v in _scaled(fn.terms)) for fn in fns)
         kernels[point] = tuple(tuple(Fraction(vec.get(o, 0), factorial(o)) for o in range(width))
@@ -144,7 +148,8 @@ class SubspaceSpec(Record):
 
     Equality and hashing use the normalized functionals only, so two specs
     defining the same subspace through different presentations compare equal.
-    A conductor of degree above CONDUCTOR_DEGREE_LIMIT raises SpecError first.
+    A name that is not a printable str, then a conductor of degree above
+    CONDUCTOR_DEGREE_LIMIT, raises SpecError first.
     """
 
     __slots__ = ("name", "functionals", "gaps", "warnings", "conductor", "top_orders",
@@ -161,6 +166,10 @@ class SubspaceSpec(Record):
 
     def __init__(self, name: str, functionals: Sequence[Functional],
                  gaps: tuple[int, ...] | None = None, warnings: tuple[str, ...] = ()) -> None:
+        if not isinstance(name, str):
+            raise SpecError("spec 'name' must be a string")
+        if not name.isprintable():  # reports print the name as it is
+            raise SpecError(f"spec 'name' must be printable, got {name!r}")
         by_point = _top_orders(functionals)
         _check_conductor_degree(sum(o + 1 for o in by_point.values()))
         normalized, kernels, digit_rows = _normalize_functionals(functionals, by_point)
@@ -247,11 +256,7 @@ def parse_spec(document: str | dict) -> SubspaceSpec:
     kind = document.get("kind")
     if kind not in ("monomial", "conditions"):
         raise SpecError("spec 'kind' must be 'monomial' or 'conditions'")
-    name = document.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SpecError("spec 'name' must be a string")
-    if name is not None and not name.isprintable():  # reports print the name as it is
-        raise SpecError(f"spec 'name' must be printable, got {name!r}")
+    name = document.get("name")  # SubspaceSpec checks it
 
     if kind == "monomial":
         if "points" in document:

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import lmtool
@@ -263,6 +264,48 @@ def offered_rows(towers: list[tuple]) -> tuple[int, str, str]:
                             for rows in (offered, sorted(offered))))
 
 
+# -- build counts --------------------------------------------------------------
+
+# The towers built and the graded.poly_divmod calls of one pass of each
+# benchmark workload at seed 1 from an empty cache, counted as
+# bench/spans.py counts them: one tower per call of the name
+# graded.RowReducer, one division per call of graded.poly_divmod.  A cache
+# that stops hitting (towers, column tables, principal parts) moves them.
+BUILD_COUNTS = {"catalog-verify": (34, 39), "conditions-sweep": (15, 126), "monomial-deep": (20, 25)}
+
+
+def build_counts() -> dict[str, tuple[int, int]]:
+    """BUILD_COUNTS of this tree: `verify --kmax 20` through cli.run, then
+    each sweep's seed-1 batch through its check, each from an empty cache."""
+    counts: Counter = Counter()
+    reducer, divmod_ = graded.RowReducer, graded.poly_divmod
+
+    def tower_reducer(ncols):  # graded calls the name once per tower it builds
+        counts["towers"] += 1
+        return reducer(ncols)
+
+    def counted_divmod(p, t):
+        counts["divisions"] += 1
+        return divmod_(p, t)
+
+    def sweep_pass(sweep):
+        return lambda: [sweep.check(spec) for spec in sweep.specs]
+
+    passes = {"catalog-verify": workloads.run_catalog_in_process,
+              **{name: sweep_pass(workloads.SWEEPS[name](1)) for name in ("conditions-sweep", "monomial-deep")}}
+    out = {}
+    graded.RowReducer, graded.poly_divmod = tower_reducer, counted_divmod
+    try:
+        for name, run in passes.items():
+            graded.clear_cache()
+            counts.clear()
+            run()
+            out[name] = (counts["towers"], counts["divisions"])
+    finally:
+        graded.RowReducer, graded.poly_divmod = reducer, divmod_
+    return out
+
+
 # -- the script ----------------------------------------------------------------
 
 
@@ -282,6 +325,9 @@ def main() -> int:
               echelon_sha256(towers, reverse), ECHELON_SHA256)
     check("OFFERED_ROWS and both of its digests", offered_rows(towers),
           (OFFERED_ROWS, OFFERED_ROWS_SHA256, OFFERED_ROWS_SORTED_SHA256))
+    counted = build_counts()
+    for name, want in BUILD_COUNTS.items():
+        check(f"BUILD_COUNTS {name}: towers built, poly_divmod calls", counted.get(name), want)
     env = dict(os.environ, PYTHONPATH=str(Path(lmtool.__file__).resolve().parent.parent))
     with tempfile.TemporaryDirectory() as cwd:
         write_spec_docs(Path(cwd))

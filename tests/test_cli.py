@@ -502,7 +502,14 @@ def test_kmax_above_bound_exits_2(capsys, monkeypatch):
         {"c": f"{10 ** 800}/3", "functionals": [[{"order": 1, "coeff": str(10 ** 800)}]]},
         {"c": 0, "functionals": [[{"order": 1, "coeff": 1}]]}]}),
      "{path}: coefficient has a numerator or denominator above the limit of 100 digits"),
-], ids=["huge-weight", "weight-100", "gap-5000", "two-point-66", "exponent-coeff", "coeff-800-digits"])
+    # no number here has more than 91 digits, but the RREF rows of the two
+    # functionals at 0, scaled to integers, have more than 100
+    (["chern", "--spec"], json.dumps({"kind": "conditions", "points": [{"c": 0, "functionals": [
+        [{"order": 0, "coeff": str(10 ** 90 + 7)}, {"order": 1, "coeff": 1}, {"order": 2, "coeff": 1}],
+        [{"order": 0, "coeff": 1}, {"order": 1, "coeff": str(3 ** 180 + 1)}, {"order": 2, "coeff": 1}]]}]}),
+     "{path}: conditions at point 0 row-reduce to a coefficient above the limit of 100 digits"),
+], ids=["huge-weight", "weight-100", "gap-5000", "two-point-66", "exponent-coeff", "coeff-800-digits",
+        "rref-above-limit"])
 def test_runaway_input_exits_2_at_parse(capsys, tmp_path, argv, doc, message):
     if doc is not None:
         path = tmp_path / "runaway.json"

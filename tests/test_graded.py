@@ -615,6 +615,12 @@ def test_offered_rows_are_pinned():
         pins.OFFERED_ROWS, pins.OFFERED_ROWS_SHA256, pins.OFFERED_ROWS_SORTED_SHA256)
 
 
+def test_build_counts_are_pinned():
+    # each cache still hits: a tower, a column table or a principal part
+    # built twice in one pass moves these counts
+    assert pins.build_counts() == pins.BUILD_COUNTS
+
+
 def test_every_row_offered_is_an_int_row(monkeypatch):
     # RowReducer.add_row takes {column: int} and checks nothing: every row
     # the towers build (t^s rows, P_w rows, rows carried from a point other

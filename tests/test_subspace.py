@@ -4,6 +4,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from lmtool.subspace import (
     SubspaceSpec,
     parse_spec,
 )
+import pins
 from reference import frac, functional_sympy, in_subspace_sympy, parse_poly, poly_to_sympy
 
 X = sympy.Symbol("x")
@@ -194,6 +196,36 @@ def test_parse_refuses_a_name_that_is_not_printable():
         with pytest.raises(SpecError, match="must be printable"):
             parse_spec({"kind": "monomial", "name": name, "gaps": [1]})
     assert parse_spec({"kind": "monomial", "name": "Spitze ü", "gaps": [1]}).name == "Spitze ü"
+
+
+def test_every_spec_refuses_a_name_that_could_forge_a_line():
+    # a spec built in Python passes through SubspaceSpec.__init__ as a
+    # parsed one does, so neither can print a stray line in a report
+    fn = Functional(Fraction(0), ((1, Fraction(1)),))
+    builds = {
+        "from_gaps": lambda name: SubspaceSpec.from_gaps(name, [1]),
+        "SubspaceSpec": lambda name: SubspaceSpec(name, [fn]),
+        "parse_spec": lambda name: parse_spec({"kind": "monomial", "name": name, "gaps": [1]}),
+    }
+    for what, build in builds.items():
+        with pytest.raises(SpecError, match=r"^spec 'name' must be printable, got 'a\\nk,dim_A'$"):
+            build("a\nk,dim_A")
+        with pytest.raises(SpecError, match=r"^spec 'name' must be a string$"):
+            build(123)
+        assert build("Spitze ü").name == "Spitze ü", what
+
+
+def test_digit_rows_are_the_scaled_normalised_functionals():
+    # each normalised functional, in order, scaled by the lcm of its
+    # denominators, its order-o coefficient times o!: the rows a tower reads
+    for spec in pins.pinned_specs():
+        want: dict = {}
+        for fn in spec.functionals:
+            scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
+            want.setdefault(fn.point, []).append(
+                tuple((o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms))
+        assert spec.digit_rows == {c: tuple(rows) for c, rows in want.items()}, spec.name
+        assert all(type(v) is int for rows in spec.digit_rows.values() for row in rows for _, v in row)
 
 
 def test_equality_ignores_presentation():
