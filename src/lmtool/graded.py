@@ -94,16 +94,17 @@ x-exponent of its symbol.  Every symbol is therefore divisible by x^deg(g)
 exactly when every free column in [lo, hi) has x-exponent >= deg(g), and
 no basis, symbol or RREF is built.
 
-So the cache keeps, per tower, only the weight, deg g, kmax and the
+So the cache keeps, per tower, only its column table, deg g, kmax and the
 sorted pivot columns; the echelon rows go once the build is done.  Every
 tower of one weight reads a prefix of the same columns, so these live in
-one table per weight (``_Columns``): the (a, b) and the x-exponent of each
-column, the column of (x - c0)^a d^b for each b, and the column count of
-every degree K.  It grows by degree bands when a build asks for a larger
-K, and a tower keeps references to its x-exponents and counts, which only
-ever grow.  dim(k) is the column count at level k less the pivots below
-it.  The cache also keeps a source's principal parts at each root of its
-conductor, and ``clear_cache`` drops towers, tables and parts together.
+one table per weight (``_Columns``): the (a, b) of each column, the column
+of (x - c0)^a d^b for each b, and the column count of every degree K.  It
+grows by degree bands when a build asks for a larger K, and its lists only
+ever grow, so a tower keeps a reference to it.  dim(k) is the column count
+at level k less the pivots below it, and the (a, b) of the free columns are
+the tower's leading monomials x^a xi^b.  The cache also keeps a source's
+principal parts at each root of its conductor, and ``clear_cache`` drops
+towers, tables and parts together.
 ``hom_piece``, the reference reading that needs the canonical nullspace,
 builds and reduces the rows of its level afresh on each call, and
 ``gr_symbol_space`` reads the top symbols of its basis.
@@ -132,7 +133,7 @@ from math import comb, lcm, perm
 
 from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
-from .weyl import Weight, WeylEl, dim_A, monomial_basis
+from .weyl import Weight, WeylEl, monomial_basis
 
 
 _principal_part_cache: dict[tuple[SubspaceSpec, Fraction], list[dict[int, int]]] = {}
@@ -165,14 +166,13 @@ class _Columns:
     """The columns of every tower of one weight: the monomials (a, b) of A
     in ``monomial_basis`` order, of which a tower at degree K reads the
     prefix of degree <= K.  It grows by degree bands, and its lists are
-    only ever appended to, so a tower may keep references to them."""
+    only ever appended to, so a tower may keep a reference to it."""
 
-    __slots__ = ("weight", "cols", "xexp", "index", "counts")
+    __slots__ = ("weight", "cols", "index", "counts")
 
     def __init__(self, weight: Weight):
         self.weight = weight
         self.cols: list[tuple[int, int]] = []  # the (a, b) of each column
-        self.xexp: list[int] = []  # the a of each column
         self.index: list[list[int]] = []  # index[b][a] is the column of (x - c0)^a d^b
         self.counts = [0]  # counts[K + 1] is dim A_K, the number of columns of degree <= K
 
@@ -189,7 +189,6 @@ class _Columns:
                 self.index.append([])
             self.index[b].append(i)
         self.cols += band
-        self.xexp += [a for a, _ in band]
         per_degree = Counter(self.weight.degree(a, b) for a, b in band)
         for K in range(lo, top + 1):
             self.counts.append(self.counts[-1] + per_degree[K])
@@ -367,25 +366,22 @@ class _Rows:
 class _Tower:
     """What the engine reads of one reduced system.  Every filtered piece up
     to kmax is a column prefix of it, and both queries need only its pivot
-    columns and the x-exponents of its columns (see the module docstring).
-    It holds its weight, deg g, kmax and pivots; ``xexp`` and ``_ncols`` are
-    the lists of its weight's column table, which reach kmax's degree
-    K = kmax + w1*deg(g) at least and are not copied."""
+    columns and the monomials of its columns (see the module docstring).
+    It holds deg g, kmax, its pivots and ``columns``, its weight's column
+    table, which reaches kmax's degree K = kmax + w1*deg(g) at least."""
 
-    __slots__ = ("weight", "gdeg", "kmax", "xexp", "pivots", "pivot_set", "_ncols")
+    __slots__ = ("columns", "gdeg", "kmax", "pivots", "pivot_set")
 
     def __init__(self, columns: _Columns, gdeg: int, kmax: int, pivots: Sequence[int]):
-        self.weight = columns.weight
+        self.columns = columns
         self.gdeg = gdeg
         self.kmax = kmax
-        self.xexp = columns.xexp
         self.pivots = tuple(pivots)
         self.pivot_set = frozenset(self.pivots)
-        self._ncols = columns.counts  # _ncols[K + 1] is dim A_K
 
     def ncols_at(self, k: int) -> int:
         """The column count at level k: dim A_K, K = k + w1*deg(g), and 0 for K < 0."""
-        return self._ncols[max(k + self.weight.w1 * self.gdeg + 1, 0)]
+        return self.columns.counts[max(k + self.columns.weight.w1 * self.gdeg + 1, 0)]
 
     def dim(self, k: int) -> int:
         n = self.ncols_at(k)
@@ -396,7 +392,7 @@ class _Tower:
         level k divisible by x^deg(g)?  Only the pivot columns are read, see
         the module docstring."""
         return all(
-            self.xexp[j] >= self.gdeg
+            self.columns.cols[j][0] >= self.gdeg
             for j in range(self.ncols_at(k - 1), self.ncols_at(k))
             if j not in self.pivot_set
         )
@@ -451,12 +447,11 @@ def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> t
                for i, c in vec.items()
                for a, b in [rows.cols[i]]
                for j, cj in powers[a])
-        for vec in rows.reducer.nullspace(dim_A(weight, k + weight.w1 * rows.g.degree())))
+        for vec in rows.reducer.nullspace(rows.columns.counts[max(k + weight.w1 * rows.g.degree() + 1, 0)]))
 
 
 def module_dims(spec: SubspaceSpec, weight: Weight, kmax: int) -> list[int]:
-    tower = _tower_for(_TRIVIAL, spec, weight, max(kmax, 0))
-    return [tower.dim(k) for k in range(kmax + 1)]
+    return hom_dims(_TRIVIAL, spec, weight, kmax)
 
 
 def hom_dims(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int, kmin: int = 0) -> list[int]:

@@ -125,10 +125,16 @@ def _p_sequence(spec: SubspaceSpec, weight: Weight, kmax: int, dims: Sequence[in
     return p
 
 
-def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Report:
-    """p_D = lim dim A_k - dim End_k."""
+def _check_kmax(kmax: int) -> None:
+    """Every verb of ``lmtool.__all__`` refuses a kmax below 4 before it reads
+    a sequence, as the CLI refuses --kmax below 4."""
     if kmax < 4:
         raise ValueError("kmax must be >= 4")
+
+
+def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Report:
+    """p_D = lim dim A_k - dim End_k."""
+    _check_kmax(kmax)
     dims = tuple(hom_dims(spec, spec, weight, kmax))
     p = _p_sequence(spec, weight, kmax, dims)
     return Report(
@@ -140,6 +146,7 @@ def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Re
 def chern_number(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """Second invariant n of the ideal of V: shift-normalized fit constant of
     its Hilbert sequence at weight (1,1), refused when negative (n >= 0)."""
+    _check_kmax(kmax)
     seq = hilbert_seq(spec, kmax)
     fit = fit_euler(seq)
     if fit.constant < 0:
@@ -154,6 +161,7 @@ def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> 
     """Relative invariant of Hom(M_1, M_2) and the verdict p_12 = n_1 + n_2.
     Each spec's warnings are prefixed with its name, and a line repeated
     (the same spec twice) is kept once."""
+    _check_kmax(kmax)
     seq = hilbert_seq((src, dst), kmax)
     fit = fit_euler(seq)
     n_1 = chern_number(src, kmax).n
@@ -168,6 +176,7 @@ def relative_invariant(src: SubspaceSpec, dst: SubspaceSpec, kmax: int = 12) -> 
 
 def dual_check(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """Fit Hom(M, A) and compare its constant with n."""
+    _check_kmax(kmax)
     seq = hilbert_seq((spec, SubspaceSpec.trivial()), kmax)
     fit = fit_euler(seq)
     n = chern_number(spec, kmax).n
@@ -251,6 +260,7 @@ def verify_lm_chern(spec: SubspaceSpec, kmax: int = 12) -> Report:
     """The headline check: p_D = 2n at weight (1,1), with the End-sequence fit
     cross-checked to have shift 0 and constant p_D.  The End sequence is read
     first: its build also caches the module tower that chern_number reads."""
+    _check_kmax(kmax)
     end = hilbert_seq((spec, spec), kmax)
     ch = chern_number(spec, kmax)
     p = _p_sequence(spec, W11, kmax, end.values)
@@ -272,6 +282,7 @@ def full_report(
     """Full verification: headline identity, dual fit, weight independence
     (at (1,1), where p_D is read, first if ``weights`` lacks it), graded
     inclusion at every level, and the telescoping identity."""
+    _check_kmax(kmax)
     weights = weights if W11 in weights else (W11, *weights)
     base = verify_lm_chern(spec, kmax)
     dual = hilbert_seq((spec, SubspaceSpec.trivial()), kmax)

@@ -203,7 +203,7 @@ class SubspaceSpec(Record):
 
     @property
     def points(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({fn.point for fn in self.functionals}))
+        return tuple(sorted(self.top_orders))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubspaceSpec) and self.functionals == other.functionals

@@ -71,8 +71,6 @@ class WeylEl(Terms):
 def dim_A(weight: Weight, k: int) -> int:
     """Dimension of the filtered piece A_k(w): lattice points with
     a*w1 + b*w2 <= k.  For weight (1,1) this is (k+1)(k+2)/2."""
-    if k < 0:
-        return 0
     return sum((k - b * weight.w2) // weight.w1 + 1 for b in range(k // weight.w2 + 1))
 
 

@@ -1,4 +1,4 @@
-"""Every output and tower pin of lmtool, and one check for each.
+"""Every output and tower pin of lmtool, the import guard, and one check for each.
 
 The arithmetic is exact and the RREF is canonical, so a change to how rows
 are built or reduced, or to how reports are rendered, must keep these bytes.
@@ -306,6 +306,16 @@ def build_counts() -> dict[str, tuple[int, int]]:
     return out
 
 
+# -- start-up ------------------------------------------------------------------
+
+# Every CLI run pays lmtool's imports, and dataclasses (which loads inspect)
+# and typing cost milliseconds of each.  Run as `python -S -c IMPORT_GUARD`,
+# with site-packages hidden, only lmtool could load them; it exits 0 and
+# prints nothing when lmtool.cli loads none of the three.
+IMPORT_GUARD = ("import lmtool.cli, sys; loaded = {'dataclasses', 'inspect', 'typing'} & set(sys.modules); "
+                "sys.exit(f'lmtool.cli loads {sorted(loaded)}' if loaded else 0)")
+
+
 # -- the script ----------------------------------------------------------------
 
 
@@ -329,6 +339,9 @@ def main() -> int:
     for name, want in BUILD_COUNTS.items():
         check(f"BUILD_COUNTS {name}: towers built, poly_divmod calls", counted.get(name), want)
     env = dict(os.environ, PYTHONPATH=str(Path(lmtool.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD], capture_output=True, text=True, env=env)
+    check("IMPORT_GUARD: lmtool.cli loads neither dataclasses, inspect nor typing",
+          (proc.returncode, proc.stderr), (0, ""))
     with tempfile.TemporaryDirectory() as cwd:
         write_spec_docs(Path(cwd))
         for argv, want in CLI_CASES.items():

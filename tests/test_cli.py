@@ -373,16 +373,11 @@ def test_package_imports_only_stdlib():
     assert outside and not any(outside.values()), outside
 
 
-# the catalog-digest CI job runs the same line on each Python it tests
-IMPORT_GUARD = ("import lmtool.cli, sys; loaded = {'dataclasses', 'inspect', 'typing'} & set(sys.modules); "
-                "sys.exit(f'lmtool.cli loads {sorted(loaded)}' if loaded else 0)")
-
-
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     """Every run of the CLI pays its imports: with site-packages hidden,
     nothing but lmtool could load these modules, and lmtool does not."""
     env = dict(os.environ, PYTHONPATH=str(Path(lmtool.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD],
+    proc = subprocess.run([sys.executable, "-S", "-c", pins.IMPORT_GUARD],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
 

@@ -38,7 +38,7 @@ from lmtool.graded import (
     hom_piece,
     module_dims,
 )
-from lmtool.invariants import DEFAULT_WEIGHTS
+from lmtool.invariants import DEFAULT_WEIGHTS, chern_number
 from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import Functional, SubspaceSpec, parse_spec
 from lmtool.weyl import Weight, WeylEl, dim_A, monomial_basis
@@ -807,12 +807,11 @@ def test_results_survive_cache_clears():
 # ---------------------------------------------------------------------------
 
 def assert_table_reads_as_monomial_basis(weight: Weight, top: int) -> None:
-    # the table's columns, x-exponents, column index and counts up to top,
-    # each against monomial_basis and dim_A
+    # the table's columns, column index and counts up to top, each against
+    # monomial_basis and dim_A
     table = graded._column_tables[weight]
     cols = list(monomial_basis(weight, top))
     assert table.cols[:len(cols)] == cols
-    assert table.xexp[:len(cols)] == [a for a, _ in cols]
     assert all(table.index[b][a] == j for j, (a, b) in enumerate(cols))
     assert table.counts[:top + 2] == [dim_A(weight, K) for K in range(-1, top + 1)]
 
@@ -885,6 +884,54 @@ def test_clear_cache_empties_the_tables(monkeypatch):
     assert not graded._column_tables and not graded._principal_part_cache and not graded._tower_cache
     hom_dims(mixed, mixed, W11, 8)
     assert len(divisions) == 2 * once
+
+
+# ---------------------------------------------------------------------------
+# the staircase: a tower's free columns are its leading monomials
+# ---------------------------------------------------------------------------
+
+# every gap set with largest gap at most 6, 0 allowed as a gap
+GAP_SETS_0_6 = [tuple(g for g in range(7) if mask >> g & 1) for mask in range(1, 128)]
+
+
+def wilson_partition(gaps: tuple[int, ...]) -> list[int]:
+    """lambda_i = gamma_(r+1-i) - (r - i) for the gaps gamma_1 < ... < gamma_r,
+    largest part first (Wilson, Invent. Math. 1998)."""
+    r = len(gaps)
+    return [g - (r - 1 - i) for i, g in enumerate(sorted(gaps, reverse=True))]
+
+
+def conjugate(parts: list[int]) -> list[int]:
+    return [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]
+
+
+def staircase(tower, k: int) -> set[tuple[int, int]]:
+    """The (a, b) of the free columns of tower up to level k, read from its
+    column table and its pivots."""
+    cols = tower.columns.cols
+    return {cols[j] for j in range(tower.ncols_at(k)) if j not in tower.pivot_set}
+
+
+def outside_diagram(shift: int, parts: list[int], top: int) -> set[tuple[int, int]]:
+    """The x^a xi^b of degree <= top in x^shift times the monomial ideal
+    whose complement is the diagram of parts, row b holding parts[b] boxes."""
+    return {(a, b) for a, b in monomial_basis(W11, top) if a - shift >= (parts[b] if b < len(parts) else 0)}
+
+
+def test_gap_set_staircases_are_wilsons_partition():
+    # the module's leading monomials are x^r J_lambda, r the number of gaps,
+    # the dual's x^(deg g - r) J_(lambda^T), and |lambda| is n: read from the
+    # cached pivots, with no basis and no new reduction
+    for gaps in GAP_SETS_0_6:
+        spec = SubspaceSpec.from_gaps(None, gaps)
+        r, deg_g = len(gaps), gaps[-1] + 1
+        level = 2 * deg_g + 4
+        parts = wilson_partition(gaps)
+        module = _tower_for(TRIVIAL, spec, W11, level)
+        assert staircase(module, level) == outside_diagram(r, parts, level), gaps
+        dual = _tower_for(spec, TRIVIAL, W11, level)
+        assert staircase(dual, level) == outside_diagram(deg_g - r, conjugate(parts), level + deg_g), gaps
+        assert sum(parts) == chern_number(spec, 2 * deg_g + 6).n, gaps
 
 
 # ---------------------------------------------------------------------------

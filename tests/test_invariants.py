@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lmtool
 from lmtool import invariants
 from lmtool.catalog import catalog, catalog_get
 from lmtool.cli import report_csv, report_fields, report_text
@@ -131,6 +132,28 @@ def test_lm_cusp_lopsided_weight():
 def test_lm_requires_kmax_at_least_4():
     with pytest.raises(ValueError):
         lm_invariant(catalog_get("cusp"), W11, 3)
+
+
+# the verbs of lmtool.__all__, each called as verb(spec, kmax=kmax)
+VERBS_AT_KMAX = {
+    "chern_number": chern_number,
+    "dual_check": dual_check,
+    "full_report": full_report,
+    "lm_invariant": lm_invariant,
+    "relative_invariant": lambda spec, kmax: relative_invariant(spec, spec, kmax),
+    "verify_lm_chern": verify_lm_chern,
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS_AT_KMAX))
+def test_every_verb_refuses_kmax_below_4_alike(verb):
+    # each verb of lmtool.__all__ refuses as lm_invariant does, not with a
+    # fit that has too few values; at kmax 4 none of them refuses
+    assert verb in lmtool.__all__
+    for kmax in (3, 0, -1):
+        with pytest.raises(ValueError, match=r"^kmax must be >= 4$"):
+            VERBS_AT_KMAX[verb](catalog_get("cusp"), kmax=kmax)
+    VERBS_AT_KMAX[verb](catalog_get("trivial"), kmax=4)
 
 
 # -- chern_number ----------------------------------------------------------------------
