@@ -13,13 +13,14 @@ error, 3 a sequence did not stabilize (raise --kmax), 4 an exception inside
 the computation, which is a fault in lmtool, not in the input (reported in
 one line, without a traceback).  Exit 3 is the one stop error of the
 verbs, invariants.NotStabilizedError, which a negative fit constant raises
-too, since n >= 0 for every V.  A --kmax above KMAX_LIMIT, a weight
-component above WEIGHT_LIMIT and a spec file whose conductor degree is above
-subspace.CONDUCTOR_DEGREE_LIMIT are usage errors.  A --spec token that
-names a built-in spec means that spec even if a file of the same name
-exists; ./NAME reaches the file.  Reports go to stdout (or --out);
-diagnostics go to stderr.  Output is deterministic: timing appears only
-under --timing.
+too, since n >= 0 for every V.  A --kmax above invariants.KMAX_LIMIT, a
+weight component above weyl.WEIGHT_LIMIT and a spec file whose conductor
+degree is above subspace.CONDUCTOR_DEGREE_LIMIT are usage errors; each
+bound is the library's own, which the verbs, Weight and SubspaceSpec keep.
+A --spec token that names a built-in spec means that spec even if a file of
+the same name exists; ./NAME reaches the file.  Reports go to stdout (or
+--out); diagnostics go to stderr.  Output is deterministic: timing appears
+only under --timing.
 
 This module alone knows the output format.  The verbs return frozen
 Reports; report_fields turns one into the ordered field table that JSON,
@@ -37,8 +38,10 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from .catalog import catalog, catalog_get, catalog_names
+from .graded import column_counts
 from .invariants import (
     DEFAULT_WEIGHTS,
+    KMAX_LIMIT,
     W11,
     NotStabilizedError,
     Report,
@@ -51,11 +54,9 @@ from .invariants import (
 )
 from .linalg import rat_to_str
 from .subspace import SpecError, SubspaceSpec, parse_spec
-from .weyl import Weight, dim_A
+from .weyl import Weight
 
 _VERBS = ("invariant", "chern", "relative", "dual", "verify", "catalog")
-KMAX_LIMIT = 200  # cost grows steeply with kmax; larger values are refused
-WEIGHT_LIMIT = 64  # the column count grows with max(w1, w2); larger components are refused
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -90,9 +91,6 @@ def _parse_weights(raw: str) -> tuple[Weight, ...]:
     if not parts:
         raise ValueError("empty weight list")
     weights = tuple(Weight.parse(p) for p in parts)
-    for w in weights:
-        if max(w.w1, w.w2) > WEIGHT_LIMIT:
-            raise ValueError(f"weight components must be at most {WEIGHT_LIMIT}, got '{w.w1},{w.w2}'")
     if len(set(weights)) < len(weights):
         raise ValueError("repeated weight in weight list")
     return weights
@@ -152,7 +150,7 @@ def report_csv(fields: dict) -> str:
     column per weight instead of p_k, quoted because the name has a comma.
     """
     kmax = fields["kmax"]
-    dims_A = [dim_A(Weight(*fields["weight"]), k) for k in range(kmax + 1)]
+    dims_A = column_counts(Weight(*fields["weight"]), kmax)
     present = [key for key in HILBERT_FIELDS if key in fields]
     shown = [key for key in present if key in HILBERT_FIELDS[:2]] or present
     cols = [("dim_A", dims_A)] + [("dim_" + key.removeprefix("hilbert_"), fields[key]) for key in shown]

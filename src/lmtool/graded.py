@@ -97,14 +97,14 @@ no basis, symbol or RREF is built.
 So the cache keeps, per tower, only its column table, deg g, kmax and the
 sorted pivot columns; the echelon rows go once the build is done.  Every
 tower of one weight reads a prefix of the same columns, so these live in
-one table per weight (``_Columns``): the (a, b) of each column, the column
-of (x - c0)^a d^b for each b, and the column count of every degree K.  It
-grows by degree bands when a build asks for a larger K, and its lists only
-ever grow, so a tower keeps a reference to it.  dim(k) is the column count
-at level k less the pivots below it, and the (a, b) of the free columns are
-the tower's leading monomials x^a xi^b.  The cache also keeps a source's
-principal parts at each root of its conductor, and ``clear_cache`` drops
-towers, tables and parts together.
+one table per weight (``_Columns``), the one owner of A_K's shape: the
+(a, b) of each column, the column of (x - c0)^a d^b for each b, and dim A_K
+for every degree K.  It grows by degree bands when a build asks for a
+larger K, and its lists only ever grow, so towers and linear systems keep a
+reference to it.  dim(k) is the column count at level k less the pivots
+below it, and the (a, b) of the free columns are the tower's leading
+monomials x^a xi^b.  The cache also keeps a source's principal parts at
+each root of its conductor; ``clear_cache`` drops towers, tables and parts.
 ``hom_piece``, the reference reading that needs the canonical nullspace,
 builds and reduces the rows of its level afresh on each call, and
 ``gr_symbol_space`` reads the top symbols of its basis.
@@ -176,6 +176,10 @@ class _Columns:
         self.index: list[list[int]] = []  # index[b][a] is the column of (x - c0)^a d^b
         self.counts = [0]  # counts[K + 1] is dim A_K, the number of columns of degree <= K
 
+    def ncols(self, K: int) -> int:
+        """dim A_K, the number of columns of degree <= K, and 0 for K < 0."""
+        return self.counts[max(K + 1, 0)]
+
     def grow(self, top: int) -> None:
         """Append the columns of degrees up to top that are not in yet.
         Within a band the columns of each b come by rising a, and a new b
@@ -213,34 +217,30 @@ def column_counts(weight: Weight, kmax: int) -> list[int]:
 
 class _Rows:
     """The linear system of one (source, target, weight) up to kmax: its
-    columns (x - c0)^a d^b, the first ``ncols`` of the weight's column
-    table, and one ``RowReducer`` holding its rows, built point by point
-    from Laurent jets, each point's rows reduced in its own columns and
-    carried to c0 (see the module docstring), and ``module_pivots``, the
-    pivots its t^s rows reach before any principal-part row.  The cached
-    ``_Tower``s keep only pivots; ``hom_piece`` reads the reducer."""
+    columns (x - c0)^a d^b, the weight's column table up to degree ``top``
+    = kmax + w1*deg(g), ``col_of[b]`` those of d-order b; one ``RowReducer``
+    holding its rows, built point by point from Laurent jets, each point's
+    rows reduced in its own columns and carried to c0 (see the module
+    docstring); and ``module_pivots``, the pivots its t^s rows reach before
+    any principal-part row.  The cached ``_Tower``s keep only its pivots."""
 
-    __slots__ = ("src", "dst", "weight", "g", "c0", "columns", "cols", "col_of", "a_end", "ncols",
-                 "reducer", "module_pivots")
+    __slots__ = ("src", "dst", "c0", "top", "columns", "col_of", "reducer", "module_pivots")
 
     def __init__(self, src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, kmax: int):
         self.src = src
         self.dst = dst
-        self.weight = weight
-        self.g = src.conductor
         self.c0 = min(src.points + dst.points, default=Fraction(0))
-        k_u = kmax + weight.w1 * self.g.degree()
-        self.columns = _columns(weight, k_u)
-        self.cols, self.col_of = self.columns.cols, self.columns.index  # read up to ncols and a_end
-        self.ncols = self.columns.counts[k_u + 1]
-        # the column of (x - c0)^a d^b is col_of[b][a], in this system for a < a_end[b]
-        self.a_end = [(k_u - b * weight.w2) // weight.w1 + 1 for b in range(k_u // weight.w2 + 1)]
-        self.reducer = RowReducer(self.ncols)
-        self._add_rows(k_u)
+        self.top = top = kmax + weight.w1 * src.conductor.degree()
+        self.columns = _columns(weight, top)
+        ncols = self.columns.ncols(top)
+        # col_of[b][a] is the column of (x - c0)^a d^b, for each b and a of degree <= top
+        self.col_of = [col[:bisect_left(col, ncols)] for col in self.columns.index[:top // weight.w2 + 1]]
+        self.reducer = RowReducer(ncols)
+        self._add_rows()
 
     # rows ---------------------------------------------------------------------
 
-    def _add_rows(self, k_u: int) -> None:
+    def _add_rows(self) -> None:
         """Two rounds.  First, at each point c of dst, the rows of
         F = (x-c)^s for s <= d + b_max, d the top order of a dst functional
         at c; the pivots they reach are kept as ``module_pivots``.  Then, at
@@ -251,13 +251,13 @@ class _Rows:
         at any other point to a reducer of that point, in the columns
         (x - c)^a d^b, whose kept rows of each round are then carried to the
         tower's (``_carried``)."""
-        b_max = k_u // self.weight.w2
+        b_max = len(self.col_of) - 1
         src_order, dst_order, reads = self.src.top_orders, self.dst.top_orders, self.dst.digit_rows
         local: dict[Fraction, RowReducer] = {}  # the reducers round two adds to
         for c, d in sorted(dst_order.items()):
             reducer = self._reducer_at(c)
             for s in range(d + b_max + 1):
-                self._add_jet_rows(reducer, {s: 1}, d, reads[c], k_u)
+                self._add_jet_rows(reducer, {s: 1}, d, reads[c])
             self._carry(c, reducer, 0)
             if c in src_order:
                 local[c] = reducer
@@ -266,7 +266,7 @@ class _Rows:
             reducer = local.pop(c) if c in local else self._reducer_at(c)
             kept = reducer.rank
             for jet in _principal_parts(self.src, c):
-                self._add_jet_rows(reducer, jet, dst_order.get(c, -1), reads.get(c, ()), k_u)
+                self._add_jet_rows(reducer, jet, dst_order.get(c, -1), reads.get(c, ()))
             self._carry(c, reducer, kept)
 
     def _reducer_at(self, c: Fraction) -> RowReducer:
@@ -274,7 +274,7 @@ class _Rows:
         A tower calls the name ``RowReducer`` once, for its own reducer, so
         whatever replaces that name (to record rows, or to count towers
         built) sees every reducer of the tower and counts the tower once."""
-        return self.reducer if c == self.c0 else type(self.reducer)(self.ncols)
+        return self.reducer if c == self.c0 else type(self.reducer)(self.reducer.ncols)
 
     def _carry(self, c: Fraction, reducer: RowReducer, start: int) -> None:
         """Offer the tower's reducer the rows ``reducer`` kept at c from
@@ -292,22 +292,23 @@ class _Rows:
         Column (a, b) with a >= i is (i, b) or a later one, so each row
         keeps its leading column."""
         p, q = offset.numerator, offset.denominator
-        a_top = self.a_end[0] - 1
+        cols, col_of = self.columns.cols, self.col_of
+        a_top = len(col_of[0]) - 1
         power = [p ** n * q ** (a_top - n) for n in range(a_top + 1)]
         factors: dict[int, list[int]] = {}  # i -> [C(a, i) p^(a-i) q^(a_top-a+i) for a >= i]
         for row in rows:
             carried: dict[int, int] = {}
             for idx, v in row.items():
-                i, b = self.cols[idx]
+                i, b = cols[idx]
                 f = factors.get(i)
                 if f is None:
                     f = factors[i] = [comb(a, i) * power[a - i] for a in range(i, a_top + 1)]
-                for j, x in zip(self.col_of[b][i:self.a_end[b]], f):
+                for j, x in zip(col_of[b][i:], f):
                     carried[j] = carried.get(j, 0) + x * v
             yield carried
 
     def _add_jet_rows(self, reducer: RowReducer, jet: dict[int, int], d: int,
-                      reads: Sequence[Sequence[tuple[int, int]]], k_u: int) -> None:
+                      reads: Sequence[Sequence[tuple[int, int]]]) -> None:
         """Offer ``reducer`` the rows for one F given by its Laurent jet at
         a point c, t = x - c, in the columns (x - c)^a d^b: F is either t^s
         or a principal part P_w, given as ``{exponent: value}`` of its
@@ -334,7 +335,7 @@ class _Rows:
         written as ``{column: value}`` of its nonzero entries, the one row
         format ``RowReducer`` takes.
         """
-        b_max = k_u // self.weight.w2
+        b_max = len(self.col_of) - 1
         # poles[i] is the row of t^-(i+1); F has a pole of order depth if it is positive
         depth = -min(jet)
         poles: list[dict[int, int]] = [{} for _ in range(depth + b_max if depth > 0 else 0)]
@@ -347,8 +348,8 @@ class _Rows:
             else:
                 b_end = b_max
                 y *= (-1) ** b0 * perm(b0 - e - 1, b0)
-            for b in range(b0, b_end + 1):
-                col, a_end, low = self.col_of[b], self.a_end[b], e - b  # d^b (y t^e) is y t^low
+            for b, col in enumerate(self.col_of[b0:b_end + 1], b0):
+                low, a_end = e - b, len(col)  # d^b (y t^e) is y t^low
                 for a in range(min(-low, a_end)):  # no other term of F reaches t^(low + a) here
                     poles[-low - a - 1][col[a]] = y
                 for row, terms in zip(values, reads):
@@ -368,7 +369,7 @@ class _Tower:
     to kmax is a column prefix of it, and both queries need only its pivot
     columns and the monomials of its columns (see the module docstring).
     It holds deg g, kmax, its pivots and ``columns``, its weight's column
-    table, which reaches kmax's degree K = kmax + w1*deg(g) at least."""
+    table, grown to degree kmax + w1*deg(g) at least, which gives each count."""
 
     __slots__ = ("columns", "gdeg", "kmax", "pivots", "pivot_set")
 
@@ -380,8 +381,8 @@ class _Tower:
         self.pivot_set = frozenset(self.pivots)
 
     def ncols_at(self, k: int) -> int:
-        """The column count at level k: dim A_K, K = k + w1*deg(g), and 0 for K < 0."""
-        return self.columns.counts[max(k + self.columns.weight.w1 * self.gdeg + 1, 0)]
+        """The column count at level k: ncols(K), K = k + w1*deg(g)."""
+        return self.columns.ncols(k + self.columns.weight.w1 * self.gdeg)
 
     def dim(self, k: int) -> int:
         n = self.ncols_at(k)
@@ -415,12 +416,10 @@ def _tower_for(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> 
     tower = _tower_cache.get(key)
     if tower is None or tower.kmax < k:
         rows = _Rows(src, dst, weight, k)
-        gdeg = rows.g.degree()
-        tower = _tower_cache[key] = _Tower(rows.columns, gdeg, k, rows.reducer.pivot_cols())
-        k_module = k + weight.w1 * gdeg
+        tower = _tower_cache[key] = _Tower(rows.columns, src.conductor.degree(), k, rows.reducer.pivot_cols())
         module = _tower_cache.get((_TRIVIAL, dst, weight))
-        if module is None or module.kmax < k_module:
-            _tower_cache[_TRIVIAL, dst, weight] = _Tower(rows.columns, 0, k_module, rows.module_pivots)
+        if module is None or module.kmax < rows.top:
+            _tower_cache[_TRIVIAL, dst, weight] = _Tower(rows.columns, 0, rows.top, rows.module_pivots)
     return tower
 
 
@@ -441,13 +440,13 @@ def hom_piece(src: SubspaceSpec, dst: SubspaceSpec, weight: Weight, k: int) -> t
     rows = _Rows(src, dst, weight, max(k, 0))
     minus_c0 = -rows.c0
     powers = [[(j, comb(a, j) * minus_c0 ** (a - j)) for j in range(a + 1) if minus_c0 or j == a]
-              for a in range(rows.a_end[0])]
+              for a in range(len(rows.col_of[0]))]
     return tuple(
         WeylEl(((j, b), c * cj)
                for i, c in vec.items()
-               for a, b in [rows.cols[i]]
+               for a, b in [rows.columns.cols[i]]
                for j, cj in powers[a])
-        for vec in rows.reducer.nullspace(rows.columns.counts[max(k + weight.w1 * rows.g.degree() + 1, 0)]))
+        for vec in rows.reducer.nullspace(rows.columns.ncols(rows.top + min(k, 0))))
 
 
 def module_dims(spec: SubspaceSpec, weight: Weight, kmax: int) -> list[int]:

@@ -42,6 +42,7 @@ W11 = Weight(1, 1)
 DEFAULT_WEIGHTS = (Weight(1, 1), Weight(1, 2), Weight(2, 1), Weight(2, 3))
 
 _STABLE_WINDOW = 5  # 2 anchors + 3 confirmations
+KMAX_LIMIT = 200  # cost grows steeply with kmax; larger values are refused
 
 
 class NotStabilizedError(RuntimeError):
@@ -126,10 +127,12 @@ def _p_sequence(spec: SubspaceSpec, weight: Weight, kmax: int, dims: Sequence[in
 
 
 def _check_kmax(kmax: int) -> None:
-    """Every verb of ``lmtool.__all__`` refuses a kmax below 4 before it reads
-    a sequence, as the CLI refuses --kmax below 4."""
+    """Every verb of ``lmtool.__all__`` refuses a kmax below 4 or above
+    KMAX_LIMIT before it reads a sequence, as the CLI refuses such a --kmax."""
     if kmax < 4:
         raise ValueError("kmax must be >= 4")
+    if kmax > KMAX_LIMIT:
+        raise ValueError(f"kmax must be <= {KMAX_LIMIT}")
 
 
 def lm_invariant(spec: SubspaceSpec, weight: Weight = W11, kmax: int = 12) -> Report:

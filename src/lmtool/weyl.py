@@ -24,9 +24,12 @@ from .linalg import Terms
 from .record import Record
 
 
+WEIGHT_LIMIT = 64  # the column count grows with max(w1, w2); larger components are refused
+
+
 class Weight(Record):
-    """Filtration weight (w1, w2); both components must be positive integers,
-    and a bool is not a number."""
+    """Filtration weight (w1, w2); both components must be integers from 1
+    to WEIGHT_LIMIT, and a bool is not a number."""
 
     __slots__ = ("w1", "w2")
 
@@ -35,6 +38,8 @@ class Weight(Record):
             raise ValueError("weights must be integers")
         if w1 < 1 or w2 < 1:
             raise ValueError("weights must be strictly positive")
+        if max(w1, w2) > WEIGHT_LIMIT:
+            raise ValueError(f"weight components must be at most {WEIGHT_LIMIT}, got '{w1},{w2}'")
         self._set(w1=w1, w2=w2)
 
     @staticmethod
@@ -66,12 +71,6 @@ class WeylEl(Terms):
         degree at most k: its terms of degree k (zero if there are none),
         each x^a d^b read as the symbol x^a xi^b."""
         return WeylEl({key: v for key, v in self._terms.items() if weight.degree(*key) == k})
-
-
-def dim_A(weight: Weight, k: int) -> int:
-    """Dimension of the filtered piece A_k(w): lattice points with
-    a*w1 + b*w2 <= k.  For weight (1,1) this is (k+1)(k+2)/2."""
-    return sum((k - b * weight.w2) // weight.w1 + 1 for b in range(k // weight.w2 + 1))
 
 
 def monomial_basis(weight: Weight, k: int, lo: int = 0) -> tuple[tuple[int, int], ...]:

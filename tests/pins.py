@@ -271,12 +271,18 @@ def offered_rows(towers: list[tuple]) -> tuple[int, str, str]:
 # bench/spans.py counts them: one tower per call of the name
 # graded.RowReducer, one division per call of graded.poly_divmod.  A cache
 # that stops hitting (towers, column tables, principal parts) moves them.
+# The End build of a spec at (1,1) serves its module read, so
+# catalog-verify builds End at four weights and dual (the trivial spec has
+# one tower at each weight), conditions-sweep End, and monomial-deep End at
+# four weights; with a module build of its own for each spec they were 40,
+# 30 and 25 towers.
 BUILD_COUNTS = {"catalog-verify": (34, 39), "conditions-sweep": (15, 126), "monomial-deep": (20, 25)}
 
 
 def build_counts() -> dict[str, tuple[int, int]]:
     """BUILD_COUNTS of this tree: `verify --kmax 20` through cli.run, then
-    each sweep's seed-1 batch through its check, each from an empty cache."""
+    each sweep's seed-1 batch through its check, each from an empty cache.
+    Raises RuntimeError if a pass reports a problem with its results."""
     counts: Counter = Counter()
     reducer, divmod_ = graded.RowReducer, graded.poly_divmod
 
@@ -289,9 +295,9 @@ def build_counts() -> dict[str, tuple[int, int]]:
         return divmod_(p, t)
 
     def sweep_pass(sweep):
-        return lambda: [sweep.check(spec) for spec in sweep.specs]
+        return lambda: [problem for spec in sweep.specs for problem in sweep.check(spec)]
 
-    passes = {"catalog-verify": workloads.run_catalog_in_process,
+    passes = {"catalog-verify": lambda: workloads.catalog_problems(*workloads.run_catalog_in_process()),
               **{name: sweep_pass(workloads.SWEEPS[name](1)) for name in ("conditions-sweep", "monomial-deep")}}
     out = {}
     graded.RowReducer, graded.poly_divmod = tower_reducer, counted_divmod
@@ -299,7 +305,9 @@ def build_counts() -> dict[str, tuple[int, int]]:
         for name, run in passes.items():
             graded.clear_cache()
             counts.clear()
-            run()
+            problems = run()
+            if problems:
+                raise RuntimeError(f"{name}: {problems}")
             out[name] = (counts["towers"], counts["divisions"])
     finally:
         graded.RowReducer, graded.poly_divmod = reducer, divmod_

@@ -3,10 +3,11 @@
 ``parse_poly`` and ``parse_weyl`` turn written literals such as
 "x^2 - 1/2*x + 3" or "x^2*d^2 + 4*x*d + 2" into package objects; the package
 itself only prints such sums, and never imports sympy.  ``wdegree`` is the
-weighted degree of a Weyl element.  ``in_subspace_sympy`` tests membership
-in a subspace spec by evaluating its functionals in sympy, and
-``low_basis_sympy`` is a basis of the part of a spec below its conductor's
-degree, from sympy's nullspace.
+weighted degree of a Weyl element, and ``dim_A`` the lattice count of
+dim A_k(w), which the package reads from its column table instead.
+``in_subspace_sympy`` tests membership in a subspace spec by evaluating its
+functionals in sympy, and ``low_basis_sympy`` is a basis of the part of a
+spec below its conductor's degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
 that uses the standard library alone, and ``top_gaps`` the gap set that a
 spec degenerates to when its points collide at 0.  ``int_row`` scales a
@@ -62,6 +63,12 @@ def parse_weyl(text: str) -> WeylEl:
 def wdegree(u: WeylEl, weight: Weight) -> int | None:
     """Weighted degree of u, or None (minus infinity) for zero."""
     return max((weight.degree(a, b) for (a, b), _ in u.items()), default=None)
+
+
+def dim_A(weight: Weight, k: int) -> int:
+    """Dimension of the filtered piece A_k(w): lattice points with
+    a*w1 + b*w2 <= k.  For weight (1,1) this is (k+1)(k+2)/2."""
+    return sum((k - b * weight.w2) // weight.w1 + 1 for b in range(k // weight.w2 + 1))
 
 
 def functional_sympy(fn: Functional, expr):

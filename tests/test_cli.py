@@ -622,7 +622,7 @@ def test_negative_chern_exits_3(capsys, monkeypatch):
 def test_engine_fault_exits_4(capsys, monkeypatch, argv):
     # a ValueError raised inside the computation is a fault in lmtool, not a
     # usage error: it must not print "lmtool: error:" and exit 2
-    def faulty(self, k_u):
+    def faulty(self):
         min([])
 
     graded.clear_cache()

@@ -41,9 +41,10 @@ from lmtool.graded import (
 from lmtool.invariants import DEFAULT_WEIGHTS, chern_number
 from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import Functional, SubspaceSpec, parse_spec
-from lmtool.weyl import Weight, WeylEl, dim_A, monomial_basis
+from lmtool.weyl import Weight, WeylEl, monomial_basis
 import pins
 from reference import (
+    dim_A,
     frac,
     gap_hom_dims,
     in_subspace_sympy,
@@ -531,7 +532,7 @@ def test_jet_rows_match_the_laurent_coefficients(case):
     weight, k_u, jet, d, reads = case
     rows = graded._Rows(TRIVIAL, TRIVIAL, weight, k_u)  # no points: columns only
     offered = []
-    rows._add_jet_rows(SimpleNamespace(add_row=offered.append), jet, d, reads, k_u)
+    rows._add_jet_rows(SimpleNamespace(add_row=offered.append), jet, d, reads)
     assert offered == jet_rows(jet, reads, monomial_basis(weight, k_u))
 
 
@@ -563,9 +564,9 @@ def test_carried_row_is_the_change_of_centre(case, offset):
     # does, up to a nonzero scale, and keep its leading column
     weight, top, row = case
     rows = graded._Rows(TRIVIAL, TRIVIAL, weight, top)  # no points: columns only
-    index = {m: j for j, m in enumerate(rows.cols)}
+    index = {m: j for j, m in enumerate(rows.columns.cols)}
     [carried] = rows._carried([{index[m]: v for m, v in row.items()}], offset)
-    carried = {rows.cols[j]: v for j, v in carried.items() if v}
+    carried = {rows.columns.cols[j]: v for j, v in carried.items() if v}
     want = recentred_row(row, offset, weight.w1, weight.w2, top)
     lead = min(row, key=index.get)
     assert min(carried, key=index.get) == min(want, key=index.get) == lead
@@ -617,7 +618,8 @@ def test_offered_rows_are_pinned():
 
 def test_build_counts_are_pinned():
     # each cache still hits: a tower, a column table or a principal part
-    # built twice in one pass moves these counts
+    # built twice in one pass moves these counts; a pass whose results are
+    # wrong raises
     assert pins.build_counts() == pins.BUILD_COUNTS
 
 
@@ -748,28 +750,6 @@ def test_module_after_end_builds_nothing(gaps, w, kmax):
         assert len(built) == 1
 
 
-def test_builds_per_benchmark_input(monkeypatch):
-    # the towers each benchmark workload builds at seed 1, from a cold
-    # cache: the End build of a spec at (1,1) serves its module read, so
-    # catalog-verify builds End at four weights and dual (the trivial spec
-    # has one tower at each weight), conditions-sweep End, and monomial-deep
-    # End at four weights; with a module build of its own for each spec
-    # they were 40, 30 and 25
-    workloads = pins.workloads
-    built = counted_builds(monkeypatch)
-    counts = {}
-    clear_cache()
-    code, _ = workloads.run_catalog_in_process()
-    assert code == 0
-    counts["catalog-verify"] = len(built)
-    for sweep in (workloads.ConditionsSweep(1), workloads.MonomialDeep(1)):
-        clear_cache()
-        built.clear()
-        assert not any(sweep.check(spec) for spec in sweep.specs)
-        counts[sweep.name] = len(built)
-    assert counts == {"catalog-verify": 34, "conditions-sweep": 15, "monomial-deep": 20}
-
-
 @given(condition_points(), condition_points(), st.sampled_from(DEFAULT_WEIGHTS))
 @settings(max_examples=20, deadline=None)
 def test_cached_tower_reads_like_its_reducer(points1, points2, weight):
@@ -789,7 +769,7 @@ def test_cached_tower_reads_like_its_reducer(points1, points2, weight):
             lo, hi = tower.ncols_at(k - 1), tower.ncols_at(k)
             assert tower.dim(k) == sum(j < hi for j in free), (src, dst, k)
             assert tower.gr_divisible(k) == all(
-                rows.cols[j][0] >= gdeg for j in free if lo <= j < hi), (src, dst, k)
+                rows.columns.cols[j][0] >= gdeg for j in free if lo <= j < hi), (src, dst, k)
 
 
 def test_results_survive_cache_clears():
@@ -842,6 +822,24 @@ def test_column_counts_are_dim_A(weight, tops):
     assert_table_reads_as_monomial_basis(weight, top)
     kmax = max(top, 0)
     assert graded.column_counts(weight, kmax) == [dim_A(weight, k) for k in range(kmax + 1)]
+
+
+@given(st.builds(Weight, st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9)),
+       st.integers(min_value=-1, max_value=40), st.integers(min_value=0, max_value=20))
+@settings(max_examples=60, deadline=None)
+def test_system_reads_its_columns_from_the_table(weight, top, grown):
+    # a system at top degree K, in a table grown to K or past it, reads for
+    # each d-order b <= K // w2 the columns of degree <= K: the first
+    # (K - b*w2) // w1 + 1 of the table's columns of b
+    clear_cache()
+    graded._columns(weight, top + grown)
+    rows = graded._Rows(TRIVIAL, TRIVIAL, weight, top)
+    assert rows.top == top
+    assert len(rows.col_of) == top // weight.w2 + 1
+    for b, col in enumerate(rows.col_of):
+        assert len(col) == (top - b * weight.w2) // weight.w1 + 1, b
+        assert col == rows.columns.index[b][:len(col)]
+    assert rows.reducer.ncols == rows.columns.ncols(top) == dim_A(weight, top)
 
 
 @pytest.mark.parametrize("weight", DEFAULT_WEIGHTS, ids=str)

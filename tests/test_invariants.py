@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmtool
-from lmtool import invariants
+from lmtool import graded, invariants
 from lmtool.catalog import catalog, catalog_get
 from lmtool.cli import report_csv, report_fields, report_text
 from lmtool.invariants import (
@@ -35,8 +35,8 @@ from lmtool.invariants import (
     weights_report,
 )
 from lmtool.subspace import Functional, SubspaceSpec
-from lmtool.weyl import Weight, dim_A
-from reference import gap_hom_dims
+from lmtool.weyl import Weight
+from reference import dim_A, gap_hom_dims
 
 
 def seq(values, label="test"):
@@ -129,11 +129,6 @@ def test_lm_cusp_lopsided_weight():
     assert lm_invariant(catalog_get("cusp"), Weight(30, 1), 40).p_D == 2
 
 
-def test_lm_requires_kmax_at_least_4():
-    with pytest.raises(ValueError):
-        lm_invariant(catalog_get("cusp"), W11, 3)
-
-
 # the verbs of lmtool.__all__, each called as verb(spec, kmax=kmax)
 VERBS_AT_KMAX = {
     "chern_number": chern_number,
@@ -154,6 +149,25 @@ def test_every_verb_refuses_kmax_below_4_alike(verb):
         with pytest.raises(ValueError, match=r"^kmax must be >= 4$"):
             VERBS_AT_KMAX[verb](catalog_get("cusp"), kmax=kmax)
     VERBS_AT_KMAX[verb](catalog_get("trivial"), kmax=4)
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS_AT_KMAX))
+def test_every_verb_refuses_kmax_above_the_limit_before_any_tower(verb):
+    # the CLI's bound is the library's own: one above it is refused before
+    # any tower is built, as the CLI refuses --kmax 201
+    assert invariants.KMAX_LIMIT == 200
+    graded.clear_cache()
+    with pytest.raises(ValueError, match=r"^kmax must be <= 200$"):
+        VERBS_AT_KMAX[verb](catalog_get("cusp"), kmax=201)
+    assert graded._tower_cache == {}
+
+
+def test_weight_above_the_limit_is_refused_before_any_tower():
+    # Weight(10**9, 1) once reached monomial_basis with 2*10**9 degrees
+    graded.clear_cache()
+    with pytest.raises(ValueError, match=r"^weight components must be at most 64, got '65,1'$"):
+        lm_invariant(catalog_get("cusp"), Weight(65, 1), 12)
+    assert graded._tower_cache == {}
 
 
 # -- chern_number ----------------------------------------------------------------------

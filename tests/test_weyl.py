@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lmtool.linalg import Poly
-from lmtool.weyl import Weight, WeylEl, dim_A, monomial_basis
-from reference import parse_weyl
+from lmtool.weyl import WEIGHT_LIMIT, Weight, WeylEl, monomial_basis
+from reference import dim_A, parse_weyl
 
 weights = st.builds(
     Weight,
@@ -48,6 +48,10 @@ def test_weight_validation():
         Weight(1, -2)
     for w in ((True, 2), (2, True), (False, 1), (True, 1)):  # a bool is not a number
         with pytest.raises(ValueError, match="weights must be integers"):
+            Weight(*w)
+    assert Weight(WEIGHT_LIMIT, WEIGHT_LIMIT).w1 == WEIGHT_LIMIT == 64
+    for w in ((65, 1), (1, 65), (10 ** 9, 1)):  # the CLI's text, now the weight's own
+        with pytest.raises(ValueError, match=rf"^weight components must be at most 64, got '{w[0]},{w[1]}'$"):
             Weight(*w)
     assert Weight.parse("2, 3") == Weight(2, 3)
     assert hash(Weight(1, 1)) == hash(Weight(1, 1))  # a weight is a tower-cache key
