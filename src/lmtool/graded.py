@@ -40,16 +40,17 @@ power-series division of w by the Taylor digits of h), column t^a d^b gets
 the jet of t^a d^b F by b differentiations and a multiplications by t.
 The jet is kept as its nonzero terms: every jet of t^s is a single term,
 and so is P_w at 0 for g = x^m and a w with one nonzero digit, as at a gap
-set.  The walk goes term by term.  With e^(b) = e(e - 1)...(e - b + 1)
-the falling factorial, d^b (y t^e) = y e^(b) t^(e-b), so the term is read
-from order b0 = max(e - d, 0), where its exponent first reaches d, up to
+set.  The walk goes term by term.  With e^(b) = e(e - 1)...(e - b + 1) the
+falling factorial, d^b (y t^e) = y e^(b) t^(e-b), so the term is read from
+order b0 = max(e - d, 0), where its exponent first reaches d, up to
 min(b_max, e) for e >= 0, past which it vanishes, or up to b_max for a
-pole; its coefficient starts at y e^(b0), and each order multiplies it by
-e - b.  So the walk over b costs the orders at which each nonzero term is
-read, not the jet length.  Multiplying by t only raises exponents, so
-column t^a d^b reads the term t^(e-b) at t^(e-b+a): each pair of such a
-term and a functional term fills one column, and the walk over a costs
-those pairs.
+pole; its coefficient starts at y, and each order multiplies it by e - b:
+the rows of t^s lose the positive factor s^(b0), and those of P_w, whose
+exponents are negative, have b0 = 0.  So the walk over b costs the orders
+at which each term is read, not the jet length.  Multiplying by t only
+raises exponents, so column t^a d^b reads the term t^(e-b) at t^(e-b+a):
+each pair of such a term and a functional term fills one column, and the
+walk over a costs those pairs.
 
 At c0 the rows go to the tower's reducer.  At any other point they go to a
 reducer of that point's own, and the rows it keeps are carried to the
@@ -129,7 +130,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, lcm
 
 from .linalg import Poly, RowReducer, poly_divmod
 from .subspace import SubspaceSpec
@@ -310,10 +311,10 @@ class _Rows:
     def _add_jet_rows(self, reducer: RowReducer, jet: dict[int, int], d: int,
                       reads: Sequence[Sequence[tuple[int, int]]]) -> None:
         """Offer ``reducer`` the rows for one F given by its Laurent jet at
-        a point c, t = x - c, in the columns (x - c)^a d^b: F is either t^s
-        or a principal part P_w, given as ``{exponent: value}`` of its
-        nonzero coefficients scaled to integers (a row is only defined up to
-        scale).
+        a point c, t = x - c, in the columns (x - c)^a d^b: F is t^s, one
+        non-negative term, or a principal part P_w, of negative exponents
+        only, given as ``{exponent: value}`` of its nonzero coefficients
+        scaled to integers; its rows are offered up to a positive scale.
 
         Column t^a d^b reads the jet of t^a d^b F up to t^d.  Each negative
         exponent is a principal-part row that must vanish.  Each dst
@@ -323,17 +324,17 @@ class _Rows:
         d^b (y t^e) = y e^(b) t^(e - b), e^(b) = e(e - 1)...(e - b + 1) the
         falling factorial, and no read order o is above d, so a term is read
         at the orders b from b0 = max(e - d, 0) on, where e - b <= d.  Its
-        coefficient starts at y e^(b0), with e^(b0) = perm(e, b0), or
-        (-1)^b0 perm(b0 - e - 1, b0) for a pole, and goes from one order to
-        the next by the factor e - b.  A term with e >= 0 vanishes after
-        order e; a pole never does, and its walk ends at b_max.  Multiplying
-        by t raises the exponent by one, so t^a d^b F reads the term at
-        e - b + a: with functional term (o, cf) it gives cf times the
-        coefficient to column a = o - e + b, and the coefficient itself to
-        pole row t^-(e-b+a) for each a < b - e.  So the walk costs the terms
-        and the orders each one is read at, not the jet length.  Each row is
-        written as ``{column: value}`` of its nonzero entries, the one row
-        format ``RowReducer`` takes.
+        coefficient starts at y, not y e^(b0), and goes from one order to
+        the next by the factor e - b: every row of t^s drops perm(s, b0),
+        and a pole has b0 = 0 (e < 0, d >= -1).  A term with e >= 0 vanishes
+        after order e; a pole never does, and its walk ends at b_max.
+        Multiplying by t raises the exponent by one, so t^a d^b F reads the
+        term at e - b + a: with functional term (o, cf) it gives cf times
+        the coefficient to column a = o - e + b, and the coefficient itself
+        to pole row t^-(e-b+a) for each a < b - e.  So the walk costs the
+        terms and the orders each one is read at, not the jet length.  Each
+        row is written as ``{column: value}`` of its nonzero entries, the
+        one row format ``RowReducer`` takes.
         """
         b_max = len(self.col_of) - 1
         # poles[i] is the row of t^-(i+1); F has a pole of order depth if it is positive
@@ -342,12 +343,7 @@ class _Rows:
         values: list[dict[int, int]] = [{} for _ in reads]
         for e, y in jet.items():
             b0 = max(e - d, 0)
-            if e >= 0:
-                b_end = min(b_max, e)
-                y *= perm(e, b0)
-            else:
-                b_end = b_max
-                y *= (-1) ** b0 * perm(b0 - e - 1, b0)
+            b_end = min(b_max, e) if e >= 0 else b_max
             for b, col in enumerate(self.col_of[b0:b_end + 1], b0):
                 low, a_end = e - b, len(col)  # d^b (y t^e) is y t^low
                 for a in range(min(-low, a_end)):  # no other term of F reaches t^(low + a) here

@@ -13,12 +13,12 @@ so every result is exact and reproducible bit-for-bit.  ``RowReducer`` does
 fraction-free Gaussian elimination on integer rows ``{column: int}`` with
 the pivot taken as the first nonzero entry in column order, which makes the
 reduced echelon form -- and hence nullspace bases -- canonical for a given
-row space and column order.  The ``rref`` rows and ``nullspace`` vectors
-come out as ``{column: Fraction}`` of their nonzero entries.  Each
-elimination step touches only the nonzero entries: the rows the towers
-build are mostly zeros.  The steps and the pivots are those of dense
-elimination, so the echelon rows and the canonical form do not change with
-the storage.
+row space and column order.  ``add_row`` owns the row it is offered and
+reduces it in place.  The ``rref`` rows and ``nullspace`` vectors come out
+as ``{column: Fraction}`` of their nonzero entries.  Each elimination step
+touches only the nonzero entries: the rows the towers build are mostly
+zeros.  The steps and the pivots are those of dense elimination, so the
+echelon rows and the canonical form do not change with the storage.
 
 A step only scales the row and subtracts (``_eliminate``).  The row's
 content, the gcd of its entries, is divided out once per row and only when
@@ -213,8 +213,9 @@ class RowReducer:
 
     A row is a ``dict[int, int]``, ``{column: value}`` with columns in
     0..ncols-1 (a row over Q is offered scaled to integers, which changes
-    neither its row space nor its pivot); its zero entries are dropped, and
-    the caller's dict is left as it is.
+    neither its row space nor its pivot); its zero entries are dropped.  The
+    reducer owns the dict: it is reduced in place and may be kept as a pivot
+    row, so the caller hands over a fresh one and does not reuse it.
 
     A stored row is primitive with a positive leading entry; the module
     docstring says where its content is divided out.
@@ -234,7 +235,7 @@ class RowReducer:
     def add_row(self, entries: dict[int, int]) -> bool:
         """Reduce a row, a ``dict[int, int]`` of column to value, against
         the current basis; returns True if rank grew."""
-        row = {t: v for t, v in entries.items() if v}
+        row = entries if 0 not in entries.values() else {t: v for t, v in entries.items() if v}
         while row:
             j = min(row)
             pivot_idx = self._pivot_of.get(j)

@@ -38,8 +38,10 @@ class Weight(Record):
             raise ValueError("weights must be integers")
         if w1 < 1 or w2 < 1:
             raise ValueError("weights must be strictly positive")
-        if max(w1, w2) > WEIGHT_LIMIT:
-            raise ValueError(f"weight components must be at most {WEIGHT_LIMIT}, got '{w1},{w2}'")
+        if (big := max(w1, w2)) > WEIGHT_LIMIT:
+            # str() refuses an int of over 4300 digits (sys.get_int_max_str_digits)
+            shown = f"'{w1},{w2}'" if big.bit_length() < 1000 else f"a component of {big.bit_length()} bits"
+            raise ValueError(f"weight components must be at most {WEIGHT_LIMIT}, got {shown}")
         self._set(w1=w1, w2=w2)
 
     @staticmethod

@@ -235,12 +235,14 @@ def echelon_sha256(towers: list[tuple], reverse: bool) -> str:
 # builder offers the t^s rows of every point first and then, at each root
 # of g, the rows of the principal parts P_w of a basis of the local kernel.
 # Rows at c0 go to the tower's reducer and rows at any other point c to a
-# reducer of c's own, written in the columns (x - c)^a d^b.  The recording
-# reducer keeps no row, so no row is carried to c0 here.  The sorted digest
-# pins the rows whatever their order; the sequence digest pins this order.
+# reducer of c's own, written in the columns (x - c)^a d^b.  A t^s row
+# comes without the factor perm(s, b0) that all its entries would share.
+# The recording reducer keeps no row, so no row is carried to c0 here.  The
+# sorted digest pins the rows whatever their order; the sequence digest
+# pins this order.
 OFFERED_ROWS = 31522
-OFFERED_ROWS_SHA256 = "0394b6586026f79110a69756cb68c6ca42bb22f018129d55f395442f6203357b"
-OFFERED_ROWS_SORTED_SHA256 = "2d6cd59e310d7a9f7177ed01f0e6f94218515e498a8f4158032b953aeaca9003"
+OFFERED_ROWS_SHA256 = "87041f4ea58dd48c0187475750838cae620933c9c74ac45898e9e50e936ed763"
+OFFERED_ROWS_SORTED_SHA256 = "24cac1fb21c2479215c715d284bea02d91088e2a2033c12a0d25874b28829894"
 
 
 def offered_rows(towers: list[tuple]) -> tuple[int, str, str]:

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
+from math import perm
 from types import SimpleNamespace
 
 import pytest
@@ -507,13 +508,17 @@ def test_off_zero_hom_dims_match_oracle(points1, points2, k):
 
 @st.composite
 def jet_cases(draw):
-    """A weight, a top degree k_u, a jet {e: y} of one to four terms with
-    exponents from -4 to 9, the top order d >= -1 that a point's
-    functionals read, and up to three functionals of orders <= d, each as
-    its (o, cf) pairs."""
+    """A weight, a top degree k_u, a jet {e: y} of one of the two shapes
+    the towers build -- t^s, one term with 0 <= s <= 9, or one to four
+    terms with exponents from -4 to -1 -- the top order d >= -1 that a
+    point's functionals read, and up to three functionals of orders <= d,
+    each as its (o, cf) pairs."""
     weight = draw(st.sampled_from(DEFAULT_WEIGHTS))
     k_u = draw(st.integers(min_value=0, max_value=12))
-    exponents = draw(st.lists(st.integers(min_value=-4, max_value=9), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        exponents = [draw(st.integers(min_value=0, max_value=9))]
+    else:
+        exponents = draw(st.lists(st.integers(min_value=-4, max_value=-1), min_size=1, max_size=4, unique=True))
     jet = {e: draw(st.integers(min_value=-50, max_value=50).filter(bool)) for e in exponents}
     d = draw(st.integers(min_value=-1, max_value=5))
     terms = st.lists(st.tuples(st.integers(min_value=0, max_value=max(d, 0)),
@@ -527,13 +532,44 @@ def jet_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_jet_rows_match_the_laurent_coefficients(case):
     # the walk over the jet, term by term with a running falling factorial,
-    # must offer exactly the pole and value rows read off each column's own
-    # Laurent coefficients, in the same order
+    # must offer the pole and value rows read off each column's own Laurent
+    # coefficients, in the same order: exactly for a principal part, and
+    # for t^s each row without the factor perm(s, b0) that all its
+    # entries share, b0 = max(s - d, 0) the first order read
     weight, k_u, jet, d, reads = case
     rows = graded._Rows(TRIVIAL, TRIVIAL, weight, k_u)  # no points: columns only
     offered = []
     rows._add_jet_rows(SimpleNamespace(add_row=offered.append), jet, d, reads)
-    assert offered == jet_rows(jet, reads, monomial_basis(weight, k_u))
+    want = jet_rows(jet, reads, monomial_basis(weight, k_u))
+    if min(jet) < 0:
+        assert offered == want
+    else:
+        [s] = jet
+        scale = perm(s, max(s - d, 0))
+        assert [{i: v * scale for i, v in row.items()} for row in offered] == want
+
+
+def test_every_jet_is_t_s_or_a_principal_part(monkeypatch):
+    # _add_jet_rows drops the factor y e^(b0)/y of each term, which scales
+    # every row alike only for one term t^s (e >= 0) or for a jet of poles
+    # (b0 = 0): every jet the towers pass it must be one of the two
+    jets = []
+    add_jet_rows = graded._Rows._add_jet_rows
+
+    def recorded(self, reducer, jet, d, reads):
+        jets.append(jet)
+        add_jet_rows(self, reducer, jet, d, reads)
+
+    monkeypatch.setattr(graded._Rows, "_add_jet_rows", recorded)
+    clear_cache()
+    for src, dst, weight in pins.pinned_towers():
+        graded._Rows(src, dst, weight, 12)
+    for name in ("conditions-sweep", "monomial-deep"):
+        sweep = pins.workloads.SWEEPS[name](1)
+        clear_cache()
+        assert not [problem for spec in sweep.specs for problem in sweep.check(spec)], name
+    assert [jet for jet in jets if not (len(jet) == 1 and min(jet) >= 0 or max(jet) < 0)] == []
+    assert any(min(jet) >= 0 for jet in jets) and any(len(jet) > 1 for jet in jets)
 
 
 # ---------------------------------------------------------------------------

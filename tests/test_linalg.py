@@ -175,11 +175,14 @@ def sparse_cases(draw):
 @settings(max_examples=80)
 def test_mapping_rows_reduce_like_dense_rows(case):
     ncols, rows, maps = case
-    originals = [dict(m) for m in maps]
-    dense, sparse = RowReducer(ncols), RowReducer(ncols)
+    dense, sparse, copied = RowReducer(ncols), RowReducer(ncols), RowReducer(ncols)
     for r, m in zip(rows, maps):
-        assert sparse.add_row(m) == dense.add_row(dict(enumerate(r)))
-    assert maps == originals  # the caller's mappings are not reduced in place
+        copy = dict(m)
+        assert sparse.add_row(m) == dense.add_row(dict(enumerate(r))) == copied.add_row(copy)
+    # add_row owns the dict it is offered: the row itself and its copy, taken
+    # before the call, reduce alike
+    assert (sparse.rank, sparse.pivot_cols(), sparse.rows, sparse.rref()) == (
+        copied.rank, copied.pivot_cols(), copied.rows, copied.rref())
     assert sparse.rank == dense.rank
     assert sparse.pivot_cols() == dense.pivot_cols()
     for prefix in range(ncols + 1):
@@ -279,7 +282,8 @@ def test_rows_equal_those_of_division_after_every_step(case):
     ncols, rows = case
     red, ref = RowReducer(ncols), StepwiseReducer()
     for r in rows:
-        assert red.add_row(r) == ref.add_row(r)
+        copy = dict(r)  # add_row owns r and may reduce it in place
+        assert red.add_row(r) == ref.add_row(copy)
     assert red._rows == ref.rows
     assert red._pivot_of == ref.pivot_of
     assert red.rref() == ref.rref()
@@ -298,8 +302,9 @@ def test_mixed_end_tower_rows_equal_those_of_division_after_every_step(monkeypat
             mirrored.append(self)
 
         def add_row(self, entries):
+            copy = dict(entries)  # add_row owns entries and may reduce it in place
             kept = super().add_row(entries)
-            assert self.ref.add_row(entries) == kept
+            assert self.ref.add_row(copy) == kept
             return kept
 
     monkeypatch.setattr(graded, "RowReducer", Mirrored)

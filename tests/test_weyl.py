@@ -59,6 +59,15 @@ def test_weight_validation():
         Weight.parse("2")
 
 
+def test_weight_refuses_a_huge_component_by_its_bit_length():
+    # str() refuses an int of over 4300 digits, so the message shows a
+    # component that long by its bit length, and still names the limit
+    for w in ((10 ** 5000, 1), (1, 10 ** 5000), (2 ** 20000, 2 ** 20000)):
+        bits = max(w).bit_length()
+        with pytest.raises(ValueError, match=rf"^weight components must be at most 64, got a component of {bits} bits$"):
+            Weight(*w)
+
+
 # -- symbols -----------------------------------------------------------------------
 
 def test_top_component():
