@@ -40,17 +40,21 @@ power-series division of w by the Taylor digits of h), column t^a d^b gets
 the jet of t^a d^b F by b differentiations and a multiplications by t.
 The jet is kept as its nonzero terms: every jet of t^s is a single term,
 and so is P_w at 0 for g = x^m and a w with one nonzero digit, as at a gap
-set.  The walk goes term by term.  With e^(b) = e(e - 1)...(e - b + 1) the
-falling factorial, d^b (y t^e) = y e^(b) t^(e-b), so the term is read from
-order b0 = max(e - d, 0), where its exponent first reaches d, up to
-min(b_max, e) for e >= 0, past which it vanishes, or up to b_max for a
-pole; its coefficient starts at y, and each order multiplies it by e - b:
-the rows of t^s lose the positive factor s^(b0), and those of P_w, whose
-exponents are negative, have b0 = 0.  So the walk over b costs the orders
-at which each term is read, not the jet length.  Multiplying by t only
-raises exponents, so column t^a d^b reads the term t^(e-b) at t^(e-b+a):
-each pair of such a term and a functional term fills one column, and the
-walk over a costs those pairs.
+set; a jet of two or more terms is a principal part, of negative exponents
+only.  With e^(b) = e(e - 1)...(e - b + 1) the falling factorial,
+d^b (y t^e) = y e^(b) t^(e-b), and multiplying by t only raises exponents,
+so column t^a d^b reads the term at t^(e-b+a) with coefficient y e^(b),
+which goes from one order b to the next by the factor e - b and vanishes
+past b = e for e >= 0.  For one term each column reads one exponent, so
+each row is one such progression: the row of t^-p reads column
+a = b - e - p at each order b from max(p + e, 0) on, and a functional of
+top order o_top reads column a = o - e + b for its term o at each order b
+from max(e - o_top, 0) on.  Each of these rows is written from y at its own
+first order b1, without the factor e^(b1) that all its entries share (a
+row is only defined up to scale).  A longer jet is walked term by term over
+every order with its exact coefficients, the terms that meet in a column of
+a value row summed.  Either walk costs the orders at which each term is
+read and the pairs of a term and a functional term, not the jet length.
 
 At c0 the rows go to the tower's reducer.  At any other point they go to a
 reducer of that point's own, and the rows it keeps are carried to the
@@ -194,7 +198,8 @@ class _Columns:
                 self.index.append([])
             self.index[b].append(i)
         self.cols += band
-        per_degree = Counter(self.weight.degree(a, b) for a, b in band)
+        w1, w2 = self.weight.w1, self.weight.w2
+        per_degree = Counter(w1 * a + w2 * b for a, b in band)
         for K in range(lo, top + 1):
             self.counts.append(self.counts[-1] + per_degree[K])
 
@@ -246,19 +251,19 @@ class _Rows:
         F = (x-c)^s for s <= d + b_max, d the top order of a dst functional
         at c; the pivots they reach are kept as ``module_pivots``.  Then, at
         each root c of g, those of the principal parts F = P_w of src there
-        (``_principal_parts``), with d = -1 where dst reads nothing (see the
-        module docstring).  Both read dst through ``dst.digit_rows[c]``.
-        The jets are taken at c.  At c0 the rows go to the tower's reducer;
-        at any other point to a reducer of that point, in the columns
-        (x - c)^a d^b, whose kept rows of each round are then carried to the
-        tower's (``_carried``)."""
+        (``_principal_parts``; see the module docstring), read by dst's
+        functionals at c if there are any.  Both read dst through
+        ``dst.digit_rows[c]``.  The jets are taken at c.  At c0 the rows go
+        to the tower's reducer; at any other point to a reducer of that
+        point, in the columns (x - c)^a d^b, whose kept rows of each round
+        are then carried to the tower's (``_carried``)."""
         b_max = len(self.col_of) - 1
         src_order, dst_order, reads = self.src.top_orders, self.dst.top_orders, self.dst.digit_rows
         local: dict[Fraction, RowReducer] = {}  # the reducers round two adds to
         for c, d in sorted(dst_order.items()):
             reducer = self._reducer_at(c)
             for s in range(d + b_max + 1):
-                self._add_jet_rows(reducer, {s: 1}, d, reads[c])
+                self._add_jet_rows(reducer, {s: 1}, reads[c])
             self._carry(c, reducer, 0)
             if c in src_order:
                 local[c] = reducer
@@ -267,7 +272,7 @@ class _Rows:
             reducer = local.pop(c) if c in local else self._reducer_at(c)
             kept = reducer.rank
             for jet in _principal_parts(self.src, c):
-                self._add_jet_rows(reducer, jet, dst_order.get(c, -1), reads.get(c, ()))
+                self._add_jet_rows(reducer, jet, reads.get(c, ()))
             self._carry(c, reducer, kept)
 
     def _reducer_at(self, c: Fraction) -> RowReducer:
@@ -308,56 +313,80 @@ class _Rows:
                     carried[j] = carried.get(j, 0) + x * v
             yield carried
 
-    def _add_jet_rows(self, reducer: RowReducer, jet: dict[int, int], d: int,
+    def _add_jet_rows(self, reducer: RowReducer, jet: dict[int, int],
                       reads: Sequence[Sequence[tuple[int, int]]]) -> None:
         """Offer ``reducer`` the rows for one F given by its Laurent jet at
-        a point c, t = x - c, in the columns (x - c)^a d^b: F is t^s, one
-        non-negative term, or a principal part P_w, of negative exponents
-        only, given as ``{exponent: value}`` of its nonzero coefficients
-        scaled to integers; its rows are offered up to a positive scale.
+        a point c, t = x - c, in the columns (x - c)^a d^b: F is t^s or a
+        principal part P_w, given as ``{exponent: value}`` of its nonzero
+        coefficients scaled to integers, and a jet of two or more terms has
+        negative exponents only.  Its rows are offered up to nonzero scales.
 
-        Column t^a d^b reads the jet of t^a d^b F up to t^d.  Each negative
-        exponent is a principal-part row that must vanish.  Each dst
-        functional sum_o coeff_o f^(o)(c), given in ``reads`` as its digit
-        row (the pairs (o, coeff_o * o!) scaled to integers), gives the row
-        sum_o coeff_o o! w[o], w that jet.  The walk goes term by term:
-        d^b (y t^e) = y e^(b) t^(e - b), e^(b) = e(e - 1)...(e - b + 1) the
-        falling factorial, and no read order o is above d, so a term is read
-        at the orders b from b0 = max(e - d, 0) on, where e - b <= d.  Its
-        coefficient starts at y, not y e^(b0), and goes from one order to
-        the next by the factor e - b: every row of t^s drops perm(s, b0),
-        and a pole has b0 = 0 (e < 0, d >= -1).  A term with e >= 0 vanishes
-        after order e; a pole never does, and its walk ends at b_max.
-        Multiplying by t raises the exponent by one, so t^a d^b F reads the
-        term at e - b + a: with functional term (o, cf) it gives cf times
-        the coefficient to column a = o - e + b, and the coefficient itself
-        to pole row t^-(e-b+a) for each a < b - e.  So the walk costs the
-        terms and the orders each one is read at, not the jet length.  Each
-        row is written as ``{column: value}`` of its nonzero entries, the
-        one row format ``RowReducer`` takes.
+        Column t^a d^b reads the jet of t^a d^b F.  Each negative exponent
+        is a principal-part row that must vanish.  Each dst functional
+        sum_o coeff_o f^(o)(c), given in ``reads`` as its digit row (the
+        pairs (o, coeff_o * o!) by rising o, primitive), gives the row
+        sum_o coeff_o o! w[o], w that jet.  A one-term jet gives each row
+        from its own first order (``_term_rows``), a longer one all its
+        rows in one exact walk (``_sum_rows``; see the module docstring).
+        Each row is written as ``{column: value}``, the one row format
+        ``RowReducer`` takes, and only a nonempty row is offered.
         """
+        rows = self._term_rows(*next(iter(jet.items())), reads) if len(jet) == 1 else self._sum_rows(jet, reads)
+        for row in rows:
+            if row:
+                reducer.add_row(row)
+
+    def _term_rows(self, e: int, y: int, reads: Sequence[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
+        """The rows of F = y t^e, each written from y at its own first
+        order b1, so divided by e^(b1) (see the module docstring).  Column
+        t^a d^b reads the one term t^(e - b + a), so an entry is one
+        coefficient times at most one functional term, and is assigned."""
+        col_of = self.col_of
+        b_max = len(col_of) - 1
+        rows = []
+        for p in range(1, b_max - e + 1 if e < 0 else 1):
+            b = max(p + e, 0)
+            a, c, row = b - e - p, y, {}
+            while b <= b_max and a < len(col_of[b]):
+                row[col_of[b][a]] = c
+                c *= e - b
+                b += 1
+                a += 1
+            rows.append(row)
+        b_end = min(b_max, e) if e >= 0 else b_max
+        for terms in reads:
+            c, row = y, {}
+            for b in range(max(e - terms[-1][0], 0), b_end + 1):
+                col, low = col_of[b], e - b
+                for o, cf in terms:
+                    if 0 <= o - low < len(col):
+                        row[col[o - low]] = cf * c
+                c *= low
+            rows.append(row)
+        return rows
+
+    def _sum_rows(self, jet: dict[int, int], reads: Sequence[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
+        """The exact rows of F, the sum of the terms y t^e of ``jet``, all
+        e < 0, in one walk term by term over every order b.  Column t^a d^b
+        reads the term at low + a, low = e - b: in the row of pole
+        t^-(low + a) for a < -low, and in column a = o - low of the row of
+        a functional with term (o, cf), where the terms are summed."""
         b_max = len(self.col_of) - 1
-        # poles[i] is the row of t^-(i+1); F has a pole of order depth if it is positive
-        depth = -min(jet)
-        poles: list[dict[int, int]] = [{} for _ in range(depth + b_max if depth > 0 else 0)]
+        poles: list[dict[int, int]] = [{} for _ in range(b_max - min(jet))]  # poles[i] is the row of t^-(i+1)
         values: list[dict[int, int]] = [{} for _ in reads]
         for e, y in jet.items():
-            b0 = max(e - d, 0)
-            b_end = min(b_max, e) if e >= 0 else b_max
-            for b, col in enumerate(self.col_of[b0:b_end + 1], b0):
+            for b, col in enumerate(self.col_of):
                 low, a_end = e - b, len(col)  # d^b (y t^e) is y t^low
                 for a in range(min(-low, a_end)):  # no other term of F reaches t^(low + a) here
                     poles[-low - a - 1][col[a]] = y
                 for row, terms in zip(values, reads):
                     for o, cf in terms:
-                        if 0 <= o - low < a_end:
+                        if o - low < a_end:
                             idx = col[o - low]
                             row[idx] = row.get(idx, 0) + cf * y
                 y *= low
         # the terms that meet in one column may cancel
-        for row in poles + [{i: v for i, v in row.items() if v} for row in values]:
-            if row:
-                reducer.add_row(row)
+        return poles + [{i: v for i, v in row.items() if v} for row in values]
 
 
 class _Tower:

@@ -20,7 +20,7 @@ import json
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .linalg import Poly, RowReducer, rat_from_str
 from .record import Record
@@ -96,6 +96,13 @@ def _scaled(terms: tuple[tuple[int, Fraction], ...]) -> list[tuple[int, int]]:
     return [(o, int(coeff * scale)) for o, coeff in terms]
 
 
+def _digit_row(terms: tuple[tuple[int, Fraction], ...]) -> tuple[tuple[int, int], ...]:
+    """The pairs (o, coefficient * o!) scaled to integers with no common factor."""
+    row = [(o, v * factorial(o)) for o, v in _scaled(terms)]
+    g = gcd(*(v for _, v in row))
+    return tuple((o, v // g) for o, v in row)
+
+
 def _normalize_functionals(functionals: Iterable[Functional], top_orders: dict[Fraction, int]
                            ) -> tuple[tuple[Functional, ...], dict[Fraction, tuple], dict[Fraction, tuple]]:
     """Canonical form: group by point, row-reduce each point's coefficient
@@ -103,7 +110,8 @@ def _normalize_functionals(functionals: Iterable[Functional], top_orders: dict[F
     functionals), sort points.
     Also, at each point, the local kernel, the nullspace of the same matrix,
     whose column o is f^(o)(c) = o! times Taylor digit o, and the digit rows:
-    each RREF row scaled to integers, its order-o entry times o!."""
+    each RREF row, its order-o entry times o!, scaled to integers with no
+    common factor (a gap functional f^(o)(0) reads (o, 1))."""
     by_point: dict[Fraction, list[Functional]] = {}
     for fn in functionals:
         by_point.setdefault(fn.point, []).append(fn)
@@ -121,7 +129,7 @@ def _normalize_functionals(functionals: Iterable[Functional], top_orders: dict[F
             raise SpecError(f"conditions at point {point} row-reduce to a coefficient above "
                             f"the limit of {RATIONAL_DIGIT_LIMIT} digits") from None
         out += fns
-        digit_rows[point] = tuple(tuple((o, v * factorial(o)) for o, v in _scaled(fn.terms)) for fn in fns)
+        digit_rows[point] = tuple(_digit_row(fn.terms) for fn in fns)
         kernels[point] = tuple(tuple(Fraction(vec.get(o, 0), factorial(o)) for o in range(width))
                                for vec in red.nullspace())
     return tuple(out), kernels, digit_rows
@@ -160,7 +168,8 @@ class SubspaceSpec(Record):
     # point c -> a basis of K_c, each vector the Taylor digits 0..m-1 at c
     local_kernel: dict[Fraction, tuple[tuple[Fraction, ...], ...]]
     # point c -> its normalised functionals as rows on the Taylor digits at c,
-    # each the (order o, integer coefficient times o!) pairs
+    # each the (order o, coefficient times o!) pairs scaled to integers with
+    # no common factor
     digit_rows: dict[Fraction, tuple[tuple[tuple[int, int], ...], ...]]
     _hash: int  # of the normalized functionals
 

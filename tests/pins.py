@@ -235,14 +235,16 @@ def echelon_sha256(towers: list[tuple], reverse: bool) -> str:
 # builder offers the t^s rows of every point first and then, at each root
 # of g, the rows of the principal parts P_w of a basis of the local kernel.
 # Rows at c0 go to the tower's reducer and rows at any other point c to a
-# reducer of c's own, written in the columns (x - c)^a d^b.  A t^s row
-# comes without the factor perm(s, b0) that all its entries would share.
-# The recording reducer keeps no row, so no row is carried to c0 here.  The
-# sorted digest pins the rows whatever their order; the sequence digest
-# pins this order.
+# reducer of c's own, written in the columns (x - c)^a d^b.  Each row of a
+# one-term jet y t^e (every t^s, and a principal part of one term) comes
+# without the factor e^(b1) that all its entries would share, b1 the first
+# order it reads, and a dst functional is read through its primitive digit
+# row.  The recording reducer keeps no row, so no row is carried to c0
+# here.  The sorted digest pins the rows whatever their order; the sequence
+# digest pins this order.
 OFFERED_ROWS = 31522
-OFFERED_ROWS_SHA256 = "87041f4ea58dd48c0187475750838cae620933c9c74ac45898e9e50e936ed763"
-OFFERED_ROWS_SORTED_SHA256 = "24cac1fb21c2479215c715d284bea02d91088e2a2033c12a0d25874b28829894"
+OFFERED_ROWS_SHA256 = "15628ffbed9662ec252f80b60cad1acda78a067058d59c482eb5e0e9084d0bd2"
+OFFERED_ROWS_SORTED_SHA256 = "69afa59e9e7f9f50a4e297acd07b6fdfed95a56f0f7e97c4c925250e1c9f96d7"
 
 
 def offered_rows(towers: list[tuple]) -> tuple[int, str, str]:

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import perm
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -510,9 +510,9 @@ def test_off_zero_hom_dims_match_oracle(points1, points2, k):
 def jet_cases(draw):
     """A weight, a top degree k_u, a jet {e: y} of one of the two shapes
     the towers build -- t^s, one term with 0 <= s <= 9, or one to four
-    terms with exponents from -4 to -1 -- the top order d >= -1 that a
-    point's functionals read, and up to three functionals of orders <= d,
-    each as its (o, cf) pairs."""
+    terms with exponents from -4 to -1 -- and up to three functionals of
+    orders <= d for a top order d >= -1, each as its (o, cf) pairs by
+    rising o, as digit rows are."""
     weight = draw(st.sampled_from(DEFAULT_WEIGHTS))
     k_u = draw(st.integers(min_value=0, max_value=12))
     if draw(st.booleans()):
@@ -524,41 +524,55 @@ def jet_cases(draw):
     terms = st.lists(st.tuples(st.integers(min_value=0, max_value=max(d, 0)),
                                st.integers(min_value=-9, max_value=9).filter(bool)),
                      min_size=1, max_size=3, unique_by=lambda term: term[0])
-    reads = draw(st.lists(terms, max_size=3)) if d >= 0 else []
-    return weight, k_u, jet, d, reads
+    reads = [sorted(read) for read in draw(st.lists(terms, max_size=3))] if d >= 0 else []
+    return weight, k_u, jet, reads
 
 
 @given(jet_cases())
 @settings(max_examples=300, deadline=None)
 def test_jet_rows_match_the_laurent_coefficients(case):
-    # the walk over the jet, term by term with a running falling factorial,
-    # must offer the pole and value rows read off each column's own Laurent
-    # coefficients, in the same order: exactly for a principal part, and
-    # for t^s each row without the factor perm(s, b0) that all its
-    # entries share, b0 = max(s - d, 0) the first order read
-    weight, k_u, jet, d, reads = case
+    # the walk over the jet must offer the pole and value rows read off
+    # each column's own Laurent coefficients, in the same order: exactly
+    # for a jet of two or more terms, and for one term y t^e each row
+    # without the factor e^(b1) that all its entries share, b1 the first
+    # order it reads -- max(b - a, 0) for a pole row, whose every column
+    # (a, b) reads t^(e - b + a) alike, and max(e - o_top, 0) for the
+    # value row of a functional of top order o_top
+    weight, k_u, jet, reads = case
     rows = graded._Rows(TRIVIAL, TRIVIAL, weight, k_u)  # no points: columns only
     offered = []
-    rows._add_jet_rows(SimpleNamespace(add_row=offered.append), jet, d, reads)
-    want = jet_rows(jet, reads, monomial_basis(weight, k_u))
-    if min(jet) < 0:
+    rows._add_jet_rows(SimpleNamespace(add_row=offered.append), jet, reads)
+    columns = monomial_basis(weight, k_u)
+    want = jet_rows(jet, reads, columns)
+    if len(jet) > 1:
         assert offered == want
-    else:
-        [s] = jet
-        scale = perm(s, max(s - d, 0))
-        assert [{i: v * scale for i, v in row.items()} for row in offered] == want
+        return
+    [e] = jet
+    poles = jet_rows(jet, [], columns)
+    firsts = [max(b - a, 0) for row in poles for a, b in [columns[min(row)]]]
+    for terms in reads:  # a functional whose row is empty offers none
+        firsts += [max(e - terms[-1][0], 0)] * (len(jet_rows(jet, [terms], columns)) - len(poles))
+    assert len(offered) == len(firsts) == len(want)
+    assert [{i: v * falling(e, b1) for i, v in row.items()} for row, b1 in zip(offered, firsts)] == want
+
+
+def falling(e: int, b: int) -> int:
+    """The falling factorial e^(b) = e(e - 1)...(e - b + 1), e of either sign."""
+    return prod(range(e, e - b, -1))
 
 
 def test_every_jet_is_t_s_or_a_principal_part(monkeypatch):
-    # _add_jet_rows drops the factor y e^(b0)/y of each term, which scales
-    # every row alike only for one term t^s (e >= 0) or for a jet of poles
-    # (b0 = 0): every jet the towers pass it must be one of the two
+    # _add_jet_rows writes a jet of one term row by row, each row from its
+    # own first order, and a longer jet in one walk from order 0, where its
+    # coefficients are exact only if every exponent is negative: every jet
+    # of two or more terms the towers pass it must have negative exponents
+    # only (the towers' one-term jets are t^s or a single pole term)
     jets = []
     add_jet_rows = graded._Rows._add_jet_rows
 
-    def recorded(self, reducer, jet, d, reads):
+    def recorded(self, reducer, jet, reads):
         jets.append(jet)
-        add_jet_rows(self, reducer, jet, d, reads)
+        add_jet_rows(self, reducer, jet, reads)
 
     monkeypatch.setattr(graded._Rows, "_add_jet_rows", recorded)
     clear_cache()
@@ -966,6 +980,24 @@ def test_gap_set_staircases_are_wilsons_partition():
         dual = _tower_for(spec, TRIVIAL, W11, level)
         assert staircase(dual, level) == outside_diagram(deg_g - r, conjugate(parts), level + deg_g), gaps
         assert sum(parts) == chern_number(spec, 2 * deg_g + 6).n, gaps
+
+
+def test_every_small_gap_set_end_tower_is_the_closed_form():
+    # ROADMAP item 4's tier-1 table: the End tower of every gap set with
+    # largest gap <= 6 at five weights, each built from one-term jets only
+    # (t^s and the principal parts x^-(gamma + 1)), against the closed form
+    # at every level from -1, and p_w at the top against 2n.  The top level
+    # (w1 + w2) deg(g) + 4 is 2 deg(g) + 4 at (1,1); p_w reaches 2n later at
+    # a larger weight (at (2,3), gaps (4, 5) read 15 at level 16, not 16)
+    clear_cache()
+    for gaps in GAP_SETS_0_6:
+        spec = SubspaceSpec.from_gaps(None, gaps)
+        n = chern_number(spec, 2 * (gaps[-1] + 1) + 6).n
+        for w in [(1, 1), (1, 2), (2, 1), (2, 3), (3, 1)]:
+            kmax = sum(w) * (gaps[-1] + 1) + 4
+            dims = hom_dims(spec, spec, Weight(*w), kmax, kmin=-1)
+            assert dims == gap_hom_dims(gaps, gaps, *w, kmax), (gaps, w)
+            assert dim_A(Weight(*w), kmax) - dims[-1] == 2 * n, (gaps, w)
 
 
 # ---------------------------------------------------------------------------

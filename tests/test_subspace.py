@@ -4,7 +4,7 @@ import json
 import re
 import time
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -217,15 +217,18 @@ def test_every_spec_refuses_a_name_that_could_forge_a_line():
 
 def test_digit_rows_are_the_scaled_normalised_functionals():
     # each normalised functional, in order, scaled by the lcm of its
-    # denominators, its order-o coefficient times o!: the rows a tower reads
+    # denominators, its order-o coefficient times o!, divided by the gcd of
+    # those: the rows a tower reads, a gap functional's as (o, 1)
     for spec in pins.pinned_specs():
         want: dict = {}
         for fn in spec.functionals:
             scale = lcm(*(coeff.denominator for _, coeff in fn.terms))
-            want.setdefault(fn.point, []).append(
-                tuple((o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms))
+            row = [(o, int(coeff * scale) * factorial(o)) for o, coeff in fn.terms]
+            content = gcd(*(v for _, v in row))
+            want.setdefault(fn.point, []).append(tuple((o, v // content) for o, v in row))
         assert spec.digit_rows == {c: tuple(rows) for c, rows in want.items()}, spec.name
         assert all(type(v) is int for rows in spec.digit_rows.values() for row in rows for _, v in row)
+    assert SubspaceSpec.from_gaps(None, [1, 3]).digit_rows == {0: (((1, 1),), ((3, 1),))}
 
 
 def test_equality_ignores_presentation():
