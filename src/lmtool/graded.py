@@ -34,14 +34,16 @@ point that only V2 reads gives the t^s rows alone.
 
 Each tower writes u in the columns (x - c0)^a d^b, centred at c0, the
 least point of V1 and V2 (0 when there is none); the rows at a point c are
-written first in its own columns t^a d^b, t = x - c.  One routine writes
-both kinds of rows.  Given the Laurent jet at c of F = t^s or F = P_w (by
-power-series division of w by the Taylor digits of h), column t^a d^b gets
-the jet of t^a d^b F by b differentiations and a multiplications by t.
-The jet is kept as its nonzero terms: every jet of t^s is a single term,
-and so is P_w at 0 for g = x^m and a w with one nonzero digit, as at a gap
-set; a jet of two or more terms is a principal part, of negative exponents
-only.  With e^(b) = e(e - 1)...(e - b + 1) the falling factorial,
+written first in its own columns t^a d^b, t = x - c.  Both kinds of rows
+are read off the Laurent jet at c of F = t^s or F = P_w (by power-series
+division of w by the Taylor digits of h): column t^a d^b gets the jet of
+t^a d^b F by b differentiations and a multiplications by t.  The jet is
+kept as its nonzero terms, and ``_add_rows`` hands each jet to the walk
+that fits it: every jet of t^s is a single term, and so is P_w at 0 for
+g = x^m and a w with one nonzero digit, as at a gap set; a jet of two or
+more terms is a principal part, of negative exponents only.  A term y t^e
+is read as t^e, since y is a factor of every row of it.  With
+e^(b) = e(e - 1)...(e - b + 1) the falling factorial,
 d^b (y t^e) = y e^(b) t^(e-b), and multiplying by t only raises exponents,
 so column t^a d^b reads the term at t^(e-b+a) with coefficient y e^(b),
 which goes from one order b to the next by the factor e - b and vanishes
@@ -49,12 +51,13 @@ past b = e for e >= 0.  For one term each column reads one exponent, so
 each row is one such progression: the row of t^-p reads column
 a = b - e - p at each order b from max(p + e, 0) on, and a functional of
 top order o_top reads column a = o - e + b for its term o at each order b
-from max(e - o_top, 0) on.  Each of these rows is written from y at its own
-first order b1, without the factor e^(b1) that all its entries share (a
-row is only defined up to scale).  A longer jet is walked term by term over
-every order with its exact coefficients, the terms that meet in a column of
-a value row summed.  Either walk costs the orders at which each term is
-read and the pairs of a term and a functional term, not the jet length.
+from max(e - o_top, 0) on.  ``_term_rows`` writes each of these rows from
+1 at its own first order b1, without the factor y e^(b1) that all its
+entries share (a row is only defined up to scale).  ``_sum_rows`` walks a
+longer jet term by term over every order with its exact coefficients, the
+terms that meet in a column of a value row summed.  Either walk costs the
+orders at which each term is read and the pairs of a term and a functional
+term, not the jet length.
 
 At c0 the rows go to the tower's reducer.  At any other point they go to a
 reducer of that point's own, and the rows it keeps are carried to the
@@ -96,11 +99,12 @@ vector j is column j plus some pivot columns in [lo, j) (the symbol of
 column (x - c0)^a d^b is x^a xi^b).  Within one degree the columns run by
 rising d-order, so their x-exponents fall: column j has the least
 x-exponent of its symbol.  Every symbol is therefore divisible by x^deg(g)
-exactly when every free column in [lo, hi) has x-exponent >= deg(g), and
-no basis, symbol or RREF is built.
+exactly when the last free column in [lo, hi), which has the least
+x-exponent of them all, has x-exponent >= deg(g), and no basis, symbol or
+RREF is built.
 
 So the cache keeps, per tower, only its column table, deg g, kmax and the
-sorted pivot columns; the echelon rows go once the build is done.  Every
+sorted pivot columns, once; the echelon rows go once the build is done.  Every
 tower of one weight reads a prefix of the same columns, so these live in
 one table per weight (``_Columns``), the one owner of A_K's shape: the
 (a, b) of each column, the column of (x - c0)^a d^b for each b, and dim A_K
@@ -253,26 +257,29 @@ class _Rows:
         each root c of g, those of the principal parts F = P_w of src there
         (``_principal_parts``; see the module docstring), read by dst's
         functionals at c if there are any.  Both read dst through
-        ``dst.digit_rows[c]``.  The jets are taken at c.  At c0 the rows go
-        to the tower's reducer; at any other point to a reducer of that
-        point, in the columns (x - c)^a d^b, whose kept rows of each round
-        are then carried to the tower's (``_carried``)."""
+        ``dst.digit_rows[c]``.  The jets are taken at c, and each is walked
+        by ``_term_rows`` if it is one term, else by ``_sum_rows``.  At c0
+        the rows go to the tower's reducer; at any other point to a reducer
+        of that point, in the columns (x - c)^a d^b, whose kept rows of each
+        round are then carried to the tower's (``_carried``)."""
         b_max = len(self.col_of) - 1
         src_order, dst_order, reads = self.src.top_orders, self.dst.top_orders, self.dst.digit_rows
         local: dict[Fraction, RowReducer] = {}  # the reducers round two adds to
         for c, d in sorted(dst_order.items()):
             reducer = self._reducer_at(c)
             for s in range(d + b_max + 1):
-                self._add_jet_rows(reducer, {s: 1}, reads[c])
+                for row in self._term_rows(s, reads[c]):
+                    reducer.add_row(row)
             self._carry(c, reducer, 0)
             if c in src_order:
                 local[c] = reducer
         self.module_pivots = self.reducer.pivot_cols()
         for c in sorted(src_order):
             reducer = local.pop(c) if c in local else self._reducer_at(c)
-            kept = reducer.rank
+            kept, read = reducer.rank, reads.get(c, ())
             for jet in _principal_parts(self.src, c):
-                self._add_jet_rows(reducer, jet, reads.get(c, ()))
+                for row in self._term_rows(min(jet), read) if len(jet) == 1 else self._sum_rows(jet, read):
+                    reducer.add_row(row)
             self._carry(c, reducer, kept)
 
     def _reducer_at(self, c: Fraction) -> RowReducer:
@@ -313,64 +320,46 @@ class _Rows:
                     carried[j] = carried.get(j, 0) + x * v
             yield carried
 
-    def _add_jet_rows(self, reducer: RowReducer, jet: dict[int, int],
-                      reads: Sequence[Sequence[tuple[int, int]]]) -> None:
-        """Offer ``reducer`` the rows for one F given by its Laurent jet at
-        a point c, t = x - c, in the columns (x - c)^a d^b: F is t^s or a
-        principal part P_w, given as ``{exponent: value}`` of its nonzero
-        coefficients scaled to integers, and a jet of two or more terms has
-        negative exponents only.  Its rows are offered up to nonzero scales.
-
-        Column t^a d^b reads the jet of t^a d^b F.  Each negative exponent
-        is a principal-part row that must vanish.  Each dst functional
-        sum_o coeff_o f^(o)(c), given in ``reads`` as its digit row (the
-        pairs (o, coeff_o * o!) by rising o, primitive), gives the row
-        sum_o coeff_o o! w[o], w that jet.  A one-term jet gives each row
-        from its own first order (``_term_rows``), a longer one all its
-        rows in one exact walk (``_sum_rows``; see the module docstring).
-        Each row is written as ``{column: value}``, the one row format
-        ``RowReducer`` takes, and only a nonempty row is offered.
-        """
-        rows = self._term_rows(*next(iter(jet.items())), reads) if len(jet) == 1 else self._sum_rows(jet, reads)
-        for row in rows:
-            if row:
-                reducer.add_row(row)
-
-    def _term_rows(self, e: int, y: int, reads: Sequence[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
-        """The rows of F = y t^e, each written from y at its own first
-        order b1, so divided by e^(b1) (see the module docstring).  Column
-        t^a d^b reads the one term t^(e - b + a), so an entry is one
-        coefficient times at most one functional term, and is assigned."""
+    def _term_rows(self, e: int, reads: Sequence[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
+        """The nonempty rows of F = t^e in the columns (x - c)^a d^b: its
+        pole rows t^-1, t^-2, ..., then the value row of each functional in
+        ``reads``, given as its digit row (the pairs (o, coeff_o * o!) by
+        rising o, primitive), each written from 1 at its own first order b1
+        (see the module docstring).  Column t^a d^b reads the one term
+        t^(e - b + a), so an entry is assigned and is never zero."""
         col_of = self.col_of
         b_max = len(col_of) - 1
         rows = []
         for p in range(1, b_max - e + 1 if e < 0 else 1):
             b = max(p + e, 0)
-            a, c, row = b - e - p, y, {}
+            a, c, row = b - e - p, 1, {}
             while b <= b_max and a < len(col_of[b]):
                 row[col_of[b][a]] = c
                 c *= e - b
                 b += 1
                 a += 1
-            rows.append(row)
+            if row:
+                rows.append(row)
         b_end = min(b_max, e) if e >= 0 else b_max
         for terms in reads:
-            c, row = y, {}
+            c, row = 1, {}
             for b in range(max(e - terms[-1][0], 0), b_end + 1):
                 col, low = col_of[b], e - b
                 for o, cf in terms:
                     if 0 <= o - low < len(col):
                         row[col[o - low]] = cf * c
                 c *= low
-            rows.append(row)
+            if row:
+                rows.append(row)
         return rows
 
     def _sum_rows(self, jet: dict[int, int], reads: Sequence[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
-        """The exact rows of F, the sum of the terms y t^e of ``jet``, all
-        e < 0, in one walk term by term over every order b.  Column t^a d^b
-        reads the term at low + a, low = e - b: in the row of pole
-        t^-(low + a) for a < -low, and in column a = o - low of the row of
-        a functional with term (o, cf), where the terms are summed."""
+        """The nonempty rows of F, the sum of the terms y t^e of ``jet``,
+        all e < 0, ordered as in ``_term_rows``, in one exact walk term by
+        term over every order b.  Column t^a d^b reads the term at low + a,
+        low = e - b: in the row of pole t^-(low + a) for a < -low, and in
+        column a = o - low of the row of a functional with term (o, cf),
+        where the terms are summed and zero sums dropped."""
         b_max = len(self.col_of) - 1
         poles: list[dict[int, int]] = [{} for _ in range(b_max - min(jet))]  # poles[i] is the row of t^-(i+1)
         values: list[dict[int, int]] = [{} for _ in reads]
@@ -386,24 +375,25 @@ class _Rows:
                             row[idx] = row.get(idx, 0) + cf * y
                 y *= low
         # the terms that meet in one column may cancel
-        return poles + [{i: v for i, v in row.items() if v} for row in values]
+        rows = poles + [{i: v for i, v in row.items() if v} for row in values]
+        return [row for row in rows if row]
 
 
 class _Tower:
     """What the engine reads of one reduced system.  Every filtered piece up
     to kmax is a column prefix of it, and both queries need only its pivot
     columns and the monomials of its columns (see the module docstring).
-    It holds deg g, kmax, its pivots and ``columns``, its weight's column
-    table, grown to degree kmax + w1*deg(g) at least, which gives each count."""
+    It holds deg g, kmax, ``pivots``, its pivot columns as one sorted tuple,
+    and ``columns``, its weight's column table, grown to degree
+    kmax + w1*deg(g) at least, which gives each count."""
 
-    __slots__ = ("columns", "gdeg", "kmax", "pivots", "pivot_set")
+    __slots__ = ("columns", "gdeg", "kmax", "pivots")
 
     def __init__(self, columns: _Columns, gdeg: int, kmax: int, pivots: Sequence[int]):
         self.columns = columns
         self.gdeg = gdeg
         self.kmax = kmax
         self.pivots = tuple(pivots)
-        self.pivot_set = frozenset(self.pivots)
 
     def ncols_at(self, k: int) -> int:
         """The column count at level k: ncols(K), K = k + w1*deg(g)."""
@@ -415,13 +405,13 @@ class _Tower:
 
     def gr_divisible(self, k: int) -> bool:
         """Is the top symbol (numerator form) of every basis vector new at
-        level k divisible by x^deg(g)?  Only the pivot columns are read, see
-        the module docstring."""
-        return all(
-            self.columns.cols[j][0] >= self.gdeg
-            for j in range(self.ncols_at(k - 1), self.ncols_at(k))
-            if j not in self.pivot_set
-        )
+        level k divisible by x^deg(g)?  Only the band's last free column,
+        found below its pivots, is read, see the module docstring."""
+        lo, j = self.ncols_at(k - 1), self.ncols_at(k) - 1
+        i = bisect_left(self.pivots, j + 1)  # pivots[:i] are the pivots up to j
+        while j >= lo and i and self.pivots[i - 1] == j:
+            i, j = i - 1, j - 1
+        return j < lo or self.columns.cols[j][0] >= self.gdeg
 
 
 _TRIVIAL = SubspaceSpec.trivial()

@@ -43,6 +43,7 @@ DEFAULT_WEIGHTS = (Weight(1, 1), Weight(1, 2), Weight(2, 1), Weight(2, 3))
 
 _STABLE_WINDOW = 5  # 2 anchors + 3 confirmations
 KMAX_LIMIT = 200  # cost grows steeply with kmax; larger values are refused
+_TWO_WEIGHTS = "weight independence needs at least two weights"
 
 
 class NotStabilizedError(RuntimeError):
@@ -192,8 +193,8 @@ def dual_check(spec: SubspaceSpec, kmax: int = 12) -> Report:
 
 def weights_report(spec: SubspaceSpec, weights: Sequence[Weight], kmax: int = 12) -> Report:
     """p_D at each of several weights, and whether they agree."""
-    if len(weights) < 2:
-        raise ValueError("weight independence needs at least two weights")
+    if len(set(weights)) < 2:  # a repeated weight compares nothing
+        raise ValueError(_TWO_WEIGHTS)
     p_by_weight = tuple(lm_invariant(spec, w, kmax).p_by_weight[0] for w in weights)
     return Report(
         name=spec.name, kmax=kmax, weight=weights[0], weights=tuple(weights),
@@ -287,6 +288,8 @@ def full_report(
     inclusion at every level, and the telescoping identity."""
     _check_kmax(kmax)
     weights = weights if W11 in weights else (W11, *weights)
+    if len(set(weights)) < 2:  # refused before any tower is built
+        raise ValueError(_TWO_WEIGHTS)
     base = verify_lm_chern(spec, kmax)
     dual = hilbert_seq((spec, SubspaceSpec.trivial()), kmax)
     dual_fit = fit_euler(dual)

@@ -177,8 +177,21 @@ def outcome(code: int, stdout: bytes, stderr: str) -> tuple[int, str, str]:
     return code, hashlib.sha256(stdout).hexdigest(), stderr
 
 
+def readme_quick_start() -> tuple[tuple[str, ...], bytes]:
+    """The argv and stdout of the `$ lmtool ...` block under README's
+    "Quick start": the command on its first line, its output on the rest."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start\n", 1)[1].split("```sh\n$ lmtool ", 1)[1].split("```", 1)[0]
+    command, stdout = block.split("\n", 1)
+    return tuple(command.split()), stdout.encode()
+
+
+# the README quick start is a CLI case too, so the README cannot drift
+README_ARGV, README_STDOUT = readme_quick_start()
+
 # every CLI case: argv -> outcome(exit code, stdout, stderr) of its run
 CLI_CASES = {
+    README_ARGV: outcome(0, README_STDOUT, ""),
     ("verify", "--kmax", "12"): (0, CATALOG_KMAX12_SHA256, ""),
     ("verify", "--kmax", "20"): (0, CATALOG_KMAX20_SHA256, ""),
     **{verb_argv(verb, fmt): (0, want, "") for (verb, fmt), want in VERB_SHA256.items()},
@@ -237,9 +250,9 @@ def echelon_sha256(towers: list[tuple], reverse: bool) -> str:
 # Rows at c0 go to the tower's reducer and rows at any other point c to a
 # reducer of c's own, written in the columns (x - c)^a d^b.  Each row of a
 # one-term jet y t^e (every t^s, and a principal part of one term) comes
-# without the factor e^(b1) that all its entries would share, b1 the first
-# order it reads, and a dst functional is read through its primitive digit
-# row.  The recording reducer keeps no row, so no row is carried to c0
+# without the factor y e^(b1) that all its entries would share, b1 the
+# first order it reads (y is 1 on every pinned jet), and a dst functional
+# is read through its primitive digit row.  The recording reducer keeps no row, so no row is carried to c0
 # here.  The sorted digest pins the rows whatever their order; the sequence
 # digest pins this order.
 OFFERED_ROWS = 31522

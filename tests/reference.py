@@ -9,15 +9,18 @@ dim A_k(w), which the package reads from its column table instead.
 functionals in sympy, and ``low_basis_sympy`` is a basis of the part of a
 spec below its conductor's degree, from sympy's nullspace.
 ``gap_hom_dims`` is a closed form for the hom spaces between gap sets at 0
-that uses the standard library alone, and ``top_gaps`` the gap set that a
-spec degenerates to when its points collide at 0.  ``int_row`` scales a
+that uses the standard library alone, ``wilson_partition`` the partition of
+a gap set, whose size is its n, and ``top_gaps`` the gap set that a spec
+degenerates to when its points collide at 0.  ``int_row`` scales a
 row over Q to the integer row ``RowReducer`` takes.  ``StepwiseReducer`` is fraction-free
 elimination that keeps every row primitive after every step, which
 ``lmtool.linalg.RowReducer`` must match row for row.  ``recentred_row``
 rewrites a row read on (x - c)^i d^b as a row read on (x - c0)^a d^b,
 with binomials taken as products of Fractions.  ``jet_rows`` reads the pole
 and value rows of a Laurent jet from each column's own Laurent
-coefficients, which ``graded._Rows._add_jet_rows`` must match row for row.
+coefficients, which the walks ``graded._Rows._term_rows`` and
+``graded._Rows._sum_rows`` must match row for row, each row of a one-term
+jet up to its scale.
 """
 
 from fractions import Fraction
@@ -131,6 +134,14 @@ def gap_hom_dims(gaps1, gaps2, w1: int, w2: int, kmax: int, kmin: int = -1) -> l
             dim += max(0, b1 - b0 + 1 - len(nodes))
         dims.append(dim)
     return dims
+
+
+def wilson_partition(gaps) -> list[int]:
+    """lambda_i = gamma_(r+1-i) - (r - i) for the gaps gamma_1 < ... < gamma_r,
+    largest part first (Wilson, Invent. Math. 1998); |lambda| is the n of
+    the gap set."""
+    r = len(gaps)
+    return [g - (r - 1 - i) for i, g in enumerate(sorted(gaps, reverse=True))]
 
 
 def top_gaps(spec: SubspaceSpec) -> tuple[int, ...]:

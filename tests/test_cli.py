@@ -193,6 +193,11 @@ def test_csv_format(capsys, cusp_file):
     assert lines[1] == "0,1,0,1,0"
 
 
+def test_readme_quick_start_is_pinned(capsys):
+    assert pins.README_ARGV == ("verify", "--spec", "cusp", "--format", "text")
+    assert_pinned(capsys, pins.README_ARGV)
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "verify", "--spec", "cusp", "--format", "text")
     assert code == 0

@@ -18,8 +18,8 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import prod
-from types import SimpleNamespace
+from itertools import accumulate
+from math import inf, prod
 
 import pytest
 import sympy
@@ -39,7 +39,7 @@ from lmtool.graded import (
     hom_piece,
     module_dims,
 )
-from lmtool.invariants import DEFAULT_WEIGHTS, chern_number
+from lmtool.invariants import DEFAULT_WEIGHTS, chern_number, lm_invariant
 from lmtool.linalg import Poly, RowReducer
 from lmtool.subspace import Functional, SubspaceSpec, parse_spec
 from lmtool.weyl import Weight, WeylEl, monomial_basis
@@ -57,6 +57,7 @@ from reference import (
     recentred_row,
     top_gaps,
     wdegree,
+    wilson_partition,
 )
 
 X = sympy.Symbol("x")
@@ -531,29 +532,28 @@ def jet_cases(draw):
 @given(jet_cases())
 @settings(max_examples=300, deadline=None)
 def test_jet_rows_match_the_laurent_coefficients(case):
-    # the walk over the jet must offer the pole and value rows read off
-    # each column's own Laurent coefficients, in the same order: exactly
-    # for a jet of two or more terms, and for one term y t^e each row
-    # without the factor e^(b1) that all its entries share, b1 the first
-    # order it reads -- max(b - a, 0) for a pole row, whose every column
-    # (a, b) reads t^(e - b + a) alike, and max(e - o_top, 0) for the
-    # value row of a functional of top order o_top
+    # each walk must return the pole and value rows read off each column's
+    # own Laurent coefficients, in the same order: _sum_rows exactly for a
+    # jet of two or more terms, and _term_rows, given the exponent e of one
+    # term y t^e, each row without the factor y e^(b1) that all its entries
+    # share, b1 the first order it reads -- max(b - a, 0) for a pole row,
+    # whose every column (a, b) reads t^(e - b + a) alike, and
+    # max(e - o_top, 0) for the value row of a functional of top order o_top
     weight, k_u, jet, reads = case
     rows = graded._Rows(TRIVIAL, TRIVIAL, weight, k_u)  # no points: columns only
-    offered = []
-    rows._add_jet_rows(SimpleNamespace(add_row=offered.append), jet, reads)
     columns = monomial_basis(weight, k_u)
     want = jet_rows(jet, reads, columns)
     if len(jet) > 1:
-        assert offered == want
+        assert rows._sum_rows(jet, reads) == want
         return
-    [e] = jet
+    [(e, y)] = jet.items()
+    offered = rows._term_rows(e, reads)
     poles = jet_rows(jet, [], columns)
     firsts = [max(b - a, 0) for row in poles for a, b in [columns[min(row)]]]
     for terms in reads:  # a functional whose row is empty offers none
         firsts += [max(e - terms[-1][0], 0)] * (len(jet_rows(jet, [terms], columns)) - len(poles))
     assert len(offered) == len(firsts) == len(want)
-    assert [{i: v * falling(e, b1) for i, v in row.items()} for row, b1 in zip(offered, firsts)] == want
+    assert [{i: v * y * falling(e, b1) for i, v in row.items()} for row, b1 in zip(offered, firsts)] == want
 
 
 def falling(e: int, b: int) -> int:
@@ -562,19 +562,24 @@ def falling(e: int, b: int) -> int:
 
 
 def test_every_jet_is_t_s_or_a_principal_part(monkeypatch):
-    # _add_jet_rows writes a jet of one term row by row, each row from its
-    # own first order, and a longer jet in one walk from order 0, where its
-    # coefficients are exact only if every exponent is negative: every jet
-    # of two or more terms the towers pass it must have negative exponents
+    # _term_rows writes the rows of one term t^e, each from its own first
+    # order, and _sum_rows those of a longer jet in one walk from order 0,
+    # where its coefficients are exact only if every exponent is negative:
+    # every jet the towers pass to _sum_rows must have negative exponents
     # only (the towers' one-term jets are t^s or a single pole term)
-    jets = []
-    add_jet_rows = graded._Rows._add_jet_rows
+    exponents, jets = [], []
+    term_rows, sum_rows = graded._Rows._term_rows, graded._Rows._sum_rows
 
-    def recorded(self, reducer, jet, reads):
+    def recorded_term(self, e, reads):
+        exponents.append(e)
+        return term_rows(self, e, reads)
+
+    def recorded_sum(self, jet, reads):
         jets.append(jet)
-        add_jet_rows(self, reducer, jet, reads)
+        return sum_rows(self, jet, reads)
 
-    monkeypatch.setattr(graded._Rows, "_add_jet_rows", recorded)
+    monkeypatch.setattr(graded._Rows, "_term_rows", recorded_term)
+    monkeypatch.setattr(graded._Rows, "_sum_rows", recorded_sum)
     clear_cache()
     for src, dst, weight in pins.pinned_towers():
         graded._Rows(src, dst, weight, 12)
@@ -582,8 +587,8 @@ def test_every_jet_is_t_s_or_a_principal_part(monkeypatch):
         sweep = pins.workloads.SWEEPS[name](1)
         clear_cache()
         assert not [problem for spec in sweep.specs for problem in sweep.check(spec)], name
-    assert [jet for jet in jets if not (len(jet) == 1 and min(jet) >= 0 or max(jet) < 0)] == []
-    assert any(min(jet) >= 0 for jet in jets) and any(len(jet) > 1 for jet in jets)
+    assert [jet for jet in jets if len(jet) < 2 or max(jet) >= 0] == []
+    assert min(exponents) < 0 <= max(exponents) and jets
 
 
 # ---------------------------------------------------------------------------
@@ -942,13 +947,6 @@ def test_clear_cache_empties_the_tables(monkeypatch):
 GAP_SETS_0_6 = [tuple(g for g in range(7) if mask >> g & 1) for mask in range(1, 128)]
 
 
-def wilson_partition(gaps: tuple[int, ...]) -> list[int]:
-    """lambda_i = gamma_(r+1-i) - (r - i) for the gaps gamma_1 < ... < gamma_r,
-    largest part first (Wilson, Invent. Math. 1998)."""
-    r = len(gaps)
-    return [g - (r - 1 - i) for i, g in enumerate(sorted(gaps, reverse=True))]
-
-
 def conjugate(parts: list[int]) -> list[int]:
     return [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]
 
@@ -956,8 +954,8 @@ def conjugate(parts: list[int]) -> list[int]:
 def staircase(tower, k: int) -> set[tuple[int, int]]:
     """The (a, b) of the free columns of tower up to level k, read from its
     column table and its pivots."""
-    cols = tower.columns.cols
-    return {cols[j] for j in range(tower.ncols_at(k)) if j not in tower.pivot_set}
+    cols, pivots = tower.columns.cols, set(tower.pivots)
+    return {cols[j] for j in range(tower.ncols_at(k)) if j not in pivots}
 
 
 def outside_diagram(shift: int, parts: list[int], top: int) -> set[tuple[int, int]]:
@@ -968,8 +966,9 @@ def outside_diagram(shift: int, parts: list[int], top: int) -> set[tuple[int, in
 
 def test_gap_set_staircases_are_wilsons_partition():
     # the module's leading monomials are x^r J_lambda, r the number of gaps,
-    # the dual's x^(deg g - r) J_(lambda^T), and |lambda| is n: read from the
-    # cached pivots, with no basis and no new reduction
+    # the dual's x^(deg g - r) J_(lambda^T), and the module's sequence fits
+    # shift -r and constant |lambda| = n: read from the cached pivots, with
+    # no basis and no new reduction
     for gaps in GAP_SETS_0_6:
         spec = SubspaceSpec.from_gaps(None, gaps)
         r, deg_g = len(gaps), gaps[-1] + 1
@@ -979,7 +978,8 @@ def test_gap_set_staircases_are_wilsons_partition():
         assert staircase(module, level) == outside_diagram(r, parts, level), gaps
         dual = _tower_for(spec, TRIVIAL, W11, level)
         assert staircase(dual, level) == outside_diagram(deg_g - r, conjugate(parts), level + deg_g), gaps
-        assert sum(parts) == chern_number(spec, 2 * deg_g + 6).n, gaps
+        module_fit = chern_number(spec, 2 * deg_g + 6)
+        assert (module_fit.shift_a, module_fit.n) == (-r, sum(parts)), gaps
 
 
 def test_every_small_gap_set_end_tower_is_the_closed_form():
@@ -998,6 +998,76 @@ def test_every_small_gap_set_end_tower_is_the_closed_form():
             dims = hom_dims(spec, spec, Weight(*w), kmax, kmin=-1)
             assert dims == gap_hom_dims(gaps, gaps, *w, kmax), (gaps, w)
             assert dim_A(Weight(*w), kmax) - dims[-1] == 2 * n, (gaps, w)
+
+
+# ---------------------------------------------------------------------------
+# leading monomials across towers
+# ---------------------------------------------------------------------------
+
+def ideal_part(tower, k: int, shift: int) -> set[tuple[int, int]]:
+    """The staircase of tower up to level k divided by x^shift: what is read
+    of a monomial ideal J, so every x-exponent there is at least shift."""
+    monomials = staircase(tower, k)
+    assert min(a for a, _ in monomials) >= shift
+    return {(a - shift, b) for a, b in monomials}
+
+
+def module_ideal(spec: SubspaceSpec, weight: Weight, top: int) -> set[tuple[int, int]]:
+    """J of spec: its module's leading monomials up to degree top over x^r,
+    r the number of normalised conditions."""
+    return ideal_part(_tower_for(TRIVIAL, spec, weight, top), top, len(spec.functionals))
+
+
+def dual_ideal(spec: SubspaceSpec, weight: Weight, k: int) -> set[tuple[int, int]]:
+    """J' of spec: its dual's leading monomials up to level k (numerator
+    degree k + w1 deg(g)) over x^(deg g - r)."""
+    return ideal_part(_tower_for(spec, TRIVIAL, weight, k), k, spec.conductor.degree() - len(spec.functionals))
+
+
+def test_hom_leading_monomials_contain_the_module_times_the_dual():
+    # Hom(V1, V2) contains M2 N1, M2 the module of V2 and N1 = Hom(V1, C[x])
+    # the dual of V1, and gr A is commutative, so leading monomials
+    # multiply: Hom's free columns contain x^(r2 + deg g1 - r1) J2 J1',
+    # read off three towers built apart, over every ordered catalog pair
+    clear_cache()
+    k = 12
+    for weight in (W11, Weight(2, 3)):
+        for src in catalog():
+            g1, r1 = src.conductor.degree(), len(src.functionals)
+            top = k + weight.w1 * g1  # of the numerators of Hom and the dual
+            dual = dual_ideal(src, weight, k)
+            for dst in catalog():
+                module = module_ideal(dst, weight, top)
+                shift = len(dst.functionals) + g1 - r1
+                products = {(a1 + a2 + shift, b1 + b2) for a1, b1 in module for a2, b2 in dual}
+                hom = staircase(_tower_for(src, dst, weight, k), k)
+                assert {(a, b) for a, b in products if weight.w1 * a + weight.w2 * b <= top} <= hom, \
+                    (src.name, dst.name, weight)
+
+
+def colength(monomials: set[tuple[int, int]]) -> float:
+    """The number of monomials x^a xi^b outside the ideal the given ones
+    generate, inf when that ideal holds no pure power of x or of xi."""
+    least = [inf] * (max(b for _, b in monomials) + 1)  # least[b]: the least a at xi^b
+    for a, b in monomials:
+        least[b] = min(least[b], a)
+    boxes = list(accumulate(least, min))  # boxes[b]: the monomials outside in row b
+    return sum(boxes) if boxes[-1] == 0 else inf
+
+
+def test_p_is_at_most_the_colength_of_the_module_times_the_dual():
+    # End(V) contains x^deg(g) J J', so with graded inclusion p_w(k) is at
+    # most the colength of J_w J'_w; at kmax 20 every J reads its exact
+    # x-shift, and J J' is of finite colength
+    clear_cache()
+    kmax = 20
+    for spec in catalog():
+        for weight in DEFAULT_WEIGHTS:
+            module = module_ideal(spec, weight, kmax + weight.w1 * spec.conductor.degree())
+            dual = dual_ideal(spec, weight, kmax)
+            assert min(a for a, _ in module) == min(a for a, _ in dual) == 0, (spec.name, weight)
+            bound = colength({(a1 + a2, b1 + b2) for a1, b1 in module for a2, b2 in dual})
+            assert lm_invariant(spec, weight, kmax).p_D <= bound < inf, (spec.name, weight)
 
 
 # ---------------------------------------------------------------------------

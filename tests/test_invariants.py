@@ -36,7 +36,7 @@ from lmtool.invariants import (
 )
 from lmtool.subspace import Functional, SubspaceSpec
 from lmtool.weyl import Weight
-from reference import dim_A, gap_hom_dims
+from reference import dim_A, gap_hom_dims, wilson_partition
 
 
 def seq(values, label="test"):
@@ -227,7 +227,9 @@ GAP_SETS_0_3 = [tuple(g for g in range(4) if mask >> g & 1) for mask in range(16
 
 
 def test_relative_matches_gap_set_closed_form():
-    # every ordered pair of gap sets in {0,1,2,3}, past the onset of both
+    # every ordered pair of gap sets in {0,1,2,3}, past the onset of both:
+    # the hom sequence is the closed form's, p_12 is the sum of the two
+    # Wilson partitions' sizes, and the shift is |G1| - |G2|
     for g1 in GAP_SETS_0_3:
         for g2 in GAP_SETS_0_3:
             m = max(g1 + g2, default=-1) + 1
@@ -235,6 +237,7 @@ def test_relative_matches_gap_set_closed_form():
             r = relative_invariant(SubspaceSpec.from_gaps("src", g1), SubspaceSpec.from_gaps("dst", g2), kmax)
             assert r.hilbert_hom == tuple(gap_hom_dims(g1, g2, 1, 1, kmax)[1:]), (g1, g2)
             assert r.verdicts == {"relative": True}, (g1, g2)
+            assert r.p_12 == sum(wilson_partition(g1)) + sum(wilson_partition(g2)), (g1, g2)
             assert r.shift_a == len(g1) - len(g2), (g1, g2)
 
 
@@ -393,6 +396,18 @@ def test_each_sequence_is_read_once(monkeypatch):
     calls.clear()
     verify_lm_chern(cusp, 12)
     assert calls == [("hom", "cusp", "cusp", W11), ("module", "cusp")]
+
+
+def test_weight_comparisons_refuse_one_distinct_weight_before_any_tower():
+    # a repeated weight compares nothing, and full_report counts after it
+    # adds (1,1), so (1,1) alone is one weight too
+    cusp = catalog_get("cusp")
+    for call in (lambda: weights_report(cusp, (W11, W11)), lambda: full_report(cusp, 12, (W11, W11)),
+                 lambda: full_report(cusp, 12, (W11,)), lambda: full_report(cusp, 12, ())):
+        graded.clear_cache()
+        with pytest.raises(ValueError, match="weight independence needs at least two weights"):
+            call()
+        assert graded._tower_cache == {}
 
 
 def test_full_report_verdict_keys():
